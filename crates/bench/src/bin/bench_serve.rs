@@ -15,10 +15,11 @@
 //! exact per-request record sequence (counters, gauges, two histogram
 //! observations, one analytics-ledger ring write) is timed in isolation
 //! against live registry handles and related to the measured warm request
-//! latency. With the `noop` feature those operations compile to nothing
-//! (and the ledger ring has zero slots), so the sequence cost *is* the
-//! telemetry-on vs noop delta; the run asserts it stays under a 2%
-//! throughput regression and pins the numbers under `profile_overhead` in
+//! latency. A request that recorded nothing would skip exactly those
+//! operations, so the sequence cost *is* the telemetry-on vs
+//! telemetry-off delta (the "noop" figure is derived arithmetically, not
+//! from a second build); the run asserts it stays under a 2% throughput
+//! regression and pins the numbers under `profile_overhead` in
 //! `BENCH_serve.json`. `--profile-overhead` runs only the warm mode and
 //! this check (a quick gate, skipping the cold cells).
 //!
@@ -205,15 +206,7 @@ fn telemetry_ns_per_request() -> f64 {
     }
     let ns = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
     assert_eq!(requests.get(), u64::from(ITERS), "sequence not optimized away");
-    // Under `spade-telemetry/noop` the ring has zero slots and `record`
-    // returns immediately; otherwise every write must have landed.
-    if ledger.capacity() > 0 {
-        assert_eq!(
-            ledger.recorded_total(),
-            u64::from(ITERS),
-            "ledger writes not optimized away"
-        );
-    }
+    assert_eq!(ledger.recorded_total(), u64::from(ITERS), "ledger writes not optimized away");
     ns
 }
 
@@ -318,8 +311,8 @@ fn main() {
     // The warm path is the worst case for the substrate: the request does
     // almost no other work, so the record sequence is its largest relative
     // cost. Relate the isolated sequence cost to the measured warm request
-    // time; under `noop` the sequence is free, so this ratio is the
-    // telemetry-on vs noop throughput regression.
+    // time; without telemetry the sequence would be free, so this ratio is
+    // the telemetry-on vs projected-off ("noop") throughput regression.
     let telemetry_ns = telemetry_ns_per_request();
     let warm_rps = throughput("warm", 1);
     let warm_request_ns = 1e9 / warm_rps.max(f64::MIN_POSITIVE);

@@ -29,7 +29,7 @@ pub enum AttrKind {
 }
 
 /// A named attribute over a CFS.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttributeDef {
     /// How values are computed.
     pub kind: AttrKind,

@@ -7,10 +7,10 @@
 //! identified as equivalent by the RDFQuotient summary."
 
 use crate::config::SpadeConfig;
-use spade_parallel::{Budget, Cancelled};
+use spade_cube::ExecCtx;
+use spade_parallel::Cancelled;
 use spade_rdf::{Graph, TermId};
 use spade_summary::weak_summary;
-use spade_telemetry::SpanCtx;
 use std::collections::HashSet;
 
 /// Which selection strategies to run.
@@ -25,7 +25,7 @@ pub enum CfsStrategy {
 }
 
 /// A candidate fact set: a named set of RDF nodes to aggregate over.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CandidateFactSet {
     /// Human-readable origin, e.g. `type:CEO` or `summary:3`.
     pub name: String,
@@ -46,41 +46,42 @@ impl CandidateFactSet {
 }
 
 /// Runs the given strategies and returns deduplicated CFSs, largest first,
-/// filtered by `min_cfs_size` and capped at `max_cfs`.
-///
-/// Member materialization and normalization (the per-candidate index scans
-/// and sort+dedup) fan out over `config.threads` per strategy, merged in
-/// candidate order; the dedup-and-rank tail stays serial, so the selection
-/// is bit-identical at every thread count.
+/// filtered by `min_cfs_size` and capped at `max_cfs` (plain form of
+/// [`select_in`] on `config.threads` workers).
 pub fn select(
     graph: &Graph,
     strategies: &[CfsStrategy],
     config: &SpadeConfig,
 ) -> Vec<CandidateFactSet> {
-    select_budgeted(graph, strategies, config, &Budget::unlimited(), &SpanCtx::disabled())
-        .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(config.threads, |cx| select_in(graph, strategies, config, cx))
 }
 
-/// [`select`] under a request [`Budget`]: the budget is polled per
-/// strategy and per candidate, so an expired request unwinds with
-/// [`Cancelled`] within one candidate's materialization. With
-/// [`Budget::unlimited`] this is exactly [`select`]. `ctx` records one
-/// child span per strategy (strategies run serially, so auto ordering is
-/// deterministic) with the candidate count as an attr.
-pub fn select_budgeted(
+/// Runs the given strategies and returns deduplicated CFSs, largest first,
+/// filtered by `min_cfs_size` and capped at `max_cfs`.
+///
+/// Member materialization and normalization (the per-candidate index scans
+/// and sort+dedup) fan out over `cx.threads` per strategy, merged in
+/// candidate order; the dedup-and-rank tail stays serial, so the selection
+/// is bit-identical at every thread count.
+///
+/// The budget is polled per strategy and per candidate, so an expired
+/// request unwinds with [`Cancelled`] within one candidate's
+/// materialization. Records one child span per strategy (strategies run
+/// serially, so auto ordering is deterministic) with the candidate count
+/// as an attr.
+pub fn select_in(
     graph: &Graph,
     strategies: &[CfsStrategy],
     config: &SpadeConfig,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<Vec<CandidateFactSet>, Cancelled> {
-    spade_parallel::fault::fire_with_budget("cfs", Some(budget));
+    spade_parallel::fault::fire_with_budget("cfs", Some(cx.budget));
     let mut out: Vec<CandidateFactSet> = Vec::new();
     let mut seen_member_sets: HashSet<Vec<TermId>> = HashSet::new();
 
     for strategy in strategies {
-        budget.check()?;
-        let span = ctx.span(match strategy {
+        cx.check()?;
+        let (span, _) = cx.span(match strategy {
             CfsStrategy::TypeBased => "type_based",
             CfsStrategy::PropertyBased(_) => "property_based",
             CfsStrategy::SummaryBased => "summary_based",
@@ -88,8 +89,8 @@ pub fn select_budgeted(
         let candidates: Vec<(String, Vec<TermId>)> = match strategy {
             CfsStrategy::TypeBased => {
                 let classes: Vec<TermId> = graph.classes().collect();
-                spade_parallel::try_map(classes, config.threads, |class| {
-                    budget.check()?;
+                spade_parallel::try_map(classes, cx.threads, |class| {
+                    cx.check()?;
                     Ok((
                         format!("type:{}", graph.dict.display(class)),
                         normalized(graph.nodes_of_type(class)),
@@ -110,8 +111,8 @@ pub fn select_budgeted(
             }
             CfsStrategy::SummaryBased => {
                 let summary = weak_summary(graph);
-                spade_parallel::try_map(summary.classes, config.threads, |class| {
-                    budget.check()?;
+                spade_parallel::try_map(summary.classes, cx.threads, |class| {
+                    cx.check()?;
                     Ok((format!("summary:{}", class.id), normalized(class.members)))
                 })?
             }

@@ -12,11 +12,11 @@
 
 use crate::analysis::CfsAnalysis;
 use crate::config::SpadeConfig;
-use crate::mfs::{maximal_frequent_sets_budgeted, Item};
+use crate::mfs::{maximal_frequent_sets_in, Item};
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_cube::ExecCtx;
+use spade_parallel::Cancelled;
 use spade_storage::FactId;
-use spade_telemetry::SpanCtx;
 
 /// One lattice to evaluate: dimension and measure attribute indexes into
 /// the [`CfsAnalysis::attributes`] vector.
@@ -54,36 +54,35 @@ fn compatible(
         || a_from.is_some() && a_from == b_from)
 }
 
+/// Enumerates the lattices of one analyzed CFS (plain form of
+/// [`enumerate_in`] on `config.threads` workers).
+pub fn enumerate(analysis: &CfsAnalysis, config: &SpadeConfig) -> Vec<LatticeSpec> {
+    ExecCtx::unbounded(config.threads, |cx| enumerate_in(analysis, config, cx))
+}
+
 /// Enumerates the lattices of one analyzed CFS.
 ///
 /// The per-attribute tidset construction (a full fact scan per dimension
 /// candidate) and the per-root measure assignment are independent, so both
-/// fan out over `config.threads` with input-order merges — candidate
+/// fan out over `cx.threads` with input-order merges — candidate
 /// generation is bit-identical at every thread count.
-pub fn enumerate(analysis: &CfsAnalysis, config: &SpadeConfig) -> Vec<LatticeSpec> {
-    enumerate_budgeted(analysis, config, &Budget::unlimited(), &SpanCtx::disabled())
-        .expect("unlimited budget cannot cancel")
-}
-
-/// [`enumerate`] under a request [`Budget`]: the budget is polled per
-/// tidset scan and per lattice root, so an expired request unwinds with
-/// [`Cancelled`] within one attribute's fact scan. With
-/// [`Budget::unlimited`] this is exactly [`enumerate`]. `ctx` records one
-/// `mfs` span over the maximal-frequent-set mining with dimension-item and
-/// lattice-root counts as attrs.
-pub fn enumerate_budgeted(
+///
+/// The budget is polled per tidset scan and per lattice root, so an
+/// expired request unwinds with [`Cancelled`] within one attribute's fact
+/// scan. Records one `mfs` span over the maximal-frequent-set mining with
+/// dimension-item and lattice-root counts as attrs.
+pub fn enumerate_in(
     analysis: &CfsAnalysis,
     config: &SpadeConfig,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<Vec<LatticeSpec>, Cancelled> {
     let dim_attrs = analysis.dimension_attrs();
     if dim_attrs.is_empty() {
         return Ok(Vec::new());
     }
     // Tidsets over facts for the frequent-set mining.
-    let items: Vec<Item> = spade_parallel::try_map(dim_attrs, config.threads, |ai| {
-        budget.check()?;
+    let items: Vec<Item> = spade_parallel::try_map(dim_attrs, cx.threads, |ai| {
+        cx.check()?;
         let col = analysis.attributes[ai].categorical.as_ref().expect("dims have columns");
         let tidset = Bitmap::from_iter(
             (0..analysis.n_facts() as u32).filter(|&f| !col.codes_of(FactId(f)).is_empty()),
@@ -91,22 +90,21 @@ pub fn enumerate_budgeted(
         Ok(Item { attr: ai, tidset })
     })?;
     let min_count = ((config.min_support * analysis.n_facts() as f64).ceil() as u64).max(1);
-    budget.check()?;
-    let mfs_span = ctx.span("mfs");
+    cx.check()?;
+    let (mfs_span, mfs_cx) = cx.span("mfs");
     mfs_span.attr("items", items.len() as u64);
-    let roots = maximal_frequent_sets_budgeted(
+    let roots = maximal_frequent_sets_in(
         &items,
         min_count,
         config.max_lattice_dims,
         |a, b| compatible(&analysis.attributes[a], &analysis.attributes[b]),
-        config.threads,
-        budget,
+        &mfs_cx,
     )?;
     mfs_span.attr("roots", roots.len() as u64);
     drop(mfs_span);
 
-    spade_parallel::try_map(roots, config.threads, |dims| {
-        budget.check()?;
+    spade_parallel::try_map(roots, cx.threads, |dims| {
+        cx.check()?;
         let measures: Vec<usize> = analysis
             .measure_attrs()
             .into_iter()

@@ -17,7 +17,7 @@
 //! [`spade_parallel`] pool, and a serial fold merges the outcomes in
 //! lattice order so counters and results are identical at any thread count.
 //! The thread budget splits across the two fan-out levels
-//! ([`spade_parallel::split_budget`]): outer workers run whole lattices,
+//! ([`ExecCtx::split`]): outer workers run whole lattices,
 //! and each lattice's leftover inner budget drives the region-sharded
 //! engine (and the early-stop pruning loop) *within* that lattice — the
 //! single-large-lattice shape then still uses every core.
@@ -26,14 +26,13 @@ use crate::analysis::CfsAnalysis;
 use crate::config::SpadeConfig;
 use crate::enumeration::LatticeSpec;
 use spade_cube::earlystop;
-use spade_cube::mvdcube::{mvd_cube_pruned_budgeted, prepare_budgeted, MvdCubeOptions};
-use spade_cube::{CubeResult, CubeSpec, MeasureSpec};
-use spade_parallel::{Budget, Cancelled};
-use spade_telemetry::SpanCtx;
+use spade_cube::mvdcube::{mvd_cube_pruned_in, prepare_in, MvdCubeOptions};
+use spade_cube::{CubeResult, CubeSpec, ExecCtx, MeasureSpec};
+use spade_parallel::Cancelled;
 use std::collections::{HashMap, HashSet};
 
 /// The evaluation output for one CFS.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct CfsEvaluation {
     /// One result per lattice (parallel to the input specs).
     pub results: Vec<CubeResult>,
@@ -53,44 +52,36 @@ struct LatticeOutcome {
     pruned_by_es: usize,
 }
 
-/// Evaluates all lattices of one CFS.
+/// Evaluates all lattices of one CFS (plain form of [`evaluate_cfs_in`] on
+/// `config.threads` workers).
 pub fn evaluate_cfs(
     analysis: &CfsAnalysis,
     lattices: &[LatticeSpec],
     config: &SpadeConfig,
 ) -> CfsEvaluation {
-    evaluate_cfs_budgeted(
-        analysis,
-        lattices,
-        config,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(config.threads, |cx| evaluate_cfs_in(analysis, lattices, config, cx))
 }
 
-/// [`evaluate_cfs`] under a request [`Budget`]: the budget is polled per
-/// lattice during planning and threaded into every lattice's early-stop
-/// pruning and cube run, so an expired request unwinds with [`Cancelled`]
-/// within one region flush. With [`Budget::unlimited`] this is exactly
-/// [`evaluate_cfs`].
+/// Evaluates all lattices of one CFS. The budget is polled per lattice
+/// during planning and threaded into every lattice's early-stop pruning
+/// and cube run, so an expired request unwinds with [`Cancelled`] within
+/// one region flush.
 ///
-/// `ctx` records one `lattice` span per lattice, ordered by lattice index
-/// ([`SpanCtx::span_at`]) so the span-tree shape is identical at every
+/// Records one `lattice` span per lattice, ordered by lattice index
+/// ([`ExecCtx::span_at`]) so the span-tree shape is identical at every
 /// thread count; each lattice span nests the translate, early-stop, and
 /// cube-engine child spans opened by the stages it runs.
-pub fn evaluate_cfs_budgeted(
+pub fn evaluate_cfs_in(
     analysis: &CfsAnalysis,
     lattices: &[LatticeSpec],
     config: &SpadeConfig,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<CfsEvaluation, Cancelled> {
     let mut evaluation = CfsEvaluation::default();
     // Split the thread budget: `outer` lattices in flight, each with
-    // `inner` workers for its intra-lattice region shards.
-    let (outer, inner) = spade_parallel::split_budget(config.threads, lattices.len());
-    let options = MvdCubeOptions { threads: inner, ..Default::default() };
+    // `inner.threads` workers for its intra-lattice region shards.
+    let (outer, inner) = cx.split(lattices.len());
+    let options = MvdCubeOptions::default();
 
     // —— serial planning: cross-lattice sharing ——
     // `(sorted dim attribute ids, MDA label)` pairs already evaluated in an
@@ -100,7 +91,7 @@ pub fn evaluate_cfs_budgeted(
     let mut work: Vec<(CubeSpec<'_>, HashMap<u32, Vec<bool>>)> =
         Vec::with_capacity(lattices.len());
     for lattice_spec in lattices {
-        budget.check()?;
+        cx.check()?;
         let dims: Vec<_> = lattice_spec
             .dims
             .iter()
@@ -142,18 +133,14 @@ pub fn evaluate_cfs_budgeted(
     let indexed: Vec<(usize, (CubeSpec<'_>, HashMap<u32, Vec<bool>>))> =
         work.into_iter().enumerate().collect();
     let outcomes = spade_parallel::try_map(indexed, outer, |(idx, (spec, mut alive))| {
-        budget.check()?;
-        let lattice_span = ctx.span_at("lattice", idx as u64);
-        let lctx = lattice_span.ctx();
+        cx.check()?;
+        let (lattice_span, lcx) = inner.span_at("lattice", idx as u64);
         let sample_cap = config.early_stop.map(|es| es.sample_size);
-        let (lattice, translation) =
-            prepare_budgeted(&spec, &options, sample_cap, budget, &lctx)?;
+        let (lattice, translation) = prepare_in(&spec, &options, sample_cap, &lcx)?;
         let mut pruned_by_es = 0usize;
         if let Some(es_config) = &config.early_stop {
             let samples = translation.samples.clone().expect("sampling enabled");
-            let outcome = earlystop::prune_budgeted(
-                &spec, &lattice, &samples, es_config, inner, budget, &lctx,
-            )?;
+            let outcome = earlystop::prune_in(&spec, &lattice, &samples, es_config, &lcx)?;
             for (mask, flags) in &mut alive {
                 let es_flags = &outcome.alive[mask];
                 for (i, f) in flags.iter_mut().enumerate() {
@@ -167,15 +154,7 @@ pub fn evaluate_cfs_budgeted(
         let evaluated_aggregates =
             alive.values().map(|f| f.iter().filter(|&&x| x).count()).sum::<usize>();
         lattice_span.attr("aggregates", evaluated_aggregates as u64);
-        let result = mvd_cube_pruned_budgeted(
-            &spec,
-            &options,
-            &lattice,
-            &translation,
-            &alive,
-            budget,
-            &lctx,
-        )?;
+        let result = mvd_cube_pruned_in(&spec, &options, &lattice, &translation, &alive, &lcx)?;
         Ok(LatticeOutcome { result, evaluated_aggregates, pruned_by_es })
     })?;
 

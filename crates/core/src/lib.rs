@@ -46,14 +46,17 @@ pub use pipeline::{
     StepTimings, TopAggregate,
 };
 
-/// Request budgets (deadline + cancellation) threaded through
-/// [`Spade::run_on_budgeted`] — re-exported so servers need not depend on
-/// `spade-parallel` directly.
+/// The per-request execution context (budget + span position + thread
+/// count) that [`Spade::run_on_in`] and every stage's `*_in` form run
+/// under — re-exported so servers need not depend on `spade-cube` directly.
+pub use spade_cube::ExecCtx;
+
+/// Request budgets (deadline + cancellation) carried by an [`ExecCtx`] —
+/// re-exported so servers need not depend on `spade-parallel` directly.
 pub use spade_parallel::{Budget, CancelReason, Cancelled};
 
-/// Per-request tracing (span trees recorded by
-/// [`Spade::run_on_traced`](pipeline::Spade::run_on_traced)) — re-exported
-/// so servers need not depend on `spade-telemetry` directly.
+/// Per-request tracing (span trees recorded under [`ExecCtx::traced`]) —
+/// re-exported so servers need not depend on `spade-telemetry` directly.
 pub use spade_telemetry::{Span, SpanCtx, Trace};
 
 /// The snapshot store serving this pipeline's offline state (re-exported so

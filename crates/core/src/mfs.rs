@@ -1,6 +1,6 @@
 //! Maximal Frequent Sets of attributes (Section 3, Step 3(b)).
 //!
-//! "We compute the Maximal Frequent Sets of attributes [25] in the CFS.
+//! "We compute the Maximal Frequent Sets of attributes \[25\] in the CFS.
 //! Each of the found sets is the root of one lattice."
 //!
 //! An attribute set is *frequent* when the fraction of facts carrying **all**
@@ -11,7 +11,8 @@
 //! spirit of GenMax [Gouda & Zaki, ICDM 2001].
 
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_cube::ExecCtx;
+use spade_parallel::Cancelled;
 
 /// One item: an attribute index plus the set of facts carrying it.
 #[derive(Clone, Debug)]
@@ -20,6 +21,19 @@ pub struct Item {
     pub attr: usize,
     /// Facts having the attribute (the item's tidset).
     pub tidset: Bitmap,
+}
+
+/// Mines the maximal frequent attribute sets (serial plain form of
+/// [`maximal_frequent_sets_in`]).
+pub fn maximal_frequent_sets(
+    items: &[Item],
+    min_count: u64,
+    max_size: usize,
+    compatible: impl Fn(usize, usize) -> bool + Sync,
+) -> Vec<Vec<usize>> {
+    ExecCtx::unbounded(1, |cx| {
+        maximal_frequent_sets_in(items, min_count, max_size, compatible, cx)
+    })
 }
 
 /// Mines the maximal frequent attribute sets.
@@ -32,44 +46,23 @@ pub struct Item {
 ///
 /// Returns sets of attribute ids, each sorted ascending; the result is
 /// subset-free.
-pub fn maximal_frequent_sets(
-    items: &[Item],
-    min_count: u64,
-    max_size: usize,
-    compatible: impl Fn(usize, usize) -> bool + Sync,
-) -> Vec<Vec<usize>> {
-    match maximal_frequent_sets_budgeted(
-        items,
-        min_count,
-        max_size,
-        compatible,
-        1,
-        &Budget::unlimited(),
-    ) {
-        Ok(sets) => sets,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
-}
-
-/// [`maximal_frequent_sets`] fanned out over `threads` workers under a
-/// request [`Budget`].
 ///
 /// The search tree's top-level branches (one per frequent item, in the
-/// dense-first order) are mined independently; each branch records its
-/// locally maximal sets, and a serial merge applies the same subsumption
-/// rule across branches in branch order. Subsumption only suppresses
-/// *storage* — it never alters which subtrees are explored — so the merged
-/// subset-free family is identical to the serial mining at any thread
-/// count. Cancellation is polled once per top-level branch.
-pub fn maximal_frequent_sets_budgeted(
+/// dense-first order) are mined independently on `cx.threads` workers;
+/// each branch records its locally maximal sets, and a serial merge
+/// applies the same subsumption rule across branches in branch order.
+/// Subsumption only suppresses *storage* — it never alters which subtrees
+/// are explored — so the merged subset-free family is identical to the
+/// serial mining at any thread count. Cancellation is polled once per
+/// top-level branch.
+pub fn maximal_frequent_sets_in(
     items: &[Item],
     min_count: u64,
     max_size: usize,
     compatible: impl Fn(usize, usize) -> bool + Sync,
-    threads: usize,
-    budget: &Budget,
+    cx: &ExecCtx<'_>,
 ) -> Result<Vec<Vec<usize>>, Cancelled> {
-    budget.check()?;
+    cx.check()?;
     // Frequent single items, by descending support (dense-first ordering
     // makes long sets appear early, improving subsumption pruning).
     let mut order: Vec<usize> =
@@ -156,30 +149,31 @@ pub fn maximal_frequent_sets_budgeted(
     let order = &order;
     let universe = &universe;
     let compatible = &compatible;
-    let branches: Vec<Vec<Vec<usize>>> = spade_parallel::try_map(positions, threads, |pos| {
-        budget.check()?;
-        let i = order[pos];
-        // Top level: `current` is empty, so compatibility is vacuous and
-        // the intersection with the all-items universe is the tidset.
-        if items[i].tidset.cardinality() < min_count {
-            return Ok(Vec::new());
-        }
-        let new_tids = universe.intersect(&items[i].tidset);
-        let mut current = vec![items[i].attr];
-        let mut maximal: Vec<Vec<usize>> = Vec::new();
-        extend(
-            items,
-            order,
-            pos + 1,
-            &new_tids,
-            &mut current,
-            &mut maximal,
-            min_count,
-            max_size,
-            compatible,
-        );
-        Ok(maximal)
-    })?;
+    let branches: Vec<Vec<Vec<usize>>> =
+        spade_parallel::try_map(positions, cx.threads, |pos| {
+            cx.check()?;
+            let i = order[pos];
+            // Top level: `current` is empty, so compatibility is vacuous and
+            // the intersection with the all-items universe is the tidset.
+            if items[i].tidset.cardinality() < min_count {
+                return Ok(Vec::new());
+            }
+            let new_tids = universe.intersect(&items[i].tidset);
+            let mut current = vec![items[i].attr];
+            let mut maximal: Vec<Vec<usize>> = Vec::new();
+            extend(
+                items,
+                order,
+                pos + 1,
+                &new_tids,
+                &mut current,
+                &mut maximal,
+                min_count,
+                max_size,
+                compatible,
+            );
+            Ok(maximal)
+        })?;
 
     // Serial cross-branch merge with the same subsumption rule; the result
     // is the maximal antichain of all candidates, independent of order.
@@ -282,34 +276,5 @@ mod tests {
         assert!(maximal_frequent_sets(&[], 1, 4, |_, _| true).is_empty());
         let items = vec![item(0, &[1]), item(1, &[2])];
         assert!(maximal_frequent_sets(&items, 2, 4, |_, _| true).is_empty());
-    }
-
-    #[test]
-    fn parallel_mining_is_thread_invariant() {
-        // Overlapping supports with an incompatibility so branches interact
-        // through cross-branch subsumption.
-        let items: Vec<Item> = (0..12)
-            .map(|a| {
-                let facts: Vec<u32> =
-                    (0..60).filter(|f| !(f + a as u32).is_multiple_of(a as u32 + 2)).collect();
-                item(a, &facts)
-            })
-            .collect();
-        let compat = |a: usize, b: usize| !(a + b).is_multiple_of(7);
-        let serial = maximal_frequent_sets(&items, 12, 4, compat);
-        let budget = Budget::unlimited();
-        for threads in [2usize, 8] {
-            let par = maximal_frequent_sets_budgeted(&items, 12, 4, compat, threads, &budget)
-                .unwrap();
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
-    fn cancelled_budget_stops_mining() {
-        let items = vec![item(0, &[0, 1, 2]), item(1, &[0, 1, 2])];
-        let budget = Budget::unlimited();
-        budget.cancel();
-        assert!(maximal_frequent_sets_budgeted(&items, 1, 4, |_, _| true, 2, &budget).is_err());
     }
 }

@@ -10,7 +10,8 @@
 use crate::attr::{AttrKind, AttributeDef};
 use crate::config::SpadeConfig;
 use crate::text;
-use spade_parallel::{Budget, Cancelled};
+use spade_cube::ExecCtx;
+use spade_parallel::Cancelled;
 use spade_rdf::{vocab, Graph, Term, TermId, ValueKind};
 use std::collections::{HashMap, HashSet};
 
@@ -97,30 +98,24 @@ fn is_schema_property(graph: &Graph, p: TermId) -> bool {
     }
 }
 
-/// Gathers per-property statistics over the whole graph.
+/// Gathers per-property statistics over the whole graph (serial plain form
+/// of [`analyze_in`]).
 pub fn analyze(graph: &Graph) -> OfflineStats {
-    match analyze_budgeted(graph, 1, &Budget::unlimited()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
+    ExecCtx::unbounded(1, |cx| analyze_in(graph, cx))
 }
 
-/// [`analyze`] fanned out over `threads` workers under a request
-/// [`Budget`]: each property's full-graph scan is an independent work
-/// item, merged in input order, so the statistics are bit-identical to the
+/// Gathers per-property statistics over the whole graph on `cx.threads`
+/// workers: each property's full-graph scan is an independent work item,
+/// merged in input order, so the statistics are bit-identical to the
 /// serial pass at any thread count. Cancellation is polled once per
 /// property.
-pub fn analyze_budgeted(
-    graph: &Graph,
-    threads: usize,
-    budget: &Budget,
-) -> Result<OfflineStats, Cancelled> {
-    budget.check()?;
+pub fn analyze_in(graph: &Graph, cx: &ExecCtx<'_>) -> Result<OfflineStats, Cancelled> {
+    cx.check()?;
     let mut stats = OfflineStats::default();
     let props: Vec<TermId> =
         graph.properties().filter(|&p| !is_schema_property(graph, p)).collect();
-    stats.properties = spade_parallel::try_map(props, threads, |p| {
-        budget.check()?;
+    stats.properties = spade_parallel::try_map(props, cx.threads, |p| {
+        cx.check()?;
         let pairs = graph.property_pairs(p);
         let mut subjects: HashMap<TermId, usize> = HashMap::new();
         let mut values: HashSet<TermId> = HashSet::new();
@@ -240,34 +235,31 @@ impl DerivationCounts {
 }
 
 /// Enumerates the graph-wide derived properties guided by the offline
-/// statistics (Derived Property Enumeration).
+/// statistics (serial plain form of [`enumerate_derivations_in`]).
 pub fn enumerate_derivations(
     graph: &Graph,
     stats: &OfflineStats,
     config: &SpadeConfig,
 ) -> (Vec<AttributeDef>, DerivationCounts) {
-    match enumerate_derivations_budgeted(graph, stats, config, 1, &Budget::unlimited()) {
-        Ok(r) => r,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
+    ExecCtx::unbounded(1, |cx| enumerate_derivations_in(graph, stats, config, cx))
 }
 
-/// [`enumerate_derivations`] under a request [`Budget`], with the
-/// expensive part — the per-link-property scan over target nodes — fanned
-/// out over `threads` workers. The capped path assembly stays serial in
+/// Enumerates the graph-wide derived properties guided by the offline
+/// statistics (Derived Property Enumeration), with the expensive part —
+/// the per-link-property scan over target nodes — fanned out over
+/// `cx.threads` workers. The capped path assembly stays serial in
 /// statistics order, so the enumerated derivations are bit-identical to
 /// the serial pass at any thread count (a cancelled budget may skip
 /// scans the serial version would also have skipped via the cap, and may
 /// perform scans the serial version skips; neither affects a completed
 /// run's output).
-pub fn enumerate_derivations_budgeted(
+pub fn enumerate_derivations_in(
     graph: &Graph,
     stats: &OfflineStats,
     config: &SpadeConfig,
-    threads: usize,
-    budget: &Budget,
+    cx: &ExecCtx<'_>,
 ) -> Result<(Vec<AttributeDef>, DerivationCounts), Cancelled> {
-    budget.check()?;
+    cx.check()?;
     let mut out = Vec::new();
     let mut counts = DerivationCounts::default();
     if !config.enable_derivations {
@@ -287,7 +279,7 @@ pub fn enumerate_derivations_budgeted(
             counts.lang += 1;
         }
     }
-    budget.check()?;
+    cx.check()?;
     // (iv) paths p/q: p links to nodes carrying q. Each link property's
     // target-property histogram is an independent full scan — fan out, then
     // assemble serially in statistics order so the global cap picks the
@@ -295,8 +287,8 @@ pub fn enumerate_derivations_budgeted(
     let links: Vec<TermId> =
         stats.properties.iter().filter(|ps| ps.is_link()).map(|ps| ps.property).collect();
     let histograms: Vec<Vec<(TermId, usize)>> =
-        spade_parallel::try_map(links.clone(), threads, |p| {
-            budget.check()?;
+        spade_parallel::try_map(links.clone(), cx.threads, |p| {
+            cx.check()?;
             let mut target_props: HashMap<TermId, usize> = HashMap::new();
             for &(_, o) in graph.property_pairs(p) {
                 for &(q, _) in graph.outgoing(o) {
@@ -419,39 +411,5 @@ mod tests {
         let cfg = SpadeConfig { max_path_derivations: 2, ..Default::default() };
         let (_, counts) = enumerate_derivations(&g, &s, &cfg);
         assert_eq!(counts.path, 2);
-    }
-
-    #[test]
-    fn parallel_offline_is_thread_invariant() {
-        let (g, serial_stats) = stats_for_figure1();
-        let cfg = SpadeConfig::default();
-        let (serial_defs, serial_counts) = enumerate_derivations(&g, &serial_stats, &cfg);
-        let budget = Budget::unlimited();
-        for threads in [2usize, 8] {
-            let stats = analyze_budgeted(&g, threads, &budget).unwrap();
-            assert_eq!(stats.property_count(), serial_stats.property_count());
-            for (a, b) in stats.properties.iter().zip(&serial_stats.properties) {
-                assert_eq!(a.property, b.property);
-                assert_eq!(a.triples, b.triples);
-                assert_eq!(a.subjects, b.subjects);
-                assert_eq!(a.numeric_bounds, b.numeric_bounds);
-            }
-            let (defs, counts) =
-                enumerate_derivations_budgeted(&g, &stats, &cfg, threads, &budget).unwrap();
-            assert_eq!(counts, serial_counts);
-            let names: Vec<&str> = defs.iter().map(|d| d.name.as_str()).collect();
-            let serial_names: Vec<&str> = serial_defs.iter().map(|d| d.name.as_str()).collect();
-            assert_eq!(names, serial_names);
-        }
-    }
-
-    #[test]
-    fn cancelled_budget_stops_offline_analysis() {
-        let (g, s) = stats_for_figure1();
-        let budget = Budget::unlimited();
-        budget.cancel();
-        assert!(analyze_budgeted(&g, 2, &budget).is_err());
-        assert!(enumerate_derivations_budgeted(&g, &s, &SpadeConfig::default(), 2, &budget)
-            .is_err());
     }
 }

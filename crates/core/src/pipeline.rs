@@ -7,18 +7,19 @@
 //! columns), the per-step timings, and the global top-k aggregates.
 
 use crate::analysis::{analyze_cfs, CfsAnalysis};
-use crate::cfs::{select_budgeted, CfsStrategy};
+use crate::cfs::{select_in, CfsStrategy};
 use crate::config::{RequestConfig, SpadeConfig};
-use crate::enumeration::{enumerate_budgeted, LatticeSpec};
-use crate::evaluate::evaluate_cfs_budgeted;
+use crate::enumeration::{enumerate_in, LatticeSpec};
+use crate::evaluate::evaluate_cfs_in;
 use crate::json::JsonWriter;
 use crate::offline::{self, DerivationCounts, OfflineStats};
 use spade_cube::arm::top_k_of_result;
 use spade_cube::result::NULL_CODE;
-use spade_parallel::{Budget, Cancelled};
+use spade_cube::ExecCtx;
+use spade_parallel::Cancelled;
 use spade_rdf::{Graph, NtParseError};
 use spade_store::{LoadedSnapshot, OpenMode, Snapshot, SnapshotError};
-use spade_telemetry::{SpanCtx, Trace};
+use spade_telemetry::Trace;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -107,8 +108,8 @@ impl TopAggregate {
 
 /// Ground-truth work counters from a traced run: total `(cells, facts)`
 /// touched by the engine shards, summed from the `cells`/`facts` attrs the
-/// engine annotates on its `shard` spans during
-/// [`Spade::run_on_traced`]. Each cube cell belongs to exactly one chunk
+/// engine annotates on its `shard` spans during a [`Spade::run_on_in`]
+/// under [`ExecCtx::traced`]. Each cube cell belongs to exactly one chunk
 /// of exactly one shard, so the totals are plan- and thread-invariant —
 /// the same request measures the same work at any thread count. The sum
 /// filters by span name because other spans (`emit`, `translate`) reuse
@@ -312,8 +313,7 @@ impl OfflineState {
     pub fn from_graph(mut graph: Graph, threads: usize) -> OfflineState {
         let t = Instant::now();
         spade_rdf::saturate_with_threads(&mut graph, threads);
-        let stats = offline::analyze_budgeted(&graph, threads, &Budget::unlimited())
-            .expect("unlimited budget cannot cancel");
+        let stats = ExecCtx::unbounded(threads, |cx| offline::analyze_in(&graph, cx));
         OfflineState { graph, stats, load_time: t.elapsed(), snapshot: None }
     }
 
@@ -392,19 +392,12 @@ impl Spade {
         let t = Instant::now();
         spade_rdf::saturate_with_threads(graph, self.config.threads);
         report.timings.saturation = t.elapsed();
-        let t = Instant::now();
-        let stats = offline::analyze_budgeted(graph, self.config.threads, &Budget::unlimited())
-            .expect("unlimited budget cannot cancel");
-        report.timings.offline_analysis = t.elapsed();
-        self.run_analyzed(
-            &self.config,
-            graph,
-            &stats,
-            report,
-            &Budget::unlimited(),
-            &SpanCtx::disabled(),
-        )
-        .expect("unlimited budget cannot cancel")
+        ExecCtx::unbounded(self.config.threads, |cx| {
+            let t = Instant::now();
+            let stats = offline::analyze_in(graph, cx)?;
+            report.timings.offline_analysis = t.elapsed();
+            self.run_analyzed(&self.config, graph, &stats, report, cx)
+        })
     }
 
     /// Runs the **offline phase only** (ingestion, saturation, offline
@@ -417,12 +410,9 @@ impl Spade {
         input: &str,
         path: impl AsRef<Path>,
     ) -> Result<(), SnapshotPipelineError> {
-        let mut graph = spade_rdf::ingest(input, self.config.threads)?;
-        spade_rdf::saturate_with_threads(&mut graph, self.config.threads);
-        let stats =
-            offline::analyze_budgeted(&graph, self.config.threads, &Budget::unlimited())
-                .expect("unlimited budget cannot cancel");
-        spade_store::write_snapshot(path, &graph, &offline::to_records(&stats))?;
+        let graph = spade_rdf::ingest(input, self.config.threads)?;
+        let state = OfflineState::from_graph(graph, self.config.threads);
+        spade_store::write_snapshot(path, &state.graph, &offline::to_records(&state.stats))?;
         Ok(())
     }
 
@@ -456,45 +446,39 @@ impl Spade {
     /// `run_on` calls may execute concurrently against one shared state,
     /// and results are bit-identical across thread budgets and callers.
     pub fn run_on(&self, state: &OfflineState, request: &RequestConfig) -> SpadeReport {
-        self.run_on_budgeted(state, request, &Budget::unlimited())
-            .expect("unlimited budget cannot cancel")
+        ExecCtx::unbounded(self.config.threads, |cx| self.run_on_in(state, request, cx))
     }
 
-    /// [`Spade::run_on`] under a request [`Budget`]: a per-request
-    /// deadline/cancellation flag is polled by every long-running stage
-    /// (CFS selection, enumeration, early-stop pruning, the cube engine's
-    /// region-shard loop), so an expired or cancelled request unwinds with
-    /// the typed [`Cancelled`] error in bounded time instead of running to
-    /// completion. Budget checks only ever *abort* — they never reorder or
-    /// skip work — so an `Ok` result is bit-identical to [`Spade::run_on`].
-    pub fn run_on_budgeted(
+    /// [`Spade::run_on`] under an [`ExecCtx`] — the one body of the
+    /// per-request path. `cx.threads` is the default thread count; a
+    /// `request.threads` override replaces it.
+    ///
+    /// **Budget.** The per-request deadline/cancellation flag is polled by
+    /// every long-running stage (CFS selection, enumeration, early-stop
+    /// pruning, the cube engine's region-shard loop), so an expired or
+    /// cancelled request unwinds with the typed [`Cancelled`] error in
+    /// bounded time instead of running to completion. Budget checks only
+    /// ever *abort* — they never reorder or skip work — so an `Ok` result
+    /// is bit-identical to [`Spade::run_on`].
+    ///
+    /// **Tracing.** Under [`ExecCtx::traced`] every pipeline stage records
+    /// a span into the trace (named exactly after the [`StepTimings`]
+    /// online fields, plus `offline_analysis`), and the parallel fan-outs
+    /// (per-CFS enumeration/evaluation, per lattice, per region shard)
+    /// record index-ordered child spans — the span-tree **shape** is
+    /// identical at every thread count. Tracing is observation only: the
+    /// report is bit-identical with or without it.
+    pub fn run_on_in(
         &self,
         state: &OfflineState,
         request: &RequestConfig,
-        budget: &Budget,
-    ) -> Result<SpadeReport, Cancelled> {
-        self.run_on_traced(state, request, budget, None)
-    }
-
-    /// [`Spade::run_on_budgeted`] with per-request tracing: when `trace` is
-    /// given, every pipeline stage records a span into it (named exactly
-    /// after the [`StepTimings`] online fields, plus `offline_analysis`),
-    /// and the parallel fan-outs (per-CFS enumeration/evaluation, per
-    /// lattice, per region shard) record index-ordered child spans — the
-    /// span-tree **shape** is identical at every thread count. Tracing is
-    /// observation only: the report is bit-identical with or without it.
-    pub fn run_on_traced(
-        &self,
-        state: &OfflineState,
-        request: &RequestConfig,
-        budget: &Budget,
-        trace: Option<&Trace>,
+        cx: &ExecCtx<'_>,
     ) -> Result<SpadeReport, Cancelled> {
         let config = request.apply(&self.config);
         let mut report = SpadeReport::default();
         report.timings.snapshot_load = state.load_time;
-        let ctx = trace.map(Trace::root).unwrap_or_else(SpanCtx::disabled);
-        self.run_analyzed(&config, &state.graph, &state.stats, report, budget, &ctx)
+        let cx = cx.with_threads(request.threads.unwrap_or(cx.threads));
+        self.run_analyzed(&config, &state.graph, &state.stats, report, &cx)
     }
 
     /// The shared tail of every entry point: derivation enumeration (the
@@ -504,9 +488,10 @@ impl Spade {
     /// [`Spade::run_on`]; `report` carries whatever offline timings the
     /// caller already accumulated.
     ///
-    /// Every step is timed through a [`SpanCtx`] span ([`Span::finish`]
+    /// Every step is timed through an [`ExecCtx::span`] ([`Span::finish`]
     /// measures even on a disabled context), so the [`StepTimings`] fields
-    /// and the recorded trace are one and the same measurement.
+    /// and the recorded trace are one and the same measurement. The thread
+    /// count comes from `cx`, never from `config.threads`.
     ///
     /// [`Span::finish`]: spade_telemetry::Span::finish
     fn run_analyzed(
@@ -515,17 +500,11 @@ impl Spade {
         graph: &Graph,
         stats: &OfflineStats,
         mut report: SpadeReport,
-        budget: &Budget,
-        ctx: &SpanCtx,
+        cx: &ExecCtx<'_>,
     ) -> Result<SpadeReport, Cancelled> {
-        let span = ctx.span("offline_analysis");
-        let (derived, derivation_counts) = offline::enumerate_derivations_budgeted(
-            graph,
-            stats,
-            config,
-            config.threads,
-            budget,
-        )?;
+        let (span, _) = cx.span("offline_analysis");
+        let (derived, derivation_counts) =
+            offline::enumerate_derivations_in(graph, stats, config, cx)?;
         report.timings.offline_analysis += span.finish();
         report.timings.offline = report.timings.snapshot_load
             + report.timings.saturation
@@ -535,18 +514,18 @@ impl Spade {
         report.profile.derivations = derivation_counts;
 
         // —— Step 1: CFS selection ——
-        let span = ctx.span("cfs_selection");
-        let cfs_list = select_budgeted(graph, &self.strategies, config, budget, &span.ctx())?;
+        let (span, scx) = cx.span("cfs_selection");
+        let cfs_list = select_in(graph, &self.strategies, config, &scx)?;
         span.attr("cfs", cfs_list.len() as u64);
         report.timings.cfs_selection = span.finish();
         report.profile.cfs_count = cfs_list.len();
 
         // —— Step 2: online attribute analysis (parallel per CFS) ——
-        let span = ctx.span("attribute_analysis");
+        let (span, _) = cx.span("attribute_analysis");
         let graph_ref: &Graph = graph;
         let analyses: Vec<CfsAnalysis> =
-            spade_parallel::try_map(cfs_list.iter().collect(), config.threads, |cfs| {
-                budget.check()?;
+            spade_parallel::try_map(cfs_list.iter().collect(), cx.threads, |cfs| {
+                cx.check()?;
                 Ok(analyze_cfs(graph_ref, cfs, &derived, config))
             })?;
         span.attr("cfs", analyses.len() as u64);
@@ -555,19 +534,13 @@ impl Spade {
         // —— Step 3: aggregate enumeration (parallel per CFS; each CFS
         // fans its tidset construction out further — see
         // `enumeration::enumerate`) ——
-        let span = ctx.span("enumeration");
-        let ectx = span.ctx();
-        let (enum_outer, enum_inner) =
-            spade_parallel::split_budget(config.threads, analyses.len());
-        let enum_config = SpadeConfig { threads: enum_inner, ..config.clone() };
-        let lattice_specs: Vec<Vec<LatticeSpec>> = spade_parallel::try_map(
-            analyses.iter().enumerate().collect(),
-            enum_outer,
-            |(i, a)| {
-                let cfs_span = ectx.span_at("cfs", i as u64);
-                enumerate_budgeted(a, &enum_config, budget, &cfs_span.ctx())
-            },
-        )?;
+        let (span, scx) = cx.span("enumeration");
+        let (outer, inner) = scx.split(analyses.len());
+        let lattice_specs: Vec<Vec<LatticeSpec>> =
+            spade_parallel::try_map(analyses.iter().enumerate().collect(), outer, |(i, a)| {
+                let (_cfs_span, ccx) = inner.span_at("cfs", i as u64);
+                enumerate_in(a, config, &ccx)
+            })?;
         report.timings.enumeration = span.finish();
 
         // —— Step 4: aggregate evaluation (parallel per CFS; each CFS fans
@@ -575,23 +548,15 @@ impl Spade {
         // see `evaluate::evaluate_cfs`). The thread budget is split across
         // the levels so the total worker count stays at `threads` instead
         // of `threads²`. ——
-        let span = ctx.span("evaluation");
-        let evctx = span.ctx();
-        let (outer, inner) = spade_parallel::split_budget(config.threads, analyses.len());
-        let inner_config = SpadeConfig { threads: inner, ..config.clone() };
+        let (span, scx) = cx.span("evaluation");
+        let (outer, inner) = scx.split(analyses.len());
         let evaluations: Vec<_> = spade_parallel::try_map(
             analyses.iter().zip(&lattice_specs).enumerate().collect(),
             outer,
             |(i, (analysis, lattices))| {
-                let cfs_span = evctx.span_at("cfs", i as u64);
+                let (cfs_span, ccx) = inner.span_at("cfs", i as u64);
                 cfs_span.attr("lattices", lattices.len() as u64);
-                evaluate_cfs_budgeted(
-                    analysis,
-                    lattices,
-                    &inner_config,
-                    budget,
-                    &cfs_span.ctx(),
-                )
+                evaluate_cfs_in(analysis, lattices, config, &ccx)
             },
         )?;
         report.timings.evaluation = span.finish();
@@ -602,7 +567,7 @@ impl Spade {
         }
 
         // —— Step 5: top-k (parallel per lattice result) ——
-        let span = ctx.span("topk");
+        let (span, _) = cx.span("topk");
         // Score first with a light record; only the k winners get their
         // display details (dimension names, group samples) materialized.
         // Scoring fans out over the per-lattice results and merges in input
@@ -629,9 +594,9 @@ impl Spade {
             .collect();
         let per_result: Vec<Vec<Scored>> = spade_parallel::try_map(
             score_inputs,
-            config.threads,
+            cx.threads,
             |(cfs_idx, lattice_idx, result)| {
-                budget.check()?;
+                cx.check()?;
                 Ok(top_k_of_result(result, config.interestingness, usize::MAX)
                     .into_iter()
                     .filter(|s| s.score > 0.0)

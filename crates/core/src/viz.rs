@@ -4,7 +4,7 @@
 //! (i) histograms (if one-dimensional), (ii) heat maps (if
 //! two-dimensional), or (iii) tables (for high-dimensional aggregates)."
 //!
-//! This module renders a [`TopAggregate`](crate::TopAggregate) into those
+//! This module renders a [`TopAggregate`] into those
 //! three shapes as plain text, so examples and the experiment harness can
 //! show Figure 1(b)/Figure 6-style output without a plotting stack.
 

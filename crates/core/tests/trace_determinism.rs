@@ -1,13 +1,15 @@
 //! Span-tree determinism for traced pipeline runs.
 //!
-//! `Spade::run_on_traced` must record the same span-tree **shape** (names,
+//! `Spade::run_on_in` under `ExecCtx::traced` must record the same span-tree **shape** (names,
 //! nesting, sibling order — `Trace::shape`) no matter the thread budget:
 //! parallel fan-outs record index-ordered siblings, so only timings may
 //! differ between a serial and a parallel run. The top-level stages must
 //! also be exactly the `StepTimings` fields the report exposes — the trace
 //! and the timings are the same measurement.
 
-use spade_core::{Budget, OfflineState, RequestConfig, Spade, SpadeConfig, Trace};
+use spade_core::{
+    Budget, ExecCtx, OfflineState, RequestConfig, Spade, SpadeConfig, SpadeReport, Trace,
+};
 use spade_datagen::{realistic, RealisticConfig};
 
 const ONLINE_STAGES: [&str; 6] = [
@@ -18,6 +20,18 @@ const ONLINE_STAGES: [&str; 6] = [
     "evaluation",
     "topk",
 ];
+
+/// One traced run under a budget that cannot cancel.
+fn traced_run(
+    spade: &Spade,
+    state: &OfflineState,
+    request: &RequestConfig,
+    trace: &Trace,
+) -> SpadeReport {
+    let budget = Budget::unlimited();
+    let cx = ExecCtx::traced(&budget, trace, spade.config().threads);
+    spade.run_on_in(state, request, &cx).expect("unlimited budget cannot cancel")
+}
 
 fn fixture() -> (Spade, OfflineState, SpadeConfig) {
     let g = realistic::ceos(&RealisticConfig { scale: 200, seed: 2 });
@@ -34,9 +48,7 @@ fn trace_shape_is_identical_at_1_2_8_threads() {
     for threads in [1usize, 2, 8] {
         let trace = Trace::new();
         let request = RequestConfig { threads: Some(threads), ..Default::default() };
-        let report = spade
-            .run_on_traced(&state, &request, &Budget::unlimited(), Some(&trace))
-            .expect("unlimited budget cannot cancel");
+        let report = traced_run(&spade, &state, &request, &trace);
         assert!(!report.top.is_empty());
 
         // Top-level stage set and order == the StepTimings online fields.
@@ -80,9 +92,7 @@ fn trace_shape_with_early_stop_is_thread_invariant() {
     let build = |threads: usize| {
         let trace = Trace::new();
         let request = RequestConfig { threads: Some(threads), ..Default::default() };
-        spade
-            .run_on_traced(&state, &request, &Budget::unlimited(), Some(&trace))
-            .expect("unlimited budget cannot cancel");
+        traced_run(&spade, &state, &request, &trace);
         trace.shape()
     };
     let serial = build(1);
@@ -95,9 +105,7 @@ fn tracing_is_observation_only() {
     let (spade, state, _) = fixture();
     let untraced = spade.run_on(&state, &RequestConfig::default());
     let trace = Trace::new();
-    let traced = spade
-        .run_on_traced(&state, &RequestConfig::default(), &Budget::unlimited(), Some(&trace))
-        .expect("unlimited budget cannot cancel");
+    let traced = traced_run(&spade, &state, &RequestConfig::default(), &trace);
     assert_eq!(untraced.to_json(false), traced.to_json(false));
     assert!(trace.span_count() > 0);
 }

@@ -13,8 +13,9 @@
 //! Lemma 1 / Theorem 1 empirically); use [`crate::mvd_cube`] for correct
 //! results.
 
-use crate::engine::{run_engine, CubeAlgebra, EngineExec};
-use crate::mvdcube::{prepare, MvdCubeOptions};
+use crate::engine::{run_engine, CubeAlgebra};
+use crate::exec::ExecCtx;
+use crate::mvdcube::{prepare_in, MvdCubeOptions};
 use crate::result::CubeResult;
 use crate::spec::{CubeSpec, MdaKind};
 use spade_bitmap::Bitmap;
@@ -138,19 +139,10 @@ impl<'a, 'b> CubeAlgebra for ArrayAlgebra<'a, 'b> {
 /// dimension (Theorem 1); the experiments use this to measure baseline
 /// errors.
 pub fn array_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
-    let (lattice, translation) = prepare(spec, options, None);
-    let algebra = ArrayAlgebra::new(spec);
-    run_engine(
-        spec,
-        &lattice,
-        &translation,
-        &algebra,
-        None,
-        EngineExec::from_options(options),
-        &spade_parallel::Budget::unlimited(),
-        &spade_telemetry::SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(options.threads, |cx| {
+        let (lattice, translation) = prepare_in(spec, options, None, cx)?;
+        run_engine(spec, &lattice, &translation, &ArrayAlgebra::new(spec), None, options, cx)
+    })
 }
 
 #[cfg(test)]

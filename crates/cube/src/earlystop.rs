@@ -15,14 +15,14 @@
 //! per-MDA confidence intervals of Theorem 2 / Appendices B–C drive the
 //! pruning loop.
 
+use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::spec::{CubeSpec, MdaKind};
 use crate::translate::SampleSet;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::Cancelled;
 use spade_stats::ci::EstimatorKind;
 use spade_stats::{GroupSample, Interestingness, InterestingnessCi};
 use spade_storage::{AggFn, FactId};
-use spade_telemetry::SpanCtx;
 use std::collections::HashMap;
 
 /// Early-stop tuning parameters.
@@ -53,7 +53,7 @@ impl Default for EarlyStopConfig {
 }
 
 /// What early-stop decided.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EarlyStopOutcome {
     /// Per lattice node: per-MDA liveness (false = pruned).
     pub alive: HashMap<u32, Vec<bool>>,
@@ -94,18 +94,17 @@ fn estimation_group_cap(n_facts: usize) -> usize {
 /// sample is re-capped at the reservoir capacity so per-node estimation
 /// work stays `O(#groups · sample_size)` — the sampling analogue of "each
 /// node in the MMST receives its own sample" (Section 5.3). Nodes are
-/// independent, so the projection fans out over `threads` and merges in
+/// independent, so the projection fans out over `cx.threads` and merges in
 /// node order.
 fn project_samples(
     lattice: &Lattice,
     samples: &SampleSet,
     group_cap: usize,
-    threads: usize,
-    budget: &Budget,
+    cx: &ExecCtx<'_>,
 ) -> Result<HashMap<u32, NodeSamples>, Cancelled> {
     let strides = crate::translate::strides_for(&lattice.domains);
-    let projected = spade_parallel::try_map(lattice.nodes(), threads, |mask| {
-        budget.check()?;
+    let projected = spade_parallel::try_map(lattice.nodes(), cx.threads, |mask| {
+        cx.check()?;
         Ok(project_node(lattice, samples, group_cap, &strides, mask).map(|ns| (mask, ns)))
     })?;
     Ok(projected.into_iter().flatten().collect())
@@ -210,13 +209,8 @@ fn fact_value(spec: &CubeSpec<'_>, measure: usize, agg: AggFn, fact: u32) -> Opt
     })
 }
 
-/// Runs the early-stop pruning loop over the stratified samples.
-///
-/// Each batch fans the per-node moment updates and interval computations
-/// out over `threads` (`0` = all cores, `1` = serial) and aggregates the
-/// node-local results **in node order**, so every pruning decision — and
-/// therefore the returned liveness map — is bit-identical at any thread
-/// count.
+/// Runs the early-stop pruning loop over the stratified samples (plain
+/// form of [`prune_in`] on `threads` workers).
 pub fn prune(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
@@ -224,38 +218,32 @@ pub fn prune(
     config: &EarlyStopConfig,
     threads: usize,
 ) -> EarlyStopOutcome {
-    prune_budgeted(
-        spec,
-        lattice,
-        samples,
-        config,
-        threads,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(threads, |cx| prune_in(spec, lattice, samples, config, cx))
 }
 
-/// [`prune`] under a request [`Budget`]: the budget is polled per node
-/// projection and per node-batch shard, and the loop unwinds with
-/// [`Cancelled`] once the deadline passes or the request is cancelled.
-/// With [`Budget::unlimited`] this is exactly [`prune`] — checks never
-/// alter any pruning decision. `ctx` records an `earlystop` span with
-/// batch/pruned counts.
-#[allow(clippy::too_many_arguments)]
-pub fn prune_budgeted(
+/// Runs the early-stop pruning loop over the stratified samples.
+///
+/// Each batch fans the per-node moment updates and interval computations
+/// out over `cx.threads` (`0` = all cores, `1` = serial) and aggregates the
+/// node-local results **in node order**, so every pruning decision — and
+/// therefore the returned liveness map — is bit-identical at any thread
+/// count.
+///
+/// The budget is polled per node projection and per node-batch shard, and
+/// the loop unwinds with [`Cancelled`] once the deadline passes or the
+/// request is cancelled; checks never alter any pruning decision. Records
+/// an `earlystop` span with batch/pruned counts.
+pub fn prune_in(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     samples: &SampleSet,
     config: &EarlyStopConfig,
-    threads: usize,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<EarlyStopOutcome, Cancelled> {
-    let span = ctx.span("earlystop");
+    let (span, cx) = cx.span("earlystop");
     let mdas = spec.mdas();
     let cap = estimation_group_cap(spec.n_facts);
-    let node_samples = project_samples(lattice, samples, cap, threads, budget)?;
+    let node_samples = project_samples(lattice, samples, cap, &cx)?;
     let masks = lattice.nodes();
     let total = masks.len() * mdas.len();
 
@@ -302,7 +290,7 @@ pub fn prune_budgeted(
         .collect();
 
     for batch in 0..config.batches {
-        budget.check()?;
+        cx.check()?;
         let from = (batch * batch_len).min(samples.capacity);
         let cut = ((batch + 1) * batch_len).min(samples.capacity);
         batches_run += 1;
@@ -315,8 +303,8 @@ pub fn prune_budgeted(
         let work: Vec<(u32, Vec<Vec<GroupSample>>)> =
             estimable.iter().copied().zip(std::mem::take(&mut states)).collect();
         let alive_ref = &alive;
-        let shards = spade_parallel::try_map(work, threads, |(mask, mut node_states)| {
-            budget.check()?;
+        let shards = spade_parallel::try_map(work, cx.threads, |(mask, mut node_states)| {
+            cx.check()?;
             let ns = &node_samples[&mask];
             let alive_flags = &alive_ref[&mask];
             let alive_mdas: Vec<usize> = (0..mdas.len())

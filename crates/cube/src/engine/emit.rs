@@ -24,9 +24,9 @@
 use super::shard::{RegionCells, ShardPartials};
 use super::store::{merge_sorted, RegionStore};
 use super::{CubeAlgebra, LatticePlan};
+use crate::exec::ExecCtx;
 use crate::result::{CubeResult, NodeResult};
-use spade_parallel::{Budget, Cancelled};
-use spade_telemetry::Span;
+use spade_parallel::Cancelled;
 use std::collections::BTreeMap;
 
 /// Ceiling on the number of emit tasks one evaluation plans.
@@ -68,18 +68,17 @@ pub(crate) fn emit_region_into<A: CubeAlgebra>(
 
 /// Merges shard partials and emits measures into `result`. The budget is
 /// polled once per merge task and once per emit task; on the `Ok` path the
-/// output is bit-identical to an unbudgeted run. `span` (the engine's
-/// merge/emit span) gets region/cell-count attrs; the nested `merge` and
+/// output is bit-identical to an unbudgeted run. Records the engine's
+/// `merge_emit` span with region/cell-count attrs; the nested `merge` and
 /// `emit` child spans split the phase durations.
 pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     algebra: &A,
     plan: &LatticePlan<A>,
     shard_outputs: Vec<ShardPartials<A::Cell>>,
-    threads: usize,
     mut result: CubeResult,
-    budget: &Budget,
-    span: &Span,
+    cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
+    let (span, cx) = cx.span("merge_emit");
     // —— gather: (node, region) → partials in shard order ——
     let mut grouped: BTreeMap<(u32, u64), Vec<RegionCells<A::Cell>>> = BTreeMap::new();
     for shard in shard_outputs {
@@ -91,10 +90,10 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     // —— merge: fold each region's partials in shard order (parallel) ——
     let items: Vec<_> = grouped.into_iter().collect();
     span.attr("regions", items.len() as u64);
-    let merge_span = span.ctx().span("merge");
+    let (merge_span, _) = cx.span("merge");
     let merged: Vec<KeyedRegion<A::Cell>> =
-        spade_parallel::try_map(items, threads, |((mask, region), mut partials)| {
-            budget.check()?;
+        spade_parallel::try_map(items, cx.threads, |((mask, region), mut partials)| {
+            cx.check()?;
             // Balanced pairwise tree merge: O(n log k) instead of the
             // O(n·k) left fold. Pairing is by partial index (shard order),
             // so the merge tree is fixed by the data-only shard plan.
@@ -116,7 +115,7 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     drop(merge_span);
 
     // —— emit: weighted tasks over the merged cell lists (parallel) ——
-    let emit_span = span.ctx().span("emit");
+    let (emit_span, _) = cx.span("emit");
     let total_cells: u64 = merged.iter().map(|(_, cells)| cells.len() as u64).sum();
     emit_span.attr("cells", total_cells);
     let task_cells =
@@ -127,8 +126,8 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
             tasks.push((*mask, *region, &cells[a..b]));
         }
     }
-    let outputs = spade_parallel::try_map(tasks, threads, |(mask, region, cells)| {
-        budget.check()?;
+    let outputs = spade_parallel::try_map(tasks, cx.threads, |(mask, region, cells)| {
+        cx.check()?;
         let geom = &plan.geoms[&mask];
         let alive = &plan.alive[&mask];
         let emit_plan = &plan.plans[&mask];

@@ -31,7 +31,7 @@
 //!    worker — one worker plans exactly one shard, so a serial run pays no
 //!    decomposition tax; `shard_weight` pins an exact granularity instead.
 //! 2. **Cascade** ([`shard::run_shard`], fanned out on
-//!    [`spade_parallel::map`]): each shard replays the serial engine's
+//!    [`spade_parallel::try_map`]): each shard replays the serial engine's
 //!    flush cascade over its slice with shard-local partition counters,
 //!    *parking* each completed region's sorted cell list instead of
 //!    emitting measures. A single-shard plan skips parking entirely and
@@ -58,17 +58,20 @@
 //! * measures are emitted exactly once per cell, from its fully merged
 //!   payload — for MVDCube every emitted `f64` is a function of the final
 //!   fact set alone, so it cannot observe the decomposition;
-//! * every fan-out ([`spade_parallel::map`]) returns results in input
+//! * every fan-out ([`spade_parallel::try_map`]) returns results in input
 //!   order and each shard is single-owner, so no ordering the computation
 //!   depends on is left to the scheduler.
 //!
-//! Hence `threads` (which only picks the shard count and the worker pool)
-//! is a pure latency knob: results are bit-identical at every value, on
-//! every machine. For a cell algebra whose merge is associative only up to
-//! floating-point rounding (the ArrayCube baseline's partial sums), the
-//! last bits can depend on the plan; such runs pin `shard_weight` (or keep
-//! the default single-worker plan, as every experiment binary does) to fix
-//! the grouping. The pipeline itself only evaluates the MVD algebra.
+//! Hence the thread count of the [`crate::ExecCtx`] the engine runs under
+//! (which only picks the shard count and the worker pool; the other two
+//! knobs, storage policy and `shard_weight`, are read from
+//! [`crate::MvdCubeOptions`]) is a pure latency knob: results are
+//! bit-identical at every value, on every machine. For a cell algebra
+//! whose merge is associative only up to floating-point rounding (the
+//! ArrayCube baseline's partial sums), the last bits can depend on the
+//! plan; such runs pin `shard_weight` (or keep the default single-worker
+//! plan, as every experiment binary does) to fix the grouping. The
+//! pipeline itself only evaluates the MVD algebra.
 //!
 //! `crates/core/tests/parallel_determinism.rs` pins thread-count
 //! determinism end to end at 1/2/8 threads; `crates/cube/tests/store_prop.rs`
@@ -83,14 +86,15 @@ pub(crate) mod store;
 
 pub use geometry::{CellStorePolicy, DENSE_CAPACITY_LIMIT};
 
+use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
+use crate::mvdcube::MvdCubeOptions;
 use crate::result::CubeResult;
 use crate::spec::CubeSpec;
 use crate::translate::Translation;
 use geometry::{node_geom, NodeGeom, Projection};
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
-use spade_telemetry::SpanCtx;
+use spade_parallel::Cancelled;
 use std::collections::HashMap;
 
 /// What a cube cell holds and how cells combine — the algorithm-specific
@@ -231,76 +235,50 @@ fn build_plan<A: CubeAlgebra>(
     LatticePlan { root, nodes, geoms, projections, alive: alive_map, emits, plans, keep_root }
 }
 
-/// The engine's execution knobs (extracted from [`crate::mvdcube::MvdCubeOptions`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct EngineExec {
-    /// Dense/sparse cell storage selection.
-    pub(crate) policy: CellStorePolicy,
-    /// Workers for the shard cascade and emit phases (`0` = all cores,
-    /// `1` = serial); results are bit-identical for every value.
-    pub(crate) threads: usize,
-    /// Shard granularity override (tests/benchmarks; `None` = auto).
-    pub(crate) shard_weight: Option<u64>,
-}
-
-impl EngineExec {
-    pub(crate) fn from_options(options: &crate::mvdcube::MvdCubeOptions) -> Self {
-        EngineExec {
-            policy: options.store_policy,
-            threads: options.threads,
-            shard_weight: options.shard_weight,
-        }
-    }
-}
-
 /// Runs the region-sharded engine over a translation.
 ///
 /// `alive` gives per-node MDA liveness (from early-stop); pass `None` to
-/// evaluate everything. See [`EngineExec`] for the execution knobs and the
-/// module docs for the shard lifecycle. The budget is polled between
-/// region flushes and between merge/emit tasks: with
-/// [`Budget::unlimited`] the run cannot fail, and checks never alter any
-/// computation, so completed results stay bit-identical to a run without
-/// a deadline.
+/// evaluate everything. `options` supplies the storage policy and the
+/// shard-weight override, `cx.threads` the workers for the shard cascade
+/// and emit phases (`0` = all cores, `1` = serial; results are
+/// bit-identical for every value) — see the module docs for the shard
+/// lifecycle. The budget is polled between region flushes and between
+/// merge/emit tasks; checks never alter any computation, so completed
+/// results stay bit-identical to a run without a deadline.
 ///
-/// `ctx` records one child span per shard (ordered by shard index, so the
+/// Records one child span per shard (ordered by shard index, so the
 /// span-tree shape is plan- and scheduler-independent for a fixed plan)
 /// plus a merge/emit span on multi-shard plans; a disabled context makes
 /// all of it free.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine<A: CubeAlgebra>(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     translation: &Translation,
     algebra: &A,
     alive: Option<&HashMap<u32, Vec<bool>>>,
-    exec: EngineExec,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    options: &MvdCubeOptions,
+    cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
     let labels = spec.mdas().into_iter().map(|m| m.label).collect();
     let result = CubeResult::new(labels);
-    let plan = build_plan(spec, lattice, algebra, alive, exec.policy);
+    let plan = build_plan(spec, lattice, algebra, alive, options.store_policy);
     if !plan.keep_root {
         return Ok(result);
     }
-    let shards = shard::plan_shards(translation, exec.shard_weight, exec.threads);
+    let shards = shard::plan_shards(translation, options.shard_weight, cx.threads);
     if let [chunks] = shards.as_slice() {
         // Single-shard plan: every region is globally complete when it
         // flushes, so measures are emitted at flush time and the cascade
         // keeps the serial engine's O(in-flight regions) memory profile —
         // no partials, no merge phase.
         let mut result = result;
-        let span = ctx.span_at("shard", 0);
-        shard::run_shard_emit(algebra, &plan, translation, chunks, &mut result, budget, &span)?;
+        shard::run_shard_emit(algebra, &plan, translation, chunks, &mut result, cx)?;
         return Ok(result);
     }
     let indexed: Vec<(usize, Vec<shard::ShardChunk>)> =
         shards.into_iter().enumerate().collect();
-    let outputs = spade_parallel::try_map(indexed, exec.threads, |(i, chunks)| {
-        let span = ctx.span_at("shard", i as u64);
-        shard::run_shard(algebra, &plan, translation, &chunks, budget, &span)
+    let outputs = spade_parallel::try_map(indexed, cx.threads, |(i, chunks)| {
+        shard::run_shard(algebra, &plan, translation, i as u64, &chunks, cx)
     })?;
-    let merge_span = ctx.span("merge_emit");
-    emit::merge_and_emit(algebra, &plan, outputs, exec.threads, result, budget, &merge_span)
+    emit::merge_and_emit(algebra, &plan, outputs, result, cx)
 }

@@ -32,9 +32,10 @@
 use super::geometry::{project, NodeGeom, Projection};
 use super::store::{merge_batch, ProjectedCell, RegionStore};
 use super::{CubeAlgebra, LatticePlan};
+use crate::exec::ExecCtx;
 use crate::result::CubeResult;
 use crate::translate::Translation;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::Cancelled;
 use spade_telemetry::Span;
 use std::collections::HashMap;
 
@@ -160,21 +161,22 @@ fn annotate(span: &Span, translation: &Translation, chunks: &[ShardChunk]) {
     span.record_thread();
 }
 
-/// Runs one shard of a multi-shard plan, returning its parked
-/// `(node, region)` partials. Deterministic: chunks are processed in plan
-/// order and the cascade below is single-owner. The budget is checked
-/// between region flushes, so cancellation latency is bounded by one
-/// chunk's cascade.
+/// Runs shard `index` of a multi-shard plan under its own `shard` span,
+/// returning its parked `(node, region)` partials. Deterministic: chunks
+/// are processed in plan order and the cascade below is single-owner. The
+/// budget is checked between region flushes, so cancellation latency is
+/// bounded by one chunk's cascade.
 pub(crate) fn run_shard<A: CubeAlgebra>(
     algebra: &A,
     plan: &LatticePlan<A>,
     translation: &Translation,
+    index: u64,
     chunks: &[ShardChunk],
-    budget: &Budget,
-    span: &Span,
+    cx: &ExecCtx<'_>,
 ) -> Result<ShardPartials<A::Cell>, Cancelled> {
-    annotate(span, translation, chunks);
-    match cascade(algebra, plan, translation, chunks, ShardSink::Park(Vec::new()), budget)? {
+    let (span, _) = cx.span_at("shard", index);
+    annotate(&span, translation, chunks);
+    match cascade(algebra, plan, translation, chunks, ShardSink::Park(Vec::new()), cx)? {
         ShardSink::Park(out) => Ok(out),
         ShardSink::Emit { .. } => unreachable!("park sink in, park sink out"),
     }
@@ -188,13 +190,13 @@ pub(crate) fn run_shard_emit<A: CubeAlgebra>(
     translation: &Translation,
     chunks: &[ShardChunk],
     result: &mut CubeResult,
-    budget: &Budget,
-    span: &Span,
+    cx: &ExecCtx<'_>,
 ) -> Result<(), Cancelled> {
-    annotate(span, translation, chunks);
+    let (span, _) = cx.span_at("shard", 0);
+    annotate(&span, translation, chunks);
     let sink =
         ShardSink::Emit { result, key_buf: Vec::new(), scratch: A::EmitScratch::default() };
-    cascade(algebra, plan, translation, chunks, sink, budget)?;
+    cascade(algebra, plan, translation, chunks, sink, cx)?;
     Ok(())
 }
 
@@ -204,7 +206,7 @@ fn cascade<'r, A: CubeAlgebra>(
     translation: &Translation,
     chunks: &[ShardChunk],
     sink: ShardSink<'r, A>,
-    budget: &Budget,
+    cx: &ExecCtx<'_>,
 ) -> Result<ShardSink<'r, A>, Cancelled> {
     let mut totals: HashMap<u32, HashMap<u64, u64>> =
         plan.nodes.iter().map(|&m| (m, HashMap::new())).collect();
@@ -230,7 +232,7 @@ fn cascade<'r, A: CubeAlgebra>(
         // unwinds within one chunk's cascade. Checking *before* the work
         // (never conditionally skipping it) keeps completed outputs
         // bit-identical to the budget-less path.
-        budget.check()?;
+        cx.check()?;
         let partition = &translation.partitions[chunk.partition];
         // Load the chunk into the root. Partition cells are sorted by
         // global index, and global→local is order-preserving within one

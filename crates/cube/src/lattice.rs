@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 
 /// The lattice over `N` dimensions with their array geometry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Lattice {
     /// Domain size per dimension (distinct values + null).
     pub domains: Vec<u32>,

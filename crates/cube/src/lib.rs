@@ -3,7 +3,7 @@
 //! This crate contains the algorithmic heart of the paper:
 //!
 //! * [`lattice`] — the `2^N`-node dimension lattice and the Minimum Memory
-//!   Spanning Tree (MMST) of ArrayCube [49], with the classical memory
+//!   Spanning Tree (MMST) of ArrayCube \[49\], with the classical memory
 //!   formula (Section 4.1);
 //! * [`translate`] — Data Translation: laying the CFS out as a partitioned
 //!   array of cells, each holding the set of facts (Section 4.3), with the
@@ -27,6 +27,25 @@
 //!   (Section 5), wired into MVDCube;
 //! * [`compare`] — error measurement between a correct and a baseline result
 //!   (Experiments 2–3: #wrong aggregates, error-ratio distributions).
+//!
+//! # Execution context
+//!
+//! Every stage that can be cancelled, traced or run on several threads has
+//! exactly one body: its **context form**, named `<stage>_in`, fallible
+//! (`Result<_, Cancelled>`), taking an [`ExecCtx`] — request budget, span
+//! position, thread count — as its last parameter
+//! ([`translate::translate_in`], [`mvdcube::prepare_in`],
+//! [`earlystop::prune_in`], [`mvdcube::mvd_cube_pruned_in`]). The **plain
+//! form** without the suffix is a one-expression wrapper over
+//! [`ExecCtx::unbounded`] — no deadline, no spans, the thread count its
+//! signature always carried (`options.threads`, an explicit argument, or 1).
+//!
+//! Who calls which: code that was handed a context (the pipeline in
+//! `spade-core`, the server) calls context forms only and passes the
+//! context — or a child of it — down, so one request's budget and trace
+//! reach every fan-out; calling a plain form there would silently drop
+//! both. Code with no context to pass (experiment binaries, benchmarks,
+//! examples, tests) calls plain forms.
 
 pub mod arm;
 pub mod arraycube;
@@ -34,6 +53,7 @@ pub mod compare;
 pub mod earlystop;
 mod engine;
 pub mod engine_baseline;
+pub mod exec;
 pub mod lattice;
 pub mod mvdcube;
 pub mod pgcube;
@@ -47,6 +67,7 @@ pub use compare::{compare_results, ComparisonReport};
 pub use earlystop::{EarlyStopConfig, EarlyStopOutcome};
 pub use engine::{CellStorePolicy, DENSE_CAPACITY_LIMIT};
 pub use engine_baseline::mvd_cube_baseline;
+pub use exec::ExecCtx;
 pub use lattice::{Lattice, Mmst};
 pub use mvdcube::{mvd_cube, mvd_cube_with_earlystop, MvdCubeOptions};
 pub use pgcube::{pg_cube, PgCubeVariant};

@@ -9,15 +9,15 @@
 //! by joining each cell's bitmap with the per-fact pre-aggregated measures
 //! (`⊗`), which are ordered by fact ID like the bitmaps.
 
-use crate::engine::{run_engine, CellStorePolicy, CubeAlgebra, EngineExec};
+use crate::engine::{run_engine, CellStorePolicy, CubeAlgebra};
+use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::result::CubeResult;
 use crate::spec::{CubeSpec, MdaKind};
 use crate::translate::Translation;
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::Cancelled;
 use spade_storage::MeasureTotals;
-use spade_telemetry::SpanCtx;
 use std::collections::HashMap;
 
 /// Tuning knobs for an MVDCube run.
@@ -33,7 +33,10 @@ pub struct MvdCubeOptions {
     /// Worker threads for the region-sharded engine *within this one
     /// lattice* (`0` = all cores, `1` = serial). A pure latency knob:
     /// MVDCube results are plan-invariant (see the engine module docs), so
-    /// every value yields bit-identical results.
+    /// every value yields bit-identical results. Read by the plain forms
+    /// only ([`mvd_cube`], [`prepare`], [`mvd_cube_pruned`], …), which
+    /// start their [`ExecCtx`] with it; the context forms take the count
+    /// from the context they are handed.
     pub threads: usize,
     /// Target shard weight override for the region-sharded executor
     /// (`None` = auto); exposed for tests and benchmarks so equivalence
@@ -192,51 +195,33 @@ pub fn prepare(
     options: &MvdCubeOptions,
     sample_capacity: Option<usize>,
 ) -> (Lattice, Translation) {
-    prepare_budgeted(spec, options, sample_capacity, &Budget::unlimited(), &SpanCtx::disabled())
-        .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(options.threads, |cx| prepare_in(spec, options, sample_capacity, cx))
 }
 
-/// [`prepare`] under a request [`Budget`]: translation fans out over
-/// `options.threads` and polls the budget per work item, so a cancelled
-/// request unwinds during translation instead of running it to completion.
-/// `ctx` records a `translate` span with cell/fact counts.
-pub fn prepare_budgeted(
+/// [`prepare`] under an [`ExecCtx`]: translation fans out over
+/// `cx.threads` and polls the budget per work item, so a cancelled request
+/// unwinds during translation instead of running it to completion. Records
+/// a `translate` span with cell/fact counts.
+pub fn prepare_in(
     spec: &CubeSpec<'_>,
     options: &MvdCubeOptions,
     sample_capacity: Option<usize>,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<(Lattice, Translation), Cancelled> {
     let domains = spec.domain_sizes();
     let chunks = chunk_sizes(&domains, options, spec.n_facts);
     let lattice = Lattice::new(domains, chunks);
-    let translation = crate::translate::translate_budgeted(
-        spec,
-        &lattice,
-        sample_capacity,
-        options.seed,
-        options.threads,
-        budget,
-        ctx,
-    )?;
+    let translation =
+        crate::translate::translate_in(spec, &lattice, sample_capacity, options.seed, cx)?;
     Ok((lattice, translation))
 }
 
 /// Evaluates the full lattice with MVDCube.
 pub fn mvd_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
-    let (lattice, translation) = prepare(spec, options, None);
-    let algebra = MvdAlgebra::new(spec);
-    run_engine(
-        spec,
-        &lattice,
-        &translation,
-        &algebra,
-        None,
-        EngineExec::from_options(options),
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(options.threads, |cx| {
+        let (lattice, translation) = prepare_in(spec, options, None, cx)?;
+        run_engine(spec, &lattice, &translation, &MvdAlgebra::new(spec), None, options, cx)
+    })
 }
 
 /// Evaluates with a per-node MDA liveness map (early-stop output): dead
@@ -249,45 +234,26 @@ pub fn mvd_cube_pruned(
     translation: &Translation,
     alive: &HashMap<u32, Vec<bool>>,
 ) -> CubeResult {
-    mvd_cube_pruned_budgeted(
-        spec,
-        options,
-        lattice,
-        translation,
-        alive,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    ExecCtx::unbounded(options.threads, |cx| {
+        mvd_cube_pruned_in(spec, options, lattice, translation, alive, cx)
+    })
 }
 
-/// [`mvd_cube_pruned`] under a request [`Budget`]: the engine polls the
-/// budget between region flushes and merge/emit tasks and unwinds with
+/// [`mvd_cube_pruned`] under an [`ExecCtx`]: the engine polls the budget
+/// between region flushes and merge/emit tasks and unwinds with
 /// [`Cancelled`] in bounded time once the deadline passes. Checks never
 /// alter the computation, so a completed run is bit-identical to
-/// [`mvd_cube_pruned`]. `ctx` records per-shard child spans (see the
-/// engine module docs).
-#[allow(clippy::too_many_arguments)]
-pub fn mvd_cube_pruned_budgeted(
+/// [`mvd_cube_pruned`]. Records per-shard child spans (see the engine
+/// module docs).
+pub fn mvd_cube_pruned_in(
     spec: &CubeSpec<'_>,
     options: &MvdCubeOptions,
     lattice: &Lattice,
     translation: &Translation,
     alive: &HashMap<u32, Vec<bool>>,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
-    let algebra = MvdAlgebra::new(spec);
-    run_engine(
-        spec,
-        lattice,
-        translation,
-        &algebra,
-        Some(alive),
-        EngineExec::from_options(options),
-        budget,
-        ctx,
-    )
+    run_engine(spec, lattice, translation, &MvdAlgebra::new(spec), Some(alive), options, cx)
 }
 
 /// Runs early-stop pruning and then evaluates the surviving MDAs — the
@@ -298,11 +264,14 @@ pub fn mvd_cube_with_earlystop(
     options: &MvdCubeOptions,
     config: &crate::earlystop::EarlyStopConfig,
 ) -> (CubeResult, crate::earlystop::EarlyStopOutcome) {
-    let (lattice, translation) = prepare(spec, options, Some(config.sample_size));
-    let samples = translation.samples.clone().expect("sampling was enabled");
-    let outcome = crate::earlystop::prune(spec, &lattice, &samples, config, options.threads);
-    let result = mvd_cube_pruned(spec, options, &lattice, &translation, &outcome.alive);
-    (result, outcome)
+    ExecCtx::unbounded(options.threads, |cx| {
+        let (lattice, translation) = prepare_in(spec, options, Some(config.sample_size), cx)?;
+        let samples = translation.samples.clone().expect("sampling was enabled");
+        let outcome = crate::earlystop::prune_in(spec, &lattice, &samples, config, cx)?;
+        let result =
+            mvd_cube_pruned_in(spec, options, &lattice, &translation, &outcome.alive, cx)?;
+        Ok((result, outcome))
+    })
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub const NULL_CODE_SENTINEL: &str = "null";
 /// The result of one lattice node: `group key → per-MDA value`.
 ///
 /// `values[i] = None` means no fact in the group carried MDA `i`'s measure.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeResult {
     /// Bitmask over the lattice's dimensions (bit `i` = dim `i` grouped on).
     pub mask: u32,
@@ -74,7 +74,7 @@ impl NodeResult {
 }
 
 /// The full lattice result.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CubeResult {
     /// MDA labels, indexing the per-group value vectors.
     pub mda_labels: Vec<String>,

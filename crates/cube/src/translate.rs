@@ -19,7 +19,7 @@
 //!
 //! # Parallel structure
 //!
-//! [`translate_budgeted`] runs three deterministic stages on
+//! [`translate_in`] runs three deterministic stages on
 //! `spade_parallel`:
 //!
 //! 1. **entry generation** over fact ranges (chunk boundaries depend only
@@ -34,13 +34,13 @@
 //!    RNG seeded by `(seed, partition index)` — reproducible at any
 //!    thread count.
 
+use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::spec::CubeSpec;
 use rand::Rng;
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::Cancelled;
 use spade_storage::FactId;
-use spade_telemetry::SpanCtx;
 use std::collections::HashMap;
 
 /// Uniform sample without replacement from a materialized group run —
@@ -72,7 +72,7 @@ fn part_seed(seed: u64, part: u64) -> u64 {
 
 /// One partition: the cells (with their fact sets) whose dimension codes
 /// fall in this partition's chunk ranges.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Partition {
     /// Per-dimension chunk coordinates.
     pub coords: Vec<u32>,
@@ -81,7 +81,7 @@ pub struct Partition {
 }
 
 /// The stratified sample collected during translation (early-stop input).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SampleSet {
     /// Per root cell: `(sampled fact ids, exact group size)`.
     pub groups: HashMap<u64, (Vec<u32>, u64)>,
@@ -90,7 +90,7 @@ pub struct SampleSet {
 }
 
 /// Output of the translation step.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Translation {
     /// Partitions in row-major order of their chunk coordinates.
     pub partitions: Vec<Partition>,
@@ -113,8 +113,8 @@ pub fn strides_for(domains: &[u32]) -> Vec<u64> {
 /// size, so every thread count generates identical chunk streams.
 const FACT_CHUNK: usize = 8192;
 
-/// Translates the CFS into the partitioned array representation
-/// (serial convenience wrapper over [`translate_budgeted`]).
+/// Translates the CFS into the partitioned array representation (serial
+/// plain form of [`translate_in`]).
 ///
 /// `sample_capacity` enables reservoir sampling with the given per-group
 /// size; `seed` makes the sample deterministic.
@@ -124,41 +124,27 @@ pub fn translate(
     sample_capacity: Option<usize>,
     seed: u64,
 ) -> Translation {
-    match translate_budgeted(
-        spec,
-        lattice,
-        sample_capacity,
-        seed,
-        1,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    ) {
-        Ok(t) => t,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
+    ExecCtx::unbounded(1, |cx| translate_in(spec, lattice, sample_capacity, seed, cx))
 }
 
 /// Parallel, cancellable translation. Output is bit-identical to
-/// [`translate`] at any `threads` value; `budget` is checked once per
+/// [`translate`] at any `cx.threads` value; the budget is checked once per
 /// fact chunk and once per partition, so cancellation latency is bounded
-/// by one work item. `ctx` records a `translate` span with partition and
-/// cell counts.
-#[allow(clippy::too_many_arguments)]
-pub fn translate_budgeted(
+/// by one work item. Records a `translate` span with partition and cell
+/// counts.
+pub fn translate_in(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     sample_capacity: Option<usize>,
     seed: u64,
-    threads: usize,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    cx: &ExecCtx<'_>,
 ) -> Result<Translation, Cancelled> {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    let span = ctx.span("translate");
-    spade_parallel::fault::fire_with_budget("translate", Some(budget));
-    budget.check()?;
+    let (span, cx) = cx.span("translate");
+    spade_parallel::fault::fire_with_budget("translate", Some(cx.budget));
+    cx.check()?;
 
     let domains = lattice.domains.clone();
     let total_cells: u128 = domains.iter().map(|&d| d as u128).product();
@@ -174,8 +160,8 @@ pub fn translate_budgeted(
     // cell.
     let ranges = spade_parallel::chunk_ranges(spec.n_facts, FACT_CHUNK);
     let chunked: Vec<Vec<(u64, u64, u32)>> =
-        spade_parallel::try_map(ranges, threads, |(lo, hi)| {
-            budget.check()?;
+        spade_parallel::try_map(ranges, cx.threads, |(lo, hi)| {
+            cx.check()?;
             let mut entries: Vec<(u64, u64, u32)> = Vec::new();
             let mut code_lists: Vec<&[u32]> = Vec::with_capacity(spec.n_dims());
             for fact in lo as u32..hi as u32 {
@@ -234,14 +220,14 @@ pub fn translate_budgeted(
     for c in chunked {
         entries.extend(c);
     }
-    budget.check()?;
+    cx.check()?;
 
     // Stage 2: one sort groups the entries by (partition, cell); the
     // triples are unique and facts ascend within each (partition, cell)
     // group as generated, so the unstable sort by the full key equals the
     // serial stable (partition, cell) sort bit for bit.
-    let entries = spade_parallel::par_sort(entries, threads);
-    budget.check()?;
+    let entries = spade_parallel::par_sort(entries, cx.threads);
+    cx.check()?;
 
     // Stage 3: materialize partitions in row-major chunk order (the sort
     // already put them there); each partition is independent.
@@ -260,8 +246,8 @@ pub fn translate_budgeted(
     // One partition's cells plus its `(cell, (sample, group size))` groups.
     type BuiltPartition = (Partition, Vec<(u64, (Vec<u32>, u64))>);
     let built: Vec<BuiltPartition> =
-        spade_parallel::try_map(part_ranges, threads, |(part, range)| {
-            budget.check()?;
+        spade_parallel::try_map(part_ranges, cx.threads, |(part, range)| {
+            cx.check()?;
             let run = &entries[range];
             let coords: Vec<u32> = n_chunks
                 .iter()
@@ -414,62 +400,6 @@ mod tests {
             assert_eq!(items.len(), 1);
             assert_eq!(*seen, 1);
         }
-    }
-
-    #[test]
-    fn parallel_translation_is_thread_invariant() {
-        // Wide multi-valued rows so several partitions and cells exist.
-        let rows_a: Vec<Vec<&str>> = (0..300)
-            .map(|i| match i % 3 {
-                0 => vec!["a"],
-                1 => vec!["b", "c"],
-                _ => vec![],
-            })
-            .collect();
-        let rows_b: Vec<Vec<&str>> =
-            (0..300).map(|i| if i % 2 == 0 { vec!["x"] } else { vec!["y"] }).collect();
-        let col_a = CategoricalColumn::from_rows("a", &rows_a);
-        let col_b = CategoricalColumn::from_rows("b", &rows_b);
-        let spec = CubeSpec::new(vec![&col_a, &col_b], vec![], 300);
-        let lattice = Lattice::new(spec.domain_sizes(), vec![2, 2]);
-        let budget = Budget::unlimited();
-        let serial = translate(&spec, &lattice, Some(4), 42);
-        for threads in [2usize, 8] {
-            let par = translate_budgeted(
-                &spec,
-                &lattice,
-                Some(4),
-                42,
-                threads,
-                &budget,
-                &SpanCtx::disabled(),
-            )
-            .unwrap();
-            assert_eq!(par.strides, serial.strides);
-            assert_eq!(par.partitions.len(), serial.partitions.len());
-            for (p, s) in par.partitions.iter().zip(serial.partitions.iter()) {
-                assert_eq!(p.coords, s.coords);
-                assert_eq!(p.cells, s.cells);
-            }
-            let (ps, ss) = (par.samples.unwrap(), serial.samples.clone().unwrap());
-            assert_eq!(ps.capacity, ss.capacity);
-            let mut pg: Vec<_> = ps.groups.into_iter().collect();
-            let mut sg: Vec<_> = ss.groups.into_iter().collect();
-            pg.sort();
-            sg.sort();
-            assert_eq!(pg, sg);
-        }
-    }
-
-    #[test]
-    fn cancelled_budget_stops_translation() {
-        let (nat, gender) = mini_spec();
-        let spec = CubeSpec::new(vec![&nat, &gender], vec![], 2);
-        let lattice = Lattice::new(spec.domain_sizes(), vec![4, 2]);
-        let budget = Budget::unlimited();
-        budget.cancel();
-        assert!(translate_budgeted(&spec, &lattice, None, 0, 2, &budget, &SpanCtx::disabled())
-            .is_err());
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub mod fault;
 
 pub use budget::{Budget, CancelReason, Cancelled};
 
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -49,41 +50,14 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 {
+    // Inline path first: collecting straight into the `Vec` keeps the exact
+    // size hint, which `try_map`'s collect through `Result` does not.
+    let threads = resolve_threads(threads);
+    if threads.min(items.len().max(1)) <= 1 {
         return items.into_iter().map(f).collect();
     }
-
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = work[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    .expect("work item claimed twice");
-                let out = f(item);
-                *results[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("worker completed without a result")
-        })
-        .collect()
+    let Ok(out) = try_map(items, threads, |item| Ok::<R, Infallible>(f(item)));
+    out
 }
 
 /// Fallible variant of [`map`]: applies `f` to every item and returns the

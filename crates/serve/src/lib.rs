@@ -39,7 +39,8 @@
 //!   exits within a bounded deadline,
 //! * **request lifecycle hardening**: per-request deadlines cancel
 //!   overrunning evaluations cooperatively (a [`spade_core::Budget`]
-//!   threaded through every pipeline stage), panics are isolated per
+//!   carried to every pipeline stage by the request's
+//!   [`spade_core::ExecCtx`]), panics are isolated per
 //!   request, and [`admission`] control sheds over-budget work before it
 //!   starts — see *Failure modes and SLOs* below.
 //!
@@ -319,7 +320,8 @@
 //!   separately by `ServeConfig::idle_timeout`. Counted in
 //!   `http_errors_total`.
 //! * **Overrunning evaluation** — with `--request-timeout` set, every
-//!   `/explore` runs under a deadline. The budget is checked between
+//!   `/explore` runs [`spade_core::Spade::run_on_in`] under a deadline
+//!   (without it, under an unlimited budget). The budget is checked between
 //!   parallel batches and region flushes (never mid-batch, so outputs stay
 //!   bit-identical when no cancellation fires); an expired request unwinds
 //!   with a typed cancellation, answers `504`, and the worker is recycled.
@@ -404,8 +406,9 @@
 //!   [`spade_telemetry::DURATION_BOUNDS_SECONDS`] bounds (0.5 ms – 10 s),
 //!   so `histogram_quantile` works uniformly across routes and stages.
 //! * **Traces** — every cold `/explore` records a hierarchical span tree
-//!   ([`spade_core::Trace`]) through the whole pipeline: the six online
-//!   stages at the top level, then per-CFS, per-lattice, translate,
+//!   ([`spade_core::Trace`], entered through
+//!   [`spade_core::ExecCtx::traced`]) through the whole pipeline: the six
+//!   online stages at the top level, then per-CFS, per-lattice, translate,
 //!   early-stop, and cube-engine shard/merge spans below. Span-tree
 //!   *shape* is deterministic at any thread count (parallel fan-outs
 //!   record index-ordered siblings); only timings vary. The top-level

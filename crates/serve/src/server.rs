@@ -6,7 +6,7 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::catalog::{Acquired, GraphCatalog, GraphEntry};
 use crate::http::{self, Conn, HttpError, Limits, Request};
 use spade_core::json::{self, Json, JsonWriter};
-use spade_core::{Budget, OfflineState, RequestConfig, Spade, SpadeConfig, Trace};
+use spade_core::{Budget, ExecCtx, OfflineState, RequestConfig, Spade, SpadeConfig, Trace};
 use spade_telemetry::ledger::{key_hash, CacheOutcome, Ledger, LedgerRecord, ResponseClass};
 use spade_telemetry::{
     Counter, Gauge, Histogram, Registry, SlowEntry, SlowLog, DURATION_BOUNDS_SECONDS,
@@ -47,9 +47,9 @@ pub struct ServeConfig {
     /// is closed, so idle clients cannot pin worker threads indefinitely.
     pub idle_timeout: Duration,
     /// Per-request evaluation deadline. An `/explore` still running when it
-    /// expires is cooperatively cancelled (the [`Budget`] threaded through
-    /// the engine unwinds at the next check point) and answered 504; the
-    /// worker is recycled. `None` = no deadline.
+    /// expires is cooperatively cancelled (the [`Budget`] in the request's
+    /// [`ExecCtx`] unwinds the engine at the next check point) and answered
+    /// 504; the worker is recycled. `None` = no deadline.
     pub request_timeout: Option<Duration>,
     /// Admission-control capacity in estimated work units (see
     /// [`crate::admission::estimate_cost`]). An `/explore` whose estimate
@@ -157,8 +157,8 @@ pub struct ServingState {
 }
 
 /// The online pipeline stages recorded as top-level spans by
-/// [`spade_core::Spade::run_on_traced`] — one `stage_seconds` histogram
-/// series per name.
+/// [`spade_core::Spade::run_on_in`] under [`ExecCtx::traced`] — one
+/// `stage_seconds` histogram series per name.
 const STAGES: [&str; 6] = [
     "offline_analysis",
     "cfs_selection",
@@ -1508,47 +1508,44 @@ fn explore(
         None => Budget::unlimited(),
     };
     let trace = Trace::new();
-    let report =
-        match shared.engine.run_on_traced(&state.offline, &request, &budget, Some(&trace)) {
-            Ok(report) => report,
-            Err(cancelled) => {
-                shared.metrics.timeouts_total.inc();
-                if let Some(deadline) = budget.deadline() {
-                    // How far past the deadline the cooperative unwind
-                    // surfaced — the observable cancellation latency.
-                    let over = Instant::now().saturating_duration_since(deadline);
-                    shared.metrics.cancel_latency_seconds.observe_duration(over);
-                }
-                let elapsed = started.elapsed();
-                record_slow(
-                    shared,
-                    request_id,
-                    entry.name(),
-                    504,
-                    state.generation,
-                    elapsed,
-                    &trace,
-                );
-                record_request(
-                    shared,
-                    index,
-                    request_id,
-                    state.generation,
-                    &canonical,
-                    cost,
-                    Some(&trace),
-                    cache_outcome,
-                    ResponseClass::Timeout,
-                    elapsed,
-                );
-                return Response::error(
-                    504,
-                    &format!("request deadline exceeded ({cancelled})"),
-                )
+    let cx = ExecCtx::traced(&budget, &trace, shared.engine.config().threads);
+    let report = match shared.engine.run_on_in(&state.offline, &request, &cx) {
+        Ok(report) => report,
+        Err(cancelled) => {
+            shared.metrics.timeouts_total.inc();
+            if let Some(deadline) = budget.deadline() {
+                // How far past the deadline the cooperative unwind
+                // surfaced — the observable cancellation latency.
+                let over = Instant::now().saturating_duration_since(deadline);
+                shared.metrics.cancel_latency_seconds.observe_duration(over);
+            }
+            let elapsed = started.elapsed();
+            record_slow(
+                shared,
+                request_id,
+                entry.name(),
+                504,
+                state.generation,
+                elapsed,
+                &trace,
+            );
+            record_request(
+                shared,
+                index,
+                request_id,
+                state.generation,
+                &canonical,
+                cost,
+                Some(&trace),
+                cache_outcome,
+                ResponseClass::Timeout,
+                elapsed,
+            );
+            return Response::error(504, &format!("request deadline exceeded ({cancelled})"))
                 .closing()
                 .with_generation(state.generation);
-            }
-        };
+        }
+    };
     shared.metrics.observe_stages(&trace);
     let mut text = report.to_json(with_timings);
     if profile {

@@ -8,8 +8,9 @@
 //!   and answered 504 within 2× the timeout;
 //! * under saturation, **admission control sheds** with 503 + `Retry-After`
 //!   and zero connection resets, and the retrying client recovers;
-//! * cancellation leaves **plan invariance** intact: budgeted and
-//!   unbudgeted runs are byte-identical, before and after a cancellation;
+//! * (that cancellation leaves **plan invariance** intact — budgeted and
+//!   unbudgeted runs byte-identical, before and after a cancellation — is
+//!   pinned per stage in `crates/core/tests/stage_cancellation.rs`);
 //! * a **slow-loris** peer is cut off by the read deadline (408), not by
 //!   the much larger idle timeout.
 //!
@@ -18,7 +19,7 @@
 //! the spec through a drop guard — a failing assertion cannot leak faults
 //! into the next test.
 
-use spade_core::{Budget, CancelReason, OfflineState, RequestConfig, Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_serve::client::{Client, RetryPolicy};
 use spade_serve::http::Limits;
 use spade_serve::server::{ServeConfig, Server};
@@ -149,7 +150,7 @@ fn deadline_exceeded_returns_504_within_twice_the_timeout() {
 fn stalled_translation_is_cancelled_within_twice_the_timeout() {
     // Same deadline contract as the cfs stall, but the fault fires inside
     // the parallel data-translation stage — the budget threaded through
-    // `translate_budgeted` must unwind it cooperatively.
+    // `translate_in` must unwind it cooperatively.
     let _fault = arm(Some("translate=stall:10000"));
     let dir = temp_dir("translate_deadline");
     let path = write_snapshot(&dir, 60, 9);
@@ -366,46 +367,6 @@ fn auto_capacity_converges_and_shed_rate_drops() {
     );
 
     assert!(server.shutdown(Duration::from_secs(10)), "clean drain after convergence");
-}
-
-#[test]
-fn cancellation_preserves_plan_invariance() {
-    // Holds the fault lock unarmed so no concurrent test's faults can
-    // perturb the oracle runs.
-    let _fault = arm(None);
-    let dir = temp_dir("invariance");
-    let path = write_snapshot(&dir, 60, 6);
-    let state = OfflineState::open(&path, 2).expect("snapshot opens");
-    let engine = Spade::new(base_config());
-    let request = RequestConfig::default();
-
-    let plain = engine.run_on(&state, &request).to_json(false);
-    let generous = Budget::with_deadline(Duration::from_secs(300));
-    let budgeted = engine
-        .run_on_budgeted(&state, &request, &generous)
-        .expect("generous deadline cannot cancel")
-        .to_json(false);
-    assert_eq!(plain, budgeted, "an unfired budget must not change a single byte");
-
-    let expired = Budget::with_deadline(Duration::ZERO);
-    let cancelled = engine.run_on_budgeted(&state, &request, &expired);
-    let err = cancelled.expect_err("an already-expired deadline must cancel");
-    assert_eq!(err.reason, CancelReason::DeadlineExceeded);
-
-    // A cancellation leaves no residue: the same state answers identically.
-    let after = engine
-        .run_on_budgeted(&state, &request, &Budget::unlimited())
-        .expect("unlimited budget cannot cancel")
-        .to_json(false);
-    assert_eq!(plain, after, "a cancelled run must leave the serving state untouched");
-
-    // Explicit cancellation (the cancel() path, not the clock) also works.
-    let flagged = Budget::unlimited();
-    flagged.cancel();
-    let err = engine
-        .run_on_budgeted(&state, &request, &flagged)
-        .expect_err("a cancelled flag must cancel");
-    assert_eq!(err.reason, CancelReason::Cancelled);
 }
 
 #[test]
