@@ -95,6 +95,18 @@ impl Default for SpadeConfig {
 impl SpadeConfig {
     /// Enables early-stop with the paper's empirically good settings
     /// (sample size 60, 2 batches) for this config's `k` and `h`.
+    ///
+    /// Each lattice keeps, per root group, the 60 facts of smallest seeded
+    /// hash (a bottom-k sample, projected exactly down the lattice) and
+    /// prunes aggregates whose score interval falls under the k-th best.
+    /// The pruning itself costs in proportion to the sample, not the data,
+    /// but it only saves the measure computation of what it prunes —
+    /// translation and bitmap propagation are paid in full. Measured
+    /// break-even (`cube_earlystop`, 150 k facts, ≈ 470 facts per root
+    /// group, 72 % pruned): on par with full evaluation. Expect a gain only
+    /// where groups are much larger than the sample; on CFSs whose groups
+    /// hold fewer than 60 facts the sample *is* the data and early-stop
+    /// only adds work.
     pub fn with_early_stop(mut self) -> Self {
         self.early_stop = Some(EarlyStopConfig {
             k: self.k,

@@ -139,8 +139,8 @@ pub fn evaluate_cfs_in(
         let (lattice, translation) = prepare_in(&spec, &options, sample_cap, &lcx)?;
         let mut pruned_by_es = 0usize;
         if let Some(es_config) = &config.early_stop {
-            let samples = translation.samples.clone().expect("sampling enabled");
-            let outcome = earlystop::prune_in(&spec, &lattice, &samples, es_config, &lcx)?;
+            let samples = translation.samples.as_ref().expect("sampling enabled");
+            let outcome = earlystop::prune_in(&spec, &lattice, samples, es_config, &lcx)?;
             for (mask, flags) in &mut alive {
                 let es_flags = &outcome.alive[mask];
                 for (i, f) in flags.iter_mut().enumerate() {

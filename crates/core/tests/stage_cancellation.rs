@@ -72,7 +72,10 @@ fn graph_level_stages() {
         })
         .collect();
     let compat = |a: usize, b: usize| !(a + b).is_multiple_of(7);
-    let engine = Spade::new(config.clone());
+    // Evaluation and the whole pipeline run with early-stop on: its pruning
+    // must not depend on the thread count either.
+    let es_config = config.clone().with_early_stop();
+    let engine = Spade::new(es_config.clone());
     let state = OfflineState::from_graph(realistic::ceos(&data), 0);
     let request = RequestConfig::default();
 
@@ -103,8 +106,8 @@ fn graph_level_stages() {
     );
     check(
         "evaluate::evaluate_cfs",
-        |cx| evaluate::evaluate_cfs_in(&analysis, &lattices, &config, cx),
-        || evaluate::evaluate_cfs(&analysis, &lattices, &config),
+        |cx| evaluate::evaluate_cfs_in(&analysis, &lattices, &es_config, cx),
+        || evaluate::evaluate_cfs(&analysis, &lattices, &es_config),
     );
     check(
         "Spade::run_on",
@@ -116,10 +119,7 @@ fn graph_level_stages() {
 #[test]
 fn cube_level_stages() {
     // Random independent dimensions (some facts multi-valued) and continuous
-    // random measures: no two aggregates are mathematically equal, so
-    // early-stop has no tie for the float summation order of its
-    // hash-ordered sample groups to break (that order differs call to
-    // call — ROADMAP item 4f).
+    // random measures.
     let data = generate_columns(&SyntheticConfig {
         n_facts: 400,
         dim_values: vec![4, 3],
@@ -135,8 +135,8 @@ fn cube_level_stages() {
     let options = MvdCubeOptions { chunk_size: Some(2), ..Default::default() };
     let es = EarlyStopConfig { k: 2, ..Default::default() };
     let (lattice, translation) = mvdcube::prepare(&spec, &options, Some(es.sample_size));
-    let samples = translation.samples.clone().expect("sampling enabled");
-    let alive = earlystop::prune(&spec, &lattice, &samples, &es, 1).alive;
+    let samples = translation.samples.as_ref().expect("sampling enabled");
+    let alive = earlystop::prune(&spec, &lattice, samples, &es, 1).alive;
     assert!(alive.values().flatten().any(|&live| !live), "fixture prunes something");
 
     check(
@@ -151,8 +151,8 @@ fn cube_level_stages() {
     );
     check(
         "earlystop::prune",
-        |cx| earlystop::prune_in(&spec, &lattice, &samples, &es, cx),
-        || earlystop::prune(&spec, &lattice, &samples, &es, 1),
+        |cx| earlystop::prune_in(&spec, &lattice, samples, &es, cx),
+        || earlystop::prune(&spec, &lattice, samples, &es, 1),
     );
     check(
         "mvdcube::mvd_cube_pruned",

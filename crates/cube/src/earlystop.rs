@@ -8,20 +8,30 @@
 //! A. … This procedure terminates once the sample is exhausted or no
 //! aggregates have been pruned in a given number of batches."
 //!
-//! The stratified per-root-group reservoirs collected during Data
-//! Translation (see [`crate::translate`]) are projected down the lattice —
-//! each node's group sample is the (deduplicated) union of the root-group
-//! samples mapping to it, mirroring MVDCube's bitmap propagation — and the
-//! per-MDA confidence intervals of Theorem 2 / Appendices B–C drive the
-//! pruning loop.
+//! Pruning costs in proportion to the *sample*, never to the data. The
+//! root's per-group bottom-k samples from Data Translation are projected
+//! down the MMST ([`SampleSet::project`]): each node's group sample is
+//! exactly the bottom-k of the whole group, a multi-valued fact counting
+//! once — the sampling mirror of MVDCube's bitmap propagation ("each node in
+//! the MMST receives its own sample", Section 5.3). A sample is consumed in
+//! priority order, so every batch is itself uniform; a batch reads each
+//! sampled fact's pre-aggregated row once per measure into one running
+//! series per (node, group, per-fact statistic), and the per-MDA confidence
+//! intervals of Theorem 2 / Appendices B–C read those series and the
+//! measures' cached global bounds.
+//!
+//! What pruning saves is the measure join of the pruned aggregates; the
+//! pruned cube still pays translation and the bitmap cascade in full. On
+//! the pinned 150 k-fact `cube_earlystop` case that comes to parity with
+//! full evaluation: early-stop pays once groups outgrow the sample.
 
 use crate::exec::ExecCtx;
-use crate::lattice::Lattice;
+use crate::lattice::{Lattice, Mmst};
 use crate::spec::{CubeSpec, MdaKind};
-use crate::translate::SampleSet;
+use crate::translate::{node_axes, SampleSet};
 use spade_parallel::Cancelled;
 use spade_stats::ci::EstimatorKind;
-use spade_stats::{GroupSample, Interestingness, InterestingnessCi};
+use spade_stats::{GroupSample, Interestingness, InterestingnessCi, ScoreInterval};
 use spade_storage::{AggFn, FactId};
 use std::collections::HashMap;
 
@@ -34,7 +44,7 @@ pub struct EarlyStopConfig {
     pub h: Interestingness,
     /// Confidence level `1 − α` of the pruning intervals.
     pub confidence: f64,
-    /// Per-group reservoir capacity (the paper's empirically good value: 60).
+    /// Per-group sample size (the paper's empirically good value: 60).
     pub sample_size: usize,
     /// Number of batches the sample is consumed in (paper: 2).
     pub batches: usize,
@@ -76,137 +86,142 @@ impl EarlyStopOutcome {
     }
 }
 
-/// Per-node sample: group → (sampled facts, estimated group size).
-struct NodeSamples {
-    groups: Vec<(Vec<u32>, u64)>,
+/// A running series of the batch update: `(measure, per-fact statistic)`.
+type SeriesKey = (usize, AggFn);
+
+/// The series an MDA's interval reads; `None` for the fact count, which is
+/// exact from the group sizes. A fact of a single-valued measure has
+/// sum = avg = min = max, so one series serves all four functions; a
+/// multi-valued measure keeps them apart.
+fn series_key(spec: &CubeSpec<'_>, kind: &MdaKind) -> Option<SeriesKey> {
+    let MdaKind::Measure { measure, agg } = *kind else { return None };
+    let one_value = agg != AggFn::Count && spec.measures[measure].preagg.is_single_valued();
+    Some((measure, if one_value { AggFn::Sum } else { agg }))
 }
 
-/// Estimation for a node only pays off when it has far fewer groups than
-/// the CFS has facts: the batch update and interval computation are both
-/// `O(#groups)`, which approaches the cost of simply evaluating the node.
-/// Nodes above this cap skip estimation and stay alive (never pruned).
-fn estimation_group_cap(n_facts: usize) -> usize {
-    (n_facts / 8).clamp(16, 4_096)
-}
-
-/// Projects the root-group samples onto every lattice node with at most
-/// `group_cap` groups (others skip estimation entirely). Each merged child
-/// sample is re-capped at the reservoir capacity so per-node estimation
-/// work stays `O(#groups · sample_size)` — the sampling analogue of "each
-/// node in the MMST receives its own sample" (Section 5.3). Nodes are
-/// independent, so the projection fans out over `cx.threads` and merges in
-/// node order.
-fn project_samples(
-    lattice: &Lattice,
-    samples: &SampleSet,
-    group_cap: usize,
-    cx: &ExecCtx<'_>,
-) -> Result<HashMap<u32, NodeSamples>, Cancelled> {
-    let strides = crate::translate::strides_for(&lattice.domains);
-    let projected = spade_parallel::try_map(lattice.nodes(), cx.threads, |mask| {
-        cx.check()?;
-        Ok(project_node(lattice, samples, group_cap, &strides, mask).map(|ns| (mask, ns)))
-    })?;
-    Ok(projected.into_iter().flatten().collect())
-}
-
-/// One node's projected sample, or `None` when estimating it would cost
-/// more than evaluating it (it then stays alive, never pruned). `strides`
-/// are the root cell strides, hoisted out of the per-node fan-out.
-fn project_node(
-    lattice: &Lattice,
-    samples: &SampleSet,
-    group_cap: usize,
-    strides: &[u64],
-    mask: u32,
-) -> Option<NodeSamples> {
-    let dims = lattice.dims_of(mask);
-    // Packed mixed-radix strides over the node's own dims, so projected
-    // group keys fit in a u64 (no per-cell allocation).
-    let node_domains: Vec<u32> = dims.iter().map(|&d| lattice.domains[d]).collect();
-    let node_strides = crate::translate::strides_for(&node_domains);
-    // child group key ← root cell index. Groups with a null coordinate
-    // along the node's dims are not part of its visible result and are
-    // excluded from score estimation.
-    let mut grouped: HashMap<u64, (Vec<u32>, u64)> = HashMap::new();
-    for (&cell, (facts, seen)) in &samples.groups {
-        let mut has_null = false;
-        let mut key = 0u64;
-        for (i, &d) in dims.iter().enumerate() {
-            let code = (cell / strides[d]) % lattice.domains[d] as u64;
-            if code == lattice.domains[d] as u64 - 1 {
-                has_null = true;
-                break;
-            }
-            key += code * node_strides[i];
-        }
-        if has_null {
-            continue;
-        }
-        let entry = grouped.entry(key).or_default();
-        entry.0.extend_from_slice(facts);
-        entry.1 += seen;
-        if grouped.len() > group_cap {
-            return None; // estimation would cost more than it saves
-        }
-    }
-    // Singleton-ish groups make the per-group variance (and hence the
-    // CI) meaningless, and such nodes are as expensive to estimate as
-    // to evaluate — skip them (they stay alive).
-    let total_sampled: usize = grouped.values().map(|(f, _)| f.len()).sum();
-    if grouped.len() < 2 || total_sampled < 2 * grouped.len() {
-        return None;
-    }
-    let groups = grouped
-        .into_values()
-        .map(|(mut facts, seen)| {
-            // A multi-valued fact sampled in several root groups must
-            // count once in the consolidated child group (the sampling
-            // analogue of the bitmap union). Reservoir contents are
-            // uniform, so truncating the merged pool keeps a valid
-            // (if slightly clustered) sample.
-            facts.sort_unstable();
-            facts.dedup();
-            facts.truncate(samples.capacity);
-            (facts, seen)
-        })
-        .collect();
-    Some(NodeSamples { groups })
-}
-
-/// The per-fact sampled value and estimator kind for an MDA.
-fn estimator_for(spec: &CubeSpec<'_>, kind: &MdaKind) -> (EstimatorKind, Option<usize>) {
+/// The point estimator an aggregate function needs.
+fn estimator_for(kind: &MdaKind) -> EstimatorKind {
     match kind {
-        MdaKind::FactCount => (EstimatorKind::Count, None),
-        MdaKind::Measure { measure, agg } => {
-            let e = match agg {
-                AggFn::Avg => EstimatorKind::Avg,
-                AggFn::Sum => EstimatorKind::Sum,
-                // count(M) = Σ per-fact value counts → a sum estimator over
-                // the per-fact counts.
-                AggFn::Count => EstimatorKind::Sum,
-                AggFn::Min => EstimatorKind::Min,
-                AggFn::Max => EstimatorKind::Max,
-            };
-            let _ = spec;
-            (e, Some(*measure))
-        }
+        MdaKind::FactCount => EstimatorKind::Count,
+        MdaKind::Measure { agg: AggFn::Avg, .. } => EstimatorKind::Avg,
+        // count(M) = Σ per-fact value counts → a sum estimator over them.
+        MdaKind::Measure { agg: AggFn::Sum | AggFn::Count, .. } => EstimatorKind::Sum,
+        MdaKind::Measure { agg: AggFn::Min, .. } => EstimatorKind::Min,
+        MdaKind::Measure { agg: AggFn::Max, .. } => EstimatorKind::Max,
     }
 }
 
-fn fact_value(spec: &CubeSpec<'_>, measure: usize, agg: AggFn, fact: u32) -> Option<f64> {
-    let pre = spec.measures[measure].preagg;
-    let f = FactId(fact);
-    if pre.count(f) == 0 {
-        return None;
+/// One node worth estimating: its visible groups `(sampled facts, group
+/// size)` in cell order and, aligned with them, each series' running
+/// moments (the series of one measure are adjacent).
+struct NodeState {
+    mask: u32,
+    groups: Vec<(Vec<u32>, u64)>,
+    series: Vec<(SeriesKey, Vec<GroupSample>)>,
+}
+
+/// Builds the [`NodeState`]s of a lattice from the root's sample.
+struct NodeStates<'a> {
+    lattice: &'a Lattice,
+    mmst: Mmst,
+    /// Per MDA, the series its interval reads.
+    keys: &'a [Option<SeriesKey>],
+    /// Estimation only pays off for a node with far fewer groups than the CFS
+    /// has facts: update and intervals are `O(#groups)`, which approaches the
+    /// cost of evaluating the node. Nodes above the cap are never pruned.
+    group_cap: usize,
+}
+
+impl NodeStates<'_> {
+    /// `None` (the node stays alive) when estimating it would cost more than
+    /// evaluating it: over `group_cap` groups, or singleton-ish ones whose
+    /// per-group variance (hence the CI) is meaningless. Groups with a null
+    /// coordinate are not part of the visible result and are left out.
+    fn node(&self, mask: u32, sample: &SampleSet) -> Option<NodeState> {
+        let axes = node_axes(self.lattice, mask);
+        let visible =
+            |cell: &u64| axes.iter().all(|&(stride, dom)| cell / stride % dom != dom - 1);
+        let groups: Vec<&(Vec<u32>, u64)> =
+            sample.groups.iter().filter(|(cell, _)| visible(cell)).map(|(_, g)| g).collect();
+        let sampled: usize = groups.iter().map(|(facts, _)| facts.len()).sum();
+        if !(2..=self.group_cap).contains(&groups.len()) || sampled < 2 * groups.len() {
+            return None;
+        }
+        let mut series: Vec<(SeriesKey, Vec<GroupSample>)> = Vec::new();
+        for key in self.keys.iter().flatten() {
+            if series.iter().all(|(known, _)| known != key) {
+                series.push((
+                    *key,
+                    groups.iter().map(|g| GroupSample::from_values(&[], g.1)).collect(),
+                ));
+            }
+        }
+        Some(NodeState { mask, groups: groups.into_iter().cloned().collect(), series })
     }
-    Some(match agg {
-        AggFn::Avg => pre.avg(f).unwrap(),
-        AggFn::Sum => pre.sum(f),
-        AggFn::Count => pre.count(f) as f64,
-        AggFn::Min => pre.min(f).unwrap(),
-        AggFn::Max => pre.max(f).unwrap(),
-    })
+
+    /// The estimable nodes of `mask`'s MMST subtree, in a fixed order. A
+    /// child's sample is projected from `sample` ([`SampleSet::project`]:
+    /// O(groups · k), whatever the data size), one subtree per worker of
+    /// `cx.threads`, and lives only while that subtree is built: what stays
+    /// is a copy of the visible groups of the estimable nodes.
+    fn subtree(
+        &self,
+        mask: u32,
+        sample: &SampleSet,
+        cx: &ExecCtx<'_>,
+    ) -> Result<Vec<NodeState>, Cancelled> {
+        let children = self.mmst.children_of(mask).to_vec();
+        let below = spade_parallel::try_map(children, cx.threads, |child| {
+            cx.check()?;
+            self.subtree(child, &sample.project(self.lattice, child), &cx.with_threads(1))
+        })?;
+        Ok(self.node(mask, sample).into_iter().chain(below.into_iter().flatten()).collect())
+    }
+}
+
+impl NodeState {
+    /// Extends the live series with facts `batch` of every group's sample
+    /// (the incremental estimate update of Section 5.1), reading a fact's
+    /// pre-aggregated row once per measure. Returns the rows read.
+    fn update(
+        &mut self,
+        spec: &CubeSpec<'_>,
+        is_live: impl Fn(SeriesKey) -> bool,
+        batch: std::ops::Range<usize>,
+    ) -> u64 {
+        let mut rows_read = 0;
+        for of_measure in self.series.chunk_by_mut(|a, b| a.0 .0 == b.0 .0) {
+            let pre = spec.measures[of_measure[0].0 .0].preagg;
+            let mut live: Vec<(AggFn, &mut Vec<GroupSample>)> = of_measure
+                .iter_mut()
+                .filter(|(key, _)| is_live(*key))
+                .map(|(key, per_group)| (key.1, per_group))
+                .collect();
+            if live.is_empty() {
+                continue;
+            }
+            for (gi, (facts, _)) in self.groups.iter().enumerate() {
+                for &fact in &facts[batch.start.min(facts.len())..batch.end.min(facts.len())] {
+                    let fact = FactId(fact);
+                    rows_read += 1;
+                    let count = pre.count(fact);
+                    if count == 0 {
+                        continue;
+                    }
+                    for (statistic, per_group) in &mut live {
+                        per_group[gi].moments.push(match *statistic {
+                            AggFn::Sum => pre.sum(fact),
+                            AggFn::Avg => pre.sum(fact) / count as f64,
+                            AggFn::Count => count as f64,
+                            AggFn::Min => pre.min(fact).expect("count > 0"),
+                            AggFn::Max => pre.max(fact).expect("count > 0"),
+                        });
+                    }
+                }
+            }
+        }
+        rows_read
+    }
 }
 
 /// Runs the early-stop pruning loop over the stratified samples (plain
@@ -221,18 +236,19 @@ pub fn prune(
     ExecCtx::unbounded(threads, |cx| prune_in(spec, lattice, samples, config, cx))
 }
 
-/// Runs the early-stop pruning loop over the stratified samples.
+/// Runs the early-stop pruning loop over the root's stratified sample.
 ///
 /// Each batch fans the per-node moment updates and interval computations
 /// out over `cx.threads` (`0` = all cores, `1` = serial) and aggregates the
-/// node-local results **in node order**, so every pruning decision — and
-/// therefore the returned liveness map — is bit-identical at any thread
-/// count.
+/// node-local results **in a fixed node order**, groups in cell order: the
+/// returned liveness map is bit-identical from call to call and at any
+/// thread count.
 ///
 /// The budget is polled per node projection and per node-batch shard, and
-/// the loop unwinds with [`Cancelled`] once the deadline passes or the
-/// request is cancelled; checks never alter any pruning decision. Records
-/// an `earlystop` span with batch/pruned counts.
+/// the loop unwinds with [`Cancelled`] once it is spent; checks never alter
+/// a pruning decision. Records an `earlystop` span: `batches`, `pruned`,
+/// `aggregates`, and the work counters `estimable_nodes`, `sample_facts`
+/// (pre-aggregated rows the batch updates read) and `intervals`.
 pub fn prune_in(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
@@ -242,11 +258,8 @@ pub fn prune_in(
 ) -> Result<EarlyStopOutcome, Cancelled> {
     let (span, cx) = cx.span("earlystop");
     let mdas = spec.mdas();
-    let cap = estimation_group_cap(spec.n_facts);
-    let node_samples = project_samples(lattice, samples, cap, &cx)?;
     let masks = lattice.nodes();
     let total = masks.len() * mdas.len();
-
     let mut alive: HashMap<u32, Vec<bool>> =
         masks.iter().map(|&m| (m, vec![true; mdas.len()])).collect();
 
@@ -255,108 +268,60 @@ pub fn prune_in(
         return Ok(EarlyStopOutcome { alive, pruned: 0, total, batches_run: 0 });
     }
 
+    let keys: Vec<Option<SeriesKey>> = mdas.iter().map(|m| series_key(spec, &m.kind)).collect();
+    let (mmst, group_cap) = (lattice.mmst(), (spec.n_facts / 8).clamp(16, 4_096));
+    let builder = NodeStates { lattice, mmst, keys: &keys, group_cap };
+    let mut states = builder.subtree(lattice.root_mask(), samples, &cx)?;
+
     let ci = InterestingnessCi::new(config.h, config.confidence);
     let batch_len = samples.capacity.div_ceil(config.batches).max(1);
-    let mut pruned = 0usize;
-    let mut batches_run = 0usize;
-
-    // Nodes worth estimating (see `estimation_group_cap`).
-    let estimable: Vec<u32> =
-        masks.iter().copied().filter(|m| node_samples.contains_key(m)).collect();
-
-    // Per estimable node, per MDA: running per-group moments, extended
-    // batch by batch — the incremental estimate update of Section 5.1
-    // ("After scanning a batch, we update the estimate"). Groups are
-    // aligned with the node's sample-group list; a group with zero observed
-    // measure values is skipped at interval time. The vector is aligned
-    // with `estimable` so states can round-trip through the ordered
-    // fan-out below.
-    let mut states: Vec<Vec<Vec<GroupSample>>> = estimable
-        .iter()
-        .map(|mask| {
-            let ns = &node_samples[mask];
-            mdas.iter()
-                .map(|_| {
-                    ns.groups
-                        .iter()
-                        .map(|(_, seen)| GroupSample {
-                            group_size: *seen,
-                            ..Default::default()
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
+    let (mut pruned, mut batches_run) = (0usize, 0usize);
+    let (mut sample_facts, mut n_intervals) = (0u64, 0u64);
 
     for batch in 0..config.batches {
         cx.check()?;
-        let from = (batch * batch_len).min(samples.capacity);
-        let cut = ((batch + 1) * batch_len).min(samples.capacity);
         batches_run += 1;
 
         // —— per-node shards (parallel, single-owner state) ——
-        // Each node extends its per-group moments with this batch's slice
-        // of sampled facts and computes the intervals of its alive
-        // aggregates. `map` returns shards in node order, so the interval
-        // list below is identical at every thread count.
-        let work: Vec<(u32, Vec<Vec<GroupSample>>)> =
-            estimable.iter().copied().zip(std::mem::take(&mut states)).collect();
-        let alive_ref = &alive;
-        let shards = spade_parallel::try_map(work, cx.threads, |(mask, mut node_states)| {
+        // Each node extends the series its alive aggregates read with this
+        // batch's slice of its sample and computes their intervals (a group
+        // with no observed value is left out), returned in node order.
+        let nodes = states.iter_mut().collect();
+        let shards = spade_parallel::try_map(nodes, cx.threads, |node: &mut NodeState| {
             cx.check()?;
-            let ns = &node_samples[&mask];
-            let alive_flags = &alive_ref[&mask];
-            let alive_mdas: Vec<usize> = (0..mdas.len())
-                .filter(|&mi| {
-                    alive_flags[mi] && matches!(mdas[mi].kind, MdaKind::Measure { .. })
-                })
-                .collect();
-            if !alive_mdas.is_empty() {
-                for (gi, (facts, _)) in ns.groups.iter().enumerate() {
-                    let lo = from.min(facts.len());
-                    let hi = cut.min(facts.len());
-                    for &fact in &facts[lo..hi] {
-                        for &mi in &alive_mdas {
-                            let MdaKind::Measure { measure, agg } = mdas[mi].kind else {
-                                unreachable!()
-                            };
-                            if let Some(v) = fact_value(spec, measure, agg, fact) {
-                                node_states[mi][gi].moments.push(v);
-                            }
-                        }
-                    }
-                }
-            }
+            let flags = &alive[&node.mask];
+            let is_live = |key| keys.iter().zip(flags).any(|(k, &on)| on && *k == Some(key));
+            let rows_read =
+                node.update(spec, is_live, batch * batch_len..(batch + 1) * batch_len);
 
-            // Interval per alive aggregate from the accumulated moments.
-            let mut intervals: Vec<(usize, spade_stats::ScoreInterval)> = Vec::new();
-            let mut filtered: Vec<GroupSample> = Vec::new();
-            for (mi, mda) in mdas.iter().enumerate() {
-                if !alive_flags[mi] {
-                    continue;
-                }
-                let (estimator, measure) = estimator_for(spec, &mda.kind);
-                let state = &node_states[mi];
-                filtered.clear();
-                match measure {
-                    None => filtered.extend(state.iter().copied()),
-                    Some(_) => {
-                        filtered.extend(state.iter().filter(|g| g.moments.count() > 0).copied())
+            let mut intervals: Vec<(u32, usize, ScoreInterval)> = Vec::new();
+            let mut observed: Vec<GroupSample> = Vec::new();
+            for (mi, mda) in mdas.iter().enumerate().filter(|&(mi, _)| flags[mi]) {
+                let mut bounds = None;
+                observed.clear();
+                match keys[mi] {
+                    None => observed
+                        .extend(node.groups.iter().map(|g| GroupSample::from_values(&[], g.1))),
+                    Some(key) => {
+                        let (_, per_group) =
+                            node.series.iter().find(|(k, _)| *k == key).expect("one per key");
+                        observed.extend(per_group.iter().filter(|g| g.moments.count() > 0));
+                        bounds = spec.measures[key.0].preagg.global_bounds();
                     }
                 }
-                let bounds = measure.and_then(|m| spec.measures[m].preagg.global_bounds());
-                intervals.push((mi, ci.interval(estimator, &filtered, bounds)));
+                let interval = ci.interval(estimator_for(&mda.kind), &observed, bounds);
+                intervals.push((node.mask, mi, interval));
             }
-            Ok((node_states, intervals))
+            Ok((intervals, rows_read))
         })?;
 
         // —— deterministic aggregation of the shard-local results ——
-        let mut intervals: Vec<(u32, usize, spade_stats::ScoreInterval)> = Vec::new();
-        for (&mask, (node_states, node_intervals)) in estimable.iter().zip(shards) {
-            states.push(node_states);
-            intervals.extend(node_intervals.into_iter().map(|(mi, iv)| (mask, mi, iv)));
+        let mut intervals: Vec<(u32, usize, ScoreInterval)> = Vec::new();
+        for (node_intervals, rows_read) in shards {
+            intervals.extend(node_intervals);
+            sample_facts += rows_read;
         }
+        n_intervals += intervals.len() as u64;
 
         // k-th best lower bound among alive aggregates.
         let mut lowers: Vec<f64> = intervals.iter().map(|(_, _, iv)| iv.lower).collect();
@@ -364,17 +329,14 @@ pub fn prune_in(
         let Some(&kth_lower) = lowers.get(config.k - 1) else { break };
 
         // Prune: U_A < L_kth ⇒ A cannot (w.h.p.) reach the top-k.
-        let mut pruned_this_batch = 0usize;
-        for (mask, mi, iv) in &intervals {
-            if iv.upper < kth_lower {
-                alive.get_mut(mask).unwrap()[*mi] = false;
-                pruned_this_batch += 1;
-            }
+        let before = pruned;
+        for (mask, mi, _) in intervals.iter().filter(|(_, _, iv)| iv.upper < kth_lower) {
+            alive.get_mut(mask).expect("every node has flags")[*mi] = false;
+            pruned += 1;
         }
-        pruned += pruned_this_batch;
         // "terminates once … no aggregates have been pruned in a given
         // number of batches" (we use: one idle batch ends the loop).
-        if pruned_this_batch == 0 {
+        if pruned == before {
             break;
         }
     }
@@ -382,6 +344,9 @@ pub fn prune_in(
     span.attr("batches", batches_run as u64);
     span.attr("pruned", pruned as u64);
     span.attr("aggregates", total as u64);
+    span.attr("estimable_nodes", states.len() as u64);
+    span.attr("sample_facts", sample_facts);
+    span.attr("intervals", n_intervals);
     Ok(EarlyStopOutcome { alive, pruned, total, batches_run })
 }
 
@@ -390,7 +355,7 @@ mod tests {
     use super::*;
     use crate::mvdcube::{mvd_cube, mvd_cube_with_earlystop, MvdCubeOptions};
     use crate::spec::MeasureSpec;
-    use spade_storage::{CategoricalColumn, NumericColumn};
+    use spade_storage::{AggFn, CategoricalColumn, NumericColumn};
 
     /// 400 facts, two dimensions; measure `hot` has a huge-variance result
     /// on dim a, measure `flat` is uniform everywhere (prunable).
@@ -415,6 +380,215 @@ mod tests {
             &(0..n).map(|i| vec![5.0 + (i % 3) as f64 * 1e-6]).collect::<Vec<_>>(),
         );
         (a, b, hot, flat)
+    }
+
+    /// Run-to-run and thread-count determinism on a fixture built to have
+    /// ties: dimension `a2` duplicates `a` (80 groups each) and measure `m2`
+    /// duplicates `m`, so `count(*)`, `count(m)` and `count(m2)` score the
+    /// same — with zero-width intervals — on three nodes, and the k-th lower
+    /// bound sits inside that tie. Any dependence of a score's float
+    /// summation order on the call or the thread count flips a pruning
+    /// decision here.
+    #[test]
+    fn tied_aggregates_prune_identically_on_every_call_and_thread_count() {
+        let group_of = |i: usize| (i * i + i / 7) % 80;
+        let n = 6_000usize;
+        let labels: Vec<String> = (0..80).map(|g| format!("g{g:02}")).collect();
+        let rows: Vec<Vec<&str>> = (0..n).map(|i| vec![labels[group_of(i)].as_str()]).collect();
+        let a = CategoricalColumn::from_rows("a", &rows);
+        let a2 = CategoricalColumn::from_rows("a2", &rows);
+        let values: Vec<Vec<f64>> = (0..n)
+            .map(|i| vec![(group_of(i) % 9) as f64 * 0.1 + (i % 13) as f64 * 0.003])
+            .collect();
+        let m = NumericColumn::from_rows("m", &values).preaggregate();
+        let m2 = NumericColumn::from_rows("m2", &values).preaggregate();
+        let fns = vec![AggFn::Count, AggFn::Sum, AggFn::Avg];
+        let spec = CubeSpec::new(
+            vec![&a, &a2],
+            vec![
+                MeasureSpec { preagg: &m, fns: fns.clone() },
+                MeasureSpec { preagg: &m2, fns },
+            ],
+            n,
+        );
+        let config = EarlyStopConfig { k: 5, ..Default::default() };
+        let (lattice, translation) = crate::mvdcube::prepare(
+            &spec,
+            &MvdCubeOptions::default(),
+            Some(config.sample_size),
+        );
+        let samples = translation.samples.as_ref().unwrap();
+        let first = prune(&spec, &lattice, samples, &config, 1);
+        assert!(first.pruned > 0 && first.batches_run > 0, "the fixture must prune");
+        for call in 1..20 {
+            assert_eq!(prune(&spec, &lattice, samples, &config, 1), first, "call {call}");
+        }
+        for threads in [2usize, 8] {
+            assert_eq!(
+                prune(&spec, &lattice, samples, &config, threads),
+                first,
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// The pruning loop with nothing shared and nothing carried over: every
+    /// node projected straight from the root, and in every batch fresh
+    /// moments per (node, MDA, group) over that MDA's own per-fact statistic.
+    fn prune_per_mda(
+        spec: &CubeSpec<'_>,
+        lattice: &Lattice,
+        samples: &SampleSet,
+        config: &EarlyStopConfig,
+    ) -> EarlyStopOutcome {
+        let mdas = spec.mdas();
+        let masks = lattice.nodes();
+        let total = masks.len() * mdas.len();
+        let mut alive: HashMap<u32, Vec<bool>> =
+            masks.iter().map(|&m| (m, vec![true; mdas.len()])).collect();
+        let ci = InterestingnessCi::new(config.h, config.confidence);
+        let batch_len = samples.capacity.div_ceil(config.batches);
+        let (mut pruned, mut batches_run) = (0, 0);
+        for batch in 1..=config.batches {
+            batches_run += 1;
+            let mut intervals: Vec<(u32, usize, ScoreInterval)> = Vec::new();
+            for &mask in &masks {
+                let node = samples.project(lattice, mask);
+                let axes = node_axes(lattice, mask);
+                let groups: Vec<&(Vec<u32>, u64)> = (node.groups.iter())
+                    .filter(|(cell, _)| axes.iter().all(|&(s, d)| *cell / s % d != d - 1))
+                    .map(|(_, group)| group)
+                    .collect();
+                let sampled: usize = groups.iter().map(|g| g.0.len()).sum();
+                let cap = (spec.n_facts / 8).clamp(16, 4_096);
+                if !(2..=cap).contains(&groups.len()) || sampled < 2 * groups.len() {
+                    continue;
+                }
+                for (mi, mda) in mdas.iter().enumerate().filter(|&(mi, _)| alive[&mask][mi]) {
+                    let MdaKind::Measure { measure, agg } = mda.kind else {
+                        let sizes: Vec<GroupSample> =
+                            groups.iter().map(|g| GroupSample::from_values(&[], g.1)).collect();
+                        intervals.push((
+                            mask,
+                            mi,
+                            ci.interval(EstimatorKind::Count, &sizes, None),
+                        ));
+                        continue;
+                    };
+                    let pre = spec.measures[measure].preagg;
+                    let observed: Vec<GroupSample> = (groups.iter())
+                        .filter_map(|(facts, size)| {
+                            let values: Vec<f64> = facts[..facts.len().min(batch * batch_len)]
+                                .iter()
+                                .map(|&fact| FactId(fact))
+                                .filter(|&fact| pre.count(fact) > 0)
+                                .map(|fact| match agg {
+                                    AggFn::Sum => pre.sum(fact),
+                                    AggFn::Count => pre.count(fact) as f64,
+                                    AggFn::Avg => pre.avg(fact).unwrap(),
+                                    AggFn::Min => pre.min(fact).unwrap(),
+                                    AggFn::Max => pre.max(fact).unwrap(),
+                                })
+                                .collect();
+                            (!values.is_empty())
+                                .then(|| GroupSample::from_values(&values, *size))
+                        })
+                        .collect();
+                    let interval =
+                        ci.interval(estimator_for(&mda.kind), &observed, pre.global_bounds());
+                    intervals.push((mask, mi, interval));
+                }
+            }
+            let mut lowers: Vec<f64> = intervals.iter().map(|(_, _, iv)| iv.lower).collect();
+            lowers.sort_by(|a, b| b.total_cmp(a));
+            let kth_lower = lowers[config.k - 1];
+            let before = pruned;
+            for (mask, mi, _) in intervals.iter().filter(|(_, _, iv)| iv.upper < kth_lower) {
+                alive.get_mut(mask).unwrap()[*mi] = false;
+                pruned += 1;
+            }
+            if pruned == before {
+                break;
+            }
+        }
+        EarlyStopOutcome { alive, pruned, total, batches_run }
+    }
+
+    /// Sharing one series between sum/avg/min/max is a shortcut for
+    /// single-valued measures only: with a single-valued measure, a
+    /// multi-valued one (1–3 values per fact) and facts missing either, the
+    /// outcome is the per-MDA loop's. Sharing the multi-valued measure's
+    /// series too changes the outcome at both `k`.
+    #[test]
+    fn shared_series_prune_like_per_mda_moments() {
+        let n = 6_000usize;
+        let mix = |i: usize, salt: u64| crate::translate::fact_priority(salt, i as u32) >> 32;
+        let labels: Vec<String> = (0..12).map(|g| format!("g{g:02}")).collect();
+        let column = |name: &str, salt: u64, groups: u64| {
+            let rows: Vec<Vec<&str>> = (0..n)
+                .map(|i| match mix(i, salt) % 10 {
+                    0 => vec![],
+                    1 => vec![
+                        labels[(mix(i, salt + 1) % groups) as usize].as_str(),
+                        labels[(mix(i, salt + 2) % groups) as usize].as_str(),
+                    ],
+                    _ => vec![labels[(mix(i, salt + 1) % groups) as usize].as_str()],
+                })
+                .collect();
+            CategoricalColumn::from_rows(name, &rows)
+        };
+        let (a, b) = (column("a", 100, 12), column("b", 200, 5));
+        // `single` follows a's group. `multi` is flat in value, but a fact's
+        // number of values follows a's group: its per-fact sums are hot by
+        // `a` where its avg/min/max are not. Each is missing on some facts.
+        let noise = |i: usize, salt: u64| (mix(i, salt) % 1_000) as f64 * 0.01;
+        let single = NumericColumn::from_rows(
+            "single",
+            &(0..n)
+                .map(|i| match i % 11 {
+                    0 => vec![],
+                    _ => vec![(mix(i, 101) % 12) as f64 * 3.0 + noise(i, 300)],
+                })
+                .collect::<Vec<_>>(),
+        )
+        .preaggregate();
+        let multi = NumericColumn::from_rows(
+            "multi",
+            &(0..n)
+                .map(|i| {
+                    let values = if i % 13 == 0 { 0 } else { 1 + mix(i, 101) % 12 % 3 };
+                    (0..values).map(|v| 50.0 + noise(i, 400 + v)).collect()
+                })
+                .collect::<Vec<_>>(),
+        )
+        .preaggregate();
+        assert!(single.is_single_valued() && !multi.is_single_valued());
+        let fns = vec![AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max];
+        let spec = CubeSpec::new(
+            vec![&a, &b],
+            vec![
+                MeasureSpec { preagg: &single, fns: fns.clone() },
+                MeasureSpec { preagg: &multi, fns },
+            ],
+            n,
+        );
+        let keys: Vec<_> = spec.mdas().iter().map(|m| series_key(&spec, &m.kind)).collect();
+        let distinct: std::collections::HashSet<_> = keys.iter().flatten().collect();
+        assert_eq!(distinct.len(), 2 + 5, "single: one value series + count; multi: all five");
+
+        for k in [8usize, 16] {
+            let config =
+                EarlyStopConfig { k, sample_size: 40, batches: 3, ..Default::default() };
+            let (lattice, translation) = crate::mvdcube::prepare(
+                &spec,
+                &MvdCubeOptions::default(),
+                Some(config.sample_size),
+            );
+            let samples = translation.samples.as_ref().unwrap();
+            let outcome = prune(&spec, &lattice, samples, &config, 1);
+            assert!(outcome.pruned > 0 && outcome.batches_run > 1, "k = {k}: must prune");
+            assert_eq!(outcome, prune_per_mda(&spec, &lattice, samples, &config), "k = {k}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   formula (Section 4.1);
 //! * [`translate`] — Data Translation: laying the CFS out as a partitioned
 //!   array of cells, each holding the set of facts (Section 4.3), with the
-//!   stratified reservoir sampling of early-stop piggybacked on the same
+//!   stratified bottom-k sampling of early-stop piggybacked on the same
 //!   pass (Section 5.3);
 //! * [`mvdcube`] — **MVDCube** (Algorithm 1): the correct one-pass
 //!   evaluation in the presence of multi-valued dimensions, propagating

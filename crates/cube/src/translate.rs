@@ -14,8 +14,13 @@
 //! correspond to the combination of dimension values that this cell
 //! represents", stored as a [`Bitmap`].
 //!
-//! When early-stop is active, the same pass fills one reservoir per root
-//! group (stratified sampling, Section 5.3).
+//! When early-stop is active, the same pass keeps Section 5.3's stratified
+//! sample as one **bottom-k sketch** per root group: its `k` facts of
+//! smallest [`fact_priority`], a seeded hash of the fact id. A fact has one
+//! priority wherever it is met, so sketches merge — the bottom-k of a union
+//! of groups is the bottom-k of their sketches' union, a multi-valued fact
+//! counting once — and [`SampleSet::project`] derives any lattice node's
+//! sample exactly, in O(k) per group.
 //!
 //! # Parallel structure
 //!
@@ -30,44 +35,38 @@
 //!    reproduces the serial stable `(partition, cell)` sort exactly, and
 //! 3. **per-partition materialization**, each partition building its cell
 //!    bitmaps via `from_sorted_iter_in` (one low-bits scratch per worker,
-//!    no intermediate fact re-collection) and drawing its samples from an
-//!    RNG seeded by `(seed, partition index)` — reproducible at any
-//!    thread count.
+//!    no intermediate fact re-collection) and its cells' bottom-k samples
+//!    (a function of `(seed, fact ids)` alone) at any thread count.
 
 use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::spec::CubeSpec;
-use rand::Rng;
 use spade_bitmap::Bitmap;
 use spade_parallel::Cancelled;
 use spade_storage::FactId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Uniform sample without replacement from a materialized group run —
-/// equivalent to the paper's per-group reservoir (Algorithm R) over the
-/// same stream, but without a reservoir map on the hot translation path.
-fn sample_run<R: Rng>(facts: &[u32], cap: usize, rng: &mut R) -> Vec<u32> {
-    if facts.len() <= cap {
-        return facts.to_vec();
-    }
-    // Partial Fisher–Yates over a copy of the run.
-    let mut pool = facts.to_vec();
-    for i in 0..cap {
-        let j = rng.gen_range(i..pool.len());
-        pool.swap(i, j);
-    }
-    pool.truncate(cap);
-    pool
-}
-
-/// Deterministic per-partition RNG seed: a splitmix64 finalizer over the
-/// run seed and the partition's global index, so each partition's sample
-/// stream is fixed no matter which worker draws it.
-fn part_seed(seed: u64, part: u64) -> u64 {
-    let mut z = seed ^ part.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// The sampling priority of a fact: 32 bits of the splitmix64 finalizer of
+/// `seed ^ fact` over the fact id, so no two facts tie. A group's sample is
+/// its `k` facts of smallest priority: a function of `(seed, fact set)` alone.
+pub fn fact_priority(seed: u64, fact: u32) -> u64 {
+    let mut z = (seed ^ fact as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    (z ^ (z >> 31)) << 32 | fact as u64
+}
+
+/// The bottom-`k` of one cell's `(partition, cell, fact)` run, in priority
+/// order; `keyed` is the caller's scratch.
+fn bottom_k(run: &[(u64, u64, u32)], k: usize, seed: u64, keyed: &mut Vec<u64>) -> Vec<u32> {
+    keyed.clear();
+    keyed.extend(run.iter().map(|t| fact_priority(seed, t.2)));
+    if keyed.len() > k {
+        keyed.select_nth_unstable(k.saturating_sub(1));
+        keyed.truncate(k);
+    }
+    keyed.sort_unstable();
+    keyed.iter().map(|&priority| priority as u32).collect()
 }
 
 /// One partition: the cells (with their fact sets) whose dimension codes
@@ -80,13 +79,56 @@ pub struct Partition {
     pub cells: Vec<(u64, Bitmap)>,
 }
 
-/// The stratified sample collected during translation (early-stop input).
+/// The stratified sample of one lattice node (early-stop input):
+/// translation collects the root's, [`SampleSet::project`] derives the rest.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SampleSet {
-    /// Per root cell: `(sampled fact ids, exact group size)`.
-    pub groups: HashMap<u64, (Vec<u32>, u64)>,
-    /// Reservoir capacity (the per-group sample size).
+    /// Per group, in cell order: `(sampled fact ids in priority order, group
+    /// size)`. A cell is a root cell index with the dropped dimensions'
+    /// coordinates at 0. The size is exact at the root; below it a
+    /// multi-valued fact counts once per root cell it is in (Appendix B's
+    /// "may be overestimated").
+    pub groups: BTreeMap<u64, (Vec<u32>, u64)>,
+    /// The per-group sample size `k`.
     pub capacity: usize,
+    /// Seed of [`fact_priority`].
+    pub seed: u64,
+}
+
+impl SampleSet {
+    /// The sample of node `to` from this sample of any of its ancestors:
+    /// groups merge as bottom-k sketches, so via the MMST parent or straight
+    /// from the root each group gets the bottom-k of all its facts. Groups
+    /// with a null coordinate are kept for descendants dropping that axis.
+    pub fn project(&self, lattice: &Lattice, to: u32) -> SampleSet {
+        let axes = node_axes(lattice, to);
+        let priority = |fact: &u32| fact_priority(self.seed, *fact);
+        let mut groups: BTreeMap<u64, (Vec<u32>, u64)> = BTreeMap::new();
+        let mut merged: Vec<u32> = Vec::new();
+        for (&cell, (facts, seen)) in &self.groups {
+            let key =
+                axes.iter().map(|&(stride, domain)| cell / stride % domain * stride).sum();
+            let group = groups.entry(key).or_default();
+            group.1 += seen;
+            if group.0.is_empty() {
+                group.0.extend_from_slice(facts);
+                continue;
+            }
+            // Two priority-ordered runs merge into `merged`, a fact in both
+            // taken once; the buffers then trade places.
+            let (mut a, mut b) = (group.0.iter().peekable(), facts.iter().peekable());
+            let next = || match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) if x == y => a.next().and(b.next()),
+                (Some(x), Some(y)) if priority(x) > priority(y) => b.next(),
+                (Some(_), _) => a.next(),
+                (None, _) => b.next(),
+            };
+            merged.clear();
+            merged.extend(std::iter::from_fn(next).take(self.capacity));
+            std::mem::swap(&mut group.0, &mut merged);
+        }
+        SampleSet { groups, capacity: self.capacity, seed: self.seed }
+    }
 }
 
 /// Output of the translation step.
@@ -109,6 +151,14 @@ pub fn strides_for(domains: &[u32]) -> Vec<u64> {
     strides
 }
 
+/// `(root cell stride, domain size)` of each dimension of node `mask`: its
+/// coordinate in root cell `c` is `c / stride % domain`, null being
+/// `domain − 1`.
+pub(crate) fn node_axes(lattice: &Lattice, mask: u32) -> Vec<(u64, u64)> {
+    let strides = strides_for(&lattice.domains);
+    lattice.dims_of(mask).into_iter().map(|d| (strides[d], lattice.domains[d] as u64)).collect()
+}
+
 /// Facts per entry-generation work item; boundaries depend only on data
 /// size, so every thread count generates identical chunk streams.
 const FACT_CHUNK: usize = 8192;
@@ -116,8 +166,8 @@ const FACT_CHUNK: usize = 8192;
 /// Translates the CFS into the partitioned array representation (serial
 /// plain form of [`translate_in`]).
 ///
-/// `sample_capacity` enables reservoir sampling with the given per-group
-/// size; `seed` makes the sample deterministic.
+/// `sample_capacity` enables bottom-k sampling with the given per-group
+/// size under [`fact_priority`]`(seed, ·)`.
 pub fn translate(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
@@ -139,9 +189,6 @@ pub fn translate_in(
     seed: u64,
     cx: &ExecCtx<'_>,
 ) -> Result<Translation, Cancelled> {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
     let (span, cx) = cx.span("translate");
     spade_parallel::fault::fire_with_budget("translate", Some(cx.budget));
     cx.check()?;
@@ -254,11 +301,10 @@ pub fn translate_in(
                 .enumerate()
                 .map(|(d, _)| ((part / part_strides[d]) % n_chunks[d] as u64) as u32)
                 .collect();
-            let mut rng = SmallRng::seed_from_u64(part_seed(seed, part));
             let mut cells: Vec<(u64, Bitmap)> = Vec::new();
             let mut groups: Vec<(u64, (Vec<u32>, u64))> = Vec::new();
             let mut scratch: Vec<u16> = Vec::new();
-            let mut fact_buf: Vec<u32> = Vec::new();
+            let mut keyed: Vec<u64> = Vec::new();
             let mut k = 0;
             while k < run.len() {
                 let cell = run[k].1;
@@ -270,12 +316,8 @@ pub fn translate_in(
                 let bitmap =
                     Bitmap::from_sorted_iter_in(facts.iter().map(|t| t.2), &mut scratch);
                 if let Some(cap) = sample_capacity {
-                    fact_buf.clear();
-                    fact_buf.extend(facts.iter().map(|t| t.2));
-                    groups.push((
-                        cell,
-                        (sample_run(&fact_buf, cap, &mut rng), facts.len() as u64),
-                    ));
+                    let sample = bottom_k(facts, cap, seed, &mut keyed);
+                    groups.push((cell, (sample, facts.len() as u64)));
                 }
                 cells.push((cell, bitmap));
                 k = e;
@@ -283,19 +325,12 @@ pub fn translate_in(
             Ok((Partition { coords, cells }, groups))
         })?;
 
-    let mut partitions: Vec<Partition> = Vec::with_capacity(built.len());
-    let mut sample_groups: Option<HashMap<u64, (Vec<u32>, u64)>> =
-        sample_capacity.map(|_| HashMap::new());
-    for (partition, groups) in built {
-        if let Some(map) = sample_groups.as_mut() {
-            map.extend(groups);
-        }
-        partitions.push(partition);
-    }
-
-    let samples = sample_capacity.map(|cap| SampleSet {
-        groups: sample_groups.take().unwrap_or_default(),
-        capacity: cap,
+    let (partitions, groups): (Vec<Partition>, Vec<_>) = built.into_iter().unzip();
+    // One sort and a bulk build instead of an insert per cell.
+    let samples = sample_capacity.map(|capacity| SampleSet {
+        groups: groups.into_iter().flatten().collect(),
+        capacity,
+        seed,
     });
 
     if span.recorded() {
@@ -386,20 +421,169 @@ mod tests {
         }
     }
 
+    /// 3 000 facts over three dimensions: `a` multi-valued for a third of
+    /// the facts and missing for some, `b` multi-valued for a few, `c` plain.
+    fn sampled_columns() -> [CategoricalColumn; 3] {
+        const LABELS: [&str; 6] = ["u", "v", "w", "x", "y", "z"];
+        let pick = |fact: usize, salt: u64, n: u64| {
+            LABELS[((fact_priority(salt, fact as u32) >> 32) % n) as usize]
+        };
+        let column = |name: &str, salt: u64, n: u64, multi: usize, missing: usize| {
+            let rows: Vec<Vec<&str>> = (0..3_000)
+                .map(|f| match f {
+                    f if f % missing == 0 => vec![],
+                    f if f % multi == 0 => vec![pick(f, salt, n), pick(f, salt + 1, n)],
+                    f => vec![pick(f, salt, n)],
+                })
+                .collect();
+            CategoricalColumn::from_rows(name, &rows)
+        };
+        [
+            column("a", 10, 6, 3, 17),
+            column("b", 20, 4, 11, usize::MAX),
+            column("c", 30, 3, usize::MAX, 29),
+        ]
+    }
+
+    /// Per cell of node `mask` (root cell index, dropped coordinates at 0):
+    /// the distinct facts in it, straight from the translated bitmaps.
+    fn true_groups(t: &Translation, lattice: &Lattice, mask: u32) -> BTreeMap<u64, Vec<u32>> {
+        let axes = node_axes(lattice, mask);
+        let mut groups: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for (cell, facts) in t.partitions.iter().flat_map(|p| &p.cells) {
+            let key =
+                axes.iter().map(|&(stride, domain)| cell / stride % domain * stride).sum();
+            groups.entry(key).or_default().extend(facts.iter());
+        }
+        for facts in groups.values_mut() {
+            facts.sort_unstable();
+            facts.dedup();
+        }
+        groups
+    }
+
     #[test]
-    fn sampling_collects_every_fact_in_small_groups() {
+    fn root_sample_is_the_bottom_k_of_every_cell() {
+        let [a, b, c] = sampled_columns();
+        let spec = CubeSpec::new(vec![&a, &b, &c], vec![], 3_000);
+        let lattice = Lattice::new(spec.domain_sizes(), vec![3, 2, 4]);
+        let serial = translate(&spec, &lattice, Some(16), 7);
+        let samples = serial.samples.as_ref().unwrap();
+        assert_eq!((samples.capacity, samples.seed), (16, 7));
+        let cells = true_groups(&serial, &lattice, lattice.root_mask());
+        assert_eq!(samples.groups.len(), cells.len());
+        assert!(cells.values().any(|f| f.len() <= 16) && cells.values().any(|f| f.len() > 16));
+        for (cell, facts) in &cells {
+            let (sample, seen) = &samples.groups[cell];
+            // The group size is exact; a group of ≤ k facts is sampled whole.
+            assert_eq!(*seen, facts.len() as u64);
+            let mut by_priority = facts.clone();
+            by_priority.sort_by_key(|&f| fact_priority(7, f));
+            by_priority.truncate(16);
+            assert_eq!(sample, &by_priority, "cell {cell}");
+        }
+        // Same (seed, data) ⇒ same sample at any thread count; another seed
+        // draws another one.
+        for threads in [2usize, 8] {
+            let parallel = ExecCtx::unbounded(threads, |cx| {
+                translate_in(&spec, &lattice, Some(16), 7, cx)
+            });
+            assert_eq!(parallel, serial, "{threads} threads");
+        }
+        assert_ne!(translate(&spec, &lattice, Some(16), 8).samples, serial.samples);
+    }
+
+    #[test]
+    fn projection_is_exact_and_path_independent() {
+        let [a, b, c] = sampled_columns();
+        let spec = CubeSpec::new(vec![&a, &b, &c], vec![], 3_000);
+        let lattice = Lattice::new(spec.domain_sizes(), vec![3, 2, 4]);
+        let t = translate(&spec, &lattice, Some(16), 7);
+        let root = t.samples.as_ref().unwrap();
+        let mmst = lattice.mmst();
+        for mask in lattice.nodes().into_iter().skip(1) {
+            let from_root = root.project(&lattice, mask);
+            let (parent, _) = mmst.parent[&mask];
+            let from_parent = root.project(&lattice, parent).project(&lattice, mask);
+            assert_eq!(from_root, from_parent, "node {mask:03b}");
+            // Every group holds the bottom-k of its distinct facts: a fact
+            // multi-valued on a dropped dimension sits in several root cells
+            // and still appears once.
+            let groups = true_groups(&t, &lattice, mask);
+            assert_eq!(from_root.groups.len(), groups.len());
+            for (cell, facts) in &groups {
+                let (sample, seen) = &from_root.groups[cell];
+                let mut by_priority = facts.clone();
+                by_priority.sort_by_key(|&f| fact_priority(7, f));
+                by_priority.truncate(16);
+                assert_eq!(sample, &by_priority, "node {mask:03b} cell {cell}");
+                assert!(*seen >= facts.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn fact_multi_valued_on_a_dropped_dimension_is_sampled_once() {
         let (nat, gender) = mini_spec();
         let spec = CubeSpec::new(vec![&nat, &gender], vec![], 2);
         let lattice = Lattice::new(spec.domain_sizes(), vec![4, 2]);
-        let t = translate(&spec, &lattice, Some(8), 7);
-        let samples = t.samples.unwrap();
-        assert_eq!(samples.capacity, 8);
-        // Three occupied cells, each with one fact; reservoirs hold them all.
-        assert_eq!(samples.groups.len(), 3);
-        for (items, seen) in samples.groups.values() {
-            assert_eq!(items.len(), 1);
-            assert_eq!(*seen, 1);
+        let root = translate(&spec, &lattice, Some(8), 7).samples.unwrap();
+        // Fact 1 (Brazil and France, no gender) is in two root cells.
+        assert_eq!(root.groups.values().filter(|(facts, _)| facts == &[1]).count(), 2);
+        // By gender alone (mask 0b10) it is one fact of the null group, whose
+        // size counts both root cells.
+        let by_gender = root.project(&lattice, 0b10);
+        let null_gender = node_axes(&lattice, 0b10)[0].0; // code 1 = null
+        assert_eq!(by_gender.groups[&null_gender], (vec![1], 2));
+        assert_eq!(by_gender.groups[&0], (vec![0], 1));
+    }
+
+    /// Seeds far apart: `seed ^ fact` over consecutive seeds would only
+    /// permute one set of hash inputs among the facts.
+    fn trial_seed(trial: u64) -> u64 {
+        trial.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    #[test]
+    fn bottom_k_sample_is_approximately_uniform() {
+        // Each of 100 facts should be among the 10 of smallest priority with
+        // probability 1/10 over the seeds.
+        let run: Vec<(u64, u64, u32)> = (0..100).map(|fact| (0, 0, fact)).collect();
+        let trials = 20_000;
+        let mut hits = [0u32; 100];
+        let mut keyed = Vec::new();
+        for trial in 0..trials {
+            let sample = bottom_k(&run, 10, trial_seed(trial), &mut keyed);
+            assert_eq!(sample.len(), 10);
+            for fact in sample {
+                hits[fact as usize] += 1;
+            }
         }
+        for (fact, &h) in hits.iter().enumerate() {
+            let freq = h as f64 / trials as f64;
+            // 5-sigma band for a Binomial(20000, 0.1) proportion ≈ ±0.0106.
+            assert!((freq - 0.1).abs() < 0.011, "fact {fact} sampled with frequency {freq}");
+        }
+    }
+
+    #[test]
+    fn mean_of_bottom_k_sample_estimates_group_mean() {
+        // What Theorem 2's intervals assume of a group's sample: its mean is
+        // an unbiased estimate of the group's, here of a measure that
+        // follows the fact id.
+        let value = |fact: u32| (fact % 97) as f64;
+        let run: Vec<(u64, u64, u32)> = (0..5_000).map(|fact| (0, 0, fact)).collect();
+        let true_mean = run.iter().map(|t| value(t.2)).sum::<f64>() / run.len() as f64;
+        let mut keyed = Vec::new();
+        let estimates: Vec<f64> = (0..300)
+            .map(|trial| {
+                let sample = bottom_k(&run, 60, trial_seed(trial), &mut keyed);
+                sample.iter().map(|&f| value(f)).sum::<f64>() / sample.len() as f64
+            })
+            .collect();
+        let avg = estimates.iter().sum::<f64>() / estimates.len() as f64;
+        // One estimate's σ ≈ 28/√60 ≈ 3.6, the average of 300 ≈ 0.21.
+        assert!((avg - true_mean).abs() < 1.0, "avg estimate {avg} vs {true_mean}");
     }
 
     #[test]

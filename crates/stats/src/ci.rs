@@ -12,7 +12,7 @@
 //!
 //! giving the half-width `ε_r = z_{1−α} · √(τ̂² / r)` with `τ̂²` the plug-in
 //! estimate using per-group sample variances and the gradient evaluated at
-//! `Ȳ`. We allow group-specific sample sizes `r_s` (reservoirs of sparse
+//! `Ȳ`. We allow group-specific sample sizes `r_s` (the samples of sparse
 //! groups may be partially filled), in which case each group contributes
 //! `(∂Ĥ/∂y_s)² · σ̂²_s / r_s` to the squared half-width — this reduces to
 //! the paper's formula when all `r_s = r`.
@@ -54,8 +54,7 @@ pub enum EstimatorKind {
 pub struct GroupSample {
     /// Moments of the sampled (pre-aggregated) measure values in the group.
     pub moments: RunningMoments,
-    /// Group size `c_s` observed during data translation (reservoir's
-    /// `seen()` count).
+    /// Group size `c_s` counted during data translation.
     pub group_size: u64,
 }
 

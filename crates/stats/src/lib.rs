@@ -9,8 +9,10 @@
 //!   `z_{1−α}` critical values of Theorem 2);
 //! * [`ci`] — the large-sample confidence interval around the estimated
 //!   interestingness score (Theorem 2, Appendices B and C);
-//! * [`reservoir`] — Vitter's reservoir sampling (Algorithm R), used for the
-//!   stratified per-group samples of Section 5.3.
+//! * [`reservoir`] — Vitter's reservoir sampling (Algorithm R), the paper's
+//!   sampler for the stratified per-group samples of Section 5.3. The
+//!   workspace itself draws them as mergeable bottom-k samples in
+//!   `spade-cube` (`translate`) and does not use this module.
 
 pub mod ci;
 pub mod interestingness;

@@ -99,7 +99,9 @@ impl NumericColumn {
             min: vec![f64::INFINITY; n],
             max: vec![f64::NEG_INFINITY; n],
             single_valued: false,
+            bounds: None,
         };
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for fact in 0..n {
             for &v in self.values_of(FactId(fact as u32)) {
                 agg.count[fact] += 1;
@@ -107,8 +109,11 @@ impl NumericColumn {
                 agg.min[fact] = agg.min[fact].min(v);
                 agg.max[fact] = agg.max[fact].max(v);
             }
+            lo = lo.min(agg.min[fact]);
+            hi = hi.max(agg.max[fact]);
         }
         agg.single_valued = agg.count.iter().all(|&c| c <= 1);
+        agg.bounds = (lo <= hi).then_some((lo, hi));
         agg
     }
 }
@@ -125,6 +130,8 @@ pub struct PreAggregated {
     /// Cached: every fact has at most one value (the paper's single-float
     /// memory case, and `accumulate`'s two-column fast path).
     single_valued: bool,
+    /// Cached: the global `[min, max]` over every value of the column.
+    bounds: Option<(f64, f64)>,
 }
 
 /// Aggregate totals of one measure over a set of facts — what one cube
@@ -232,17 +239,10 @@ impl PreAggregated {
     }
 
     /// The global `[min, max]` over all facts, if any value exists — the
-    /// offline statistic Appendix C's Popoviciu bound consumes.
+    /// offline statistic Appendix C's Popoviciu bound consumes. Computed
+    /// once by [`NumericColumn::preaggregate`]; reading it is O(1).
     pub fn global_bounds(&self) -> Option<(f64, f64)> {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in 0..self.count.len() {
-            if self.count[i] > 0 {
-                lo = lo.min(self.min[i]);
-                hi = hi.max(self.max[i]);
-            }
-        }
-        (lo <= hi).then_some((lo, hi))
+        self.bounds
     }
 
     /// `true` when every fact has at most one value — the paper's memory
@@ -302,12 +302,35 @@ mod tests {
         assert_eq!(agg.float_slots(), 1);
     }
 
+    /// The cached bounds against a scan of the raw values.
     #[test]
     fn global_bounds() {
-        let col = NumericColumn::from_rows("x", &[vec![5.0, -2.0], vec![9.0]]);
-        assert_eq!(col.preaggregate().global_bounds(), Some((-2.0, 9.0)));
-        let empty = NumericColumn::from_rows("y", &[vec![], vec![]]);
-        assert_eq!(empty.preaggregate().global_bounds(), None);
+        let scanned = |col: &NumericColumn| {
+            let values: Vec<f64> = (0..col.n_facts())
+                .flat_map(|f| col.values_of(FactId(f as u32)).to_vec())
+                .collect();
+            let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (!values.is_empty()).then_some((lo, hi))
+        };
+        let multi_valued = NumericColumn::from_rows("x", &[vec![5.0, -2.0], vec![], vec![9.0]]);
+        assert_eq!(multi_valued.preaggregate().global_bounds(), Some((-2.0, 9.0)));
+        let no_facts = NumericColumn::from_rows("e", &[]);
+        let all_missing = NumericColumn::from_rows("y", &[vec![], vec![]]);
+        // NaN and ±∞ never reach the column, so they cannot widen the bounds.
+        let mut b = NumericColumnBuilder::new("z");
+        for (fact, v) in
+            [(0, f64::NAN), (0, 3.0), (1, f64::INFINITY), (2, f64::NEG_INFINITY), (2, -7.5)]
+        {
+            b.add(FactId(fact), v);
+        }
+        let non_finite_dropped = b.build(3);
+        assert_eq!(non_finite_dropped.preaggregate().global_bounds(), Some((-7.5, 3.0)));
+        for col in [&multi_valued, &no_facts, &all_missing, &non_finite_dropped] {
+            assert_eq!(col.preaggregate().global_bounds(), scanned(col), "{}", col.name());
+        }
+        assert_eq!(all_missing.preaggregate().global_bounds(), None);
+        assert_eq!(no_facts.preaggregate().global_bounds(), None);
     }
 
     #[test]

@@ -172,3 +172,54 @@ fn example2_multi_valued_group_contributions() {
         agg.sample_groups.iter().filter(|(_, v)| (*v - 66.0).abs() < 1e-9).count();
     assert_eq!(sixty_sixes, 4);
 }
+
+/// R9 ("MVDCube+ES consistently fastest") rests on early-stop's work not
+/// growing with the data. Checked as a shape on a work counter, not on time:
+/// with every root group's sample saturated, quadrupling the facts of the
+/// `multi_valued_100x10x5` case grows the pre-aggregated rows the pruning
+/// loop reads (`sample_facts` of the `earlystop` span) by less than 10 %.
+#[test]
+fn r9_pruning_reads_the_sample_not_the_data() {
+    use spade::core::{Budget, ExecCtx, Trace};
+    use spade::cube::earlystop::{prune_in, EarlyStopConfig};
+    use spade::cube::mvdcube::prepare;
+    use spade::datagen::corpus::SYNTHETIC_CASES;
+    use spade::datagen::synthetic::generate_columns;
+
+    let case = &SYNTHETIC_CASES[1];
+    assert_eq!(case.name, "multi_valued_100x10x5");
+    // 705 root groups: ≈ 62 facts each at 20 k facts, so a sample of 30
+    // (not the default 60) is saturated at both sizes. One batch, so the
+    // rows read are the whole sample — the most pruning can ever read —
+    // and not a function of which aggregates an earlier batch pruned.
+    let config = EarlyStopConfig { k: 5, sample_size: 30, batches: 1, ..Default::default() };
+    let sample_facts = |n_facts: usize| {
+        let columns = generate_columns(&case.config(n_facts, 1));
+        let fns = vec![AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max];
+        let measures = columns
+            .measures
+            .iter()
+            .map(|preagg| MeasureSpec { preagg, fns: fns.clone() })
+            .collect();
+        let spec = CubeSpec::new(columns.dims.iter().collect(), measures, n_facts);
+        let (lattice, translation) =
+            prepare(&spec, &MvdCubeOptions::default(), Some(config.sample_size));
+        let samples = translation.samples.as_ref().expect("sampling was requested");
+        assert!(
+            samples.groups.values().all(|(facts, _)| facts.len() == config.sample_size),
+            "{n_facts} facts: a root group is not saturated"
+        );
+        let (budget, trace) = (Budget::unlimited(), Trace::new());
+        let outcome =
+            prune_in(&spec, &lattice, samples, &config, &ExecCtx::traced(&budget, &trace, 1))
+                .expect("unlimited budget");
+        assert!(outcome.pruned > 0, "{n_facts} facts: nothing pruned");
+        trace.sum_attr("earlystop", "sample_facts")
+    };
+    let (small, large) = (sample_facts(20_000), sample_facts(80_000));
+    assert!(small > 0, "the earlystop span carries no sample_facts");
+    assert!(
+        (large as f64) < small as f64 * 1.10,
+        "4x the facts read {large} sampled rows against {small}"
+    );
+}
