@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p spade-bench --release --bin figure7 [-- --scale N]`
 
-use spade_bench::{experiment_config, HarnessArgs};
+use spade_bench::{experiment_config, regen_graph, HarnessArgs};
 use spade_core::{Spade, SpadeConfig};
 use spade_datagen::{realistic, RealisticConfig};
 
@@ -41,7 +41,7 @@ fn main() {
     for dataset in realistic::all(&cfg) {
         let name = dataset.name;
         let mut g_wd = dataset.graph;
-        let mut g_wod = spade_bench_regen(name, &cfg);
+        let mut g_wod = regen_graph(name, &cfg);
         let wod = scores(&mut g_wod, experiment_config().without_derivations());
         let wd = scores(&mut g_wd, experiment_config());
         println!(
@@ -59,16 +59,4 @@ fn main() {
     println!("(R1) expected shape: #wD ≥ #woD on every native-RDF graph (strictly more on");
     println!("CEOs/NASA/Nobel/Foodista/DBLP), equal on Airline (no derivations possible);");
     println!("max-wD ≥ max-woD where derivations apply.");
-}
-
-fn spade_bench_regen(name: &str, cfg: &RealisticConfig) -> spade_rdf::Graph {
-    match name {
-        "Airline" => realistic::airline(&RealisticConfig { scale: cfg.scale * 8, ..*cfg }),
-        "CEOs" => realistic::ceos(cfg),
-        "DBLP" => realistic::dblp(&RealisticConfig { scale: cfg.scale * 4, ..*cfg }),
-        "Foodista" => realistic::foodista(&RealisticConfig { scale: cfg.scale * 2, ..*cfg }),
-        "NASA" => realistic::nasa(cfg),
-        "Nobel" => realistic::nobel(cfg),
-        other => panic!("unknown dataset {other}"),
-    }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run -p spade-bench --release --bin table2 [-- --scale N]`
 
-use spade_bench::{experiment_config, HarnessArgs};
+use spade_bench::{experiment_config, regen_graph, HarnessArgs};
 use spade_core::Spade;
 use spade_datagen::{realistic, RealisticConfig};
 
@@ -23,7 +23,7 @@ fn main() {
         let mut g1 = dataset.graph;
         let wod_report = Spade::new(experiment_config().without_derivations()).run(&mut g1);
         // With derivations (fresh copy of the graph: saturation mutates).
-        let mut g2 = regenerate(dataset.name, &cfg);
+        let mut g2 = regen_graph(dataset.name, &cfg);
         let wd_report = Spade::new(experiment_config()).run(&mut g2);
 
         let d = wd_report.profile.derivations;
@@ -45,16 +45,4 @@ fn main() {
     println!("Paper (Table 2, real dumps): Airline 56M/1/30/5923 woD, 0 DP, 5923 wD;");
     println!("CEOs 85k/237/61/159 woD, 501 DP, 27860 wD; … — shapes to compare:");
     println!("(1) Airline gets no derivations; (2) native-RDF graphs multiply #A via DP.");
-}
-
-fn regenerate(name: &str, cfg: &RealisticConfig) -> spade_rdf::Graph {
-    match name {
-        "Airline" => realistic::airline(&RealisticConfig { scale: cfg.scale * 8, ..*cfg }),
-        "CEOs" => realistic::ceos(cfg),
-        "DBLP" => realistic::dblp(&RealisticConfig { scale: cfg.scale * 4, ..*cfg }),
-        "Foodista" => realistic::foodista(&RealisticConfig { scale: cfg.scale * 2, ..*cfg }),
-        "NASA" => realistic::nasa(cfg),
-        "Nobel" => realistic::nobel(cfg),
-        other => panic!("unknown dataset {other}"),
-    }
 }

@@ -17,22 +17,16 @@ use std::time::{Duration, Instant};
 /// Default `--scale` for the simulated graphs.
 pub const DEFAULT_SCALE: usize = 400;
 
-/// Parses the shared `--scale <n>` / `--seed <n>` / `--threads <n[,m,…]>` /
+/// Parses the shared `--scale <n>` / `--seed <n>` / `--threads <n>` /
 /// `--out <path>` CLI arguments every experiment binary accepts.
 pub struct HarnessArgs {
     /// Graph scale (primary fact count of the smallest dataset).
     pub scale: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for parallel pipeline stages (`0` = all cores). When
-    /// `--threads` was given a comma-separated list, this is its first
-    /// entry; sweep-capable benches read the full list via
-    /// [`HarnessArgs::thread_sweep`].
+    /// Worker threads for parallel pipeline stages (`0` = all cores).
     pub threads: usize,
-    /// The full `--threads` list (e.g. `--threads 1,2,8`); empty when the
-    /// flag was not given.
-    pub threads_list: Vec<usize>,
-    /// Output path override for benches that write a JSON artifact.
+    /// Output path override for binaries that write an artifact.
     pub out: Option<String>,
     /// Free-standing (non-flag) arguments.
     pub rest: Vec<String>,
@@ -50,7 +44,6 @@ impl HarnessArgs {
         let mut scale = DEFAULT_SCALE;
         let mut scale_is_explicit = false;
         let mut threads = 0usize;
-        let mut threads_list: Vec<usize> = Vec::new();
         let mut seed = 7u64;
         let mut out = None;
         let mut rest = Vec::new();
@@ -67,33 +60,12 @@ impl HarnessArgs {
                     scale_is_explicit = true;
                 }
                 "--seed" => seed = int(&mut args, "--seed") as u64,
-                "--threads" => {
-                    let v = args.next().expect("--threads needs an integer or list");
-                    threads_list = v
-                        .split(',')
-                        .map(|t| {
-                            t.trim().parse().unwrap_or_else(|_| {
-                                panic!("--threads needs integers, got {t:?}")
-                            })
-                        })
-                        .collect();
-                    threads = *threads_list.first().expect("--threads needs a value");
-                }
+                "--threads" => threads = int(&mut args, "--threads"),
                 "--out" => out = Some(args.next().expect("--out needs a path")),
                 other => rest.push(other.to_owned()),
             }
         }
-        HarnessArgs { scale, seed, threads, threads_list, out, rest, scale_is_explicit }
-    }
-
-    /// The thread counts a sweep-capable bench measures: the explicit
-    /// `--threads` list when given, else `default`.
-    pub fn thread_sweep(&self, default: &[usize]) -> Vec<usize> {
-        if self.threads_list.is_empty() {
-            default.to_vec()
-        } else {
-            self.threads_list.clone()
-        }
+        HarnessArgs { scale, seed, threads, out, rest, scale_is_explicit }
     }
 
     /// The scale to use for a bench whose default differs from
@@ -111,15 +83,6 @@ impl HarnessArgs {
     pub fn out_path(&self, default: &str) -> String {
         self.out.clone().unwrap_or_else(|| default.to_owned())
     }
-}
-
-/// Geometric mean of per-case speedups — the headline number every bench
-/// artifact reports.
-pub fn geo_mean(speedups: &[f64]) -> f64 {
-    if speedups.is_empty() {
-        return 1.0;
-    }
-    (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp()
 }
 
 /// The pipeline configuration all experiments share (matches the paper's
@@ -367,8 +330,6 @@ mod tests {
         assert_eq!(args.scale_or(999), 123, "explicit --scale wins");
         assert_eq!(args.seed, 9);
         assert_eq!(args.threads, 4);
-        assert_eq!(args.threads_list, vec![4]);
-        assert_eq!(args.thread_sweep(&[1, 2]), vec![4], "explicit --threads wins");
         assert_eq!(args.out_path("default.json"), "custom.json");
         assert_eq!(args.rest, vec!["extra".to_owned()]);
 
@@ -376,21 +337,7 @@ mod tests {
         assert_eq!(defaults.scale, DEFAULT_SCALE);
         assert_eq!(defaults.scale_or(999), 999, "bench default applies");
         assert_eq!(defaults.threads, 0);
-        assert!(defaults.threads_list.is_empty());
-        assert_eq!(defaults.thread_sweep(&[1, 2, 8]), vec![1, 2, 8]);
         assert_eq!(defaults.out_path("default.json"), "default.json");
-
-        let sweep = HarnessArgs::parse_from(to_args("--threads 1,2,8"));
-        assert_eq!(sweep.threads, 1, "first sweep entry is the scalar value");
-        assert_eq!(sweep.threads_list, vec![1, 2, 8]);
-        assert_eq!(sweep.thread_sweep(&[4]), vec![1, 2, 8]);
-    }
-
-    #[test]
-    fn geo_mean_of_speedups() {
-        assert_eq!(geo_mean(&[]), 1.0);
-        assert!((geo_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geo_mean(&[3.0]) - 3.0).abs() < 1e-12);
     }
 
     #[test]

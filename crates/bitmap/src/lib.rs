@@ -53,8 +53,6 @@ mod run;
 pub use container::Container;
 pub use run::RunContainer;
 
-use container::ARRAY_TO_BITSET_THRESHOLD;
-
 /// A compressed bitmap over `u32` values.
 ///
 /// Chunks (keyed by the high 16 bits) are kept sorted, each holding a
@@ -489,11 +487,6 @@ impl Bitmap {
     /// Number of chunks currently using the run (interval) representation.
     pub fn run_containers(&self) -> usize {
         self.containers.iter().filter(|c| matches!(c, Container::Run(_))).count()
-    }
-
-    /// The maximum cardinality of a (canonical) array container (4096).
-    pub const fn dense_threshold() -> usize {
-        ARRAY_TO_BITSET_THRESHOLD
     }
 
     /// Structural-invariant check (used by the property-test suite):

@@ -1,15 +1,14 @@
 //! Minimal hand-rolled JSON — one shared writer and a small parser.
 //!
 //! The build environment vendors no external crates, so there is no serde;
-//! every artifact that speaks JSON goes through this module instead of the
-//! per-binary string pasting the bench bins used to carry:
+//! every artifact that speaks JSON goes through this module:
 //!
 //! * [`JsonWriter`] — an explicit-state writer (objects, arrays, escaped
-//!   strings, fixed- or shortest-form numbers) used by the `BENCH_*.json`
-//!   artifacts, [`SpadeReport::to_json`](crate::SpadeReport::to_json), and
-//!   the `spade-serve` response bodies. Output is **deterministic**: the
-//!   caller controls key order, floats format by value alone (shortest
-//!   round-trip via `{}` or an explicit fixed precision), and no map
+//!   strings, shortest-form numbers) used by
+//!   [`SpadeReport::to_json`](crate::SpadeReport::to_json), the
+//!   `spade-serve` response bodies and the pinned benchmark's reports.
+//!   Output is **deterministic**: the caller controls key order, floats
+//!   format by value alone (shortest round-trip via `{}`), and no map
 //!   iteration order leaks in — identical inputs produce identical bytes,
 //!   which is what lets the serve layer cache bodies and the determinism
 //!   suite compare them.
@@ -234,17 +233,6 @@ impl JsonWriter {
         }
         self.before_value();
         let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// Writes a float with a fixed number of decimals — the bench artifacts'
-    /// house style. Non-finite values become `null`.
-    pub fn f64_fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
-        if !v.is_finite() {
-            return self.null();
-        }
-        self.before_value();
-        let _ = write!(self.buf, "{v:.decimals$}");
         self
     }
 
@@ -651,11 +639,11 @@ mod tests {
     }
 
     #[test]
-    fn writer_fixed_floats_and_nonfinite() {
+    fn writer_nonfinite_floats_become_null() {
         let mut w = JsonWriter::compact();
-        w.begin_array().f64_fixed(1.0 / 3.0, 4).f64(f64::NAN).f64_fixed(f64::INFINITY, 2);
+        w.begin_array().f64(0.25).f64(f64::NAN).f64(f64::INFINITY);
         w.end_array();
-        assert_eq!(w.finish(), "[0.3333,null,null]");
+        assert_eq!(w.finish(), "[0.25,null,null]");
     }
 
     #[test]

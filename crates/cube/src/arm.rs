@@ -9,7 +9,6 @@
 //! interestingness score by applying h, and returns the k best aggregates."
 
 use crate::result::CubeResult;
-use parking_lot::Mutex;
 use spade_stats::{Interestingness, RunningMoments};
 use std::collections::HashMap;
 
@@ -38,10 +37,10 @@ pub struct ScoredAggregate {
 
 /// Accumulates per-aggregate statistics in one pass and ranks by `h`.
 ///
-/// Thread-safe: evaluation code may push group values from worker threads.
+/// Single-owner: one manager scores one result on one thread.
 #[derive(Debug, Default)]
 pub struct AggregateResultManager {
-    stats: Mutex<HashMap<AggregateId, RunningMoments>>,
+    stats: HashMap<AggregateId, RunningMoments>,
 }
 
 impl AggregateResultManager {
@@ -51,8 +50,8 @@ impl AggregateResultManager {
     }
 
     /// Records one group's aggregated value for an MDA.
-    pub fn push(&self, id: AggregateId, value: f64) {
-        self.stats.lock().entry(id).or_default().push(value);
+    pub fn push(&mut self, id: AggregateId, value: f64) {
+        self.stats.entry(id).or_default().push(value);
     }
 
     /// Ingests a finished [`CubeResult`] (the batch path used after
@@ -61,18 +60,19 @@ impl AggregateResultManager {
     ///
     /// Groups are consumed in sorted key order: floating-point accumulation
     /// is not associative, so a deterministic order makes scores (and hence
-    /// tie-breaking in the top-k) reproducible across runs.
-    pub fn ingest(&self, result: &CubeResult) {
-        let mut stats = self.stats.lock();
+    /// tie-breaking in the top-k) reproducible across runs. Each aggregate's
+    /// statistics are looked up once per node, not once per value.
+    pub fn ingest(&mut self, result: &CubeResult) {
         for (&mask, node) in &result.nodes {
             let mut groups: Vec<(&Vec<u32>, &Vec<Option<f64>>)> =
                 node.visible_groups().collect();
             groups.sort_by(|a, b| a.0.cmp(b.0));
-            for (_, values) in groups {
-                for (mda, v) in values.iter().enumerate() {
-                    if let Some(v) = v {
-                        stats.entry(AggregateId { node_mask: mask, mda }).or_default().push(*v);
-                    }
+            for mda in 0..result.mda_labels.len() {
+                let mut values = groups.iter().filter_map(|(_, v)| *v.get(mda)?).peekable();
+                if values.peek().is_some() {
+                    let moments =
+                        self.stats.entry(AggregateId { node_mask: mask, mda }).or_default();
+                    values.for_each(|v| moments.push(v));
                 }
             }
         }
@@ -80,13 +80,12 @@ impl AggregateResultManager {
 
     /// Number of aggregates with at least one group value.
     pub fn aggregate_count(&self) -> usize {
-        self.stats.lock().len()
+        self.stats.len()
     }
 
     /// The incremental min/max statistics of one aggregate, if present.
     pub fn min_max(&self, id: AggregateId) -> Option<(f64, f64)> {
-        let stats = self.stats.lock();
-        let m = stats.get(&id)?;
+        let m = self.stats.get(&id)?;
         (m.count() > 0).then(|| (m.min(), m.max()))
     }
 
@@ -98,8 +97,8 @@ impl AggregateResultManager {
         k: usize,
         labels: &[String],
     ) -> Vec<ScoredAggregate> {
-        let stats = self.stats.lock();
-        let mut scored: Vec<ScoredAggregate> = stats
+        let mut scored: Vec<ScoredAggregate> = self
+            .stats
             .iter()
             .map(|(&id, m)| ScoredAggregate {
                 id,
@@ -120,7 +119,7 @@ pub fn top_k_of_result(
     h: Interestingness,
     k: usize,
 ) -> Vec<ScoredAggregate> {
-    let arm = AggregateResultManager::new();
+    let mut arm = AggregateResultManager::new();
     arm.ingest(result);
     arm.top_k(h, k, &result.mda_labels)
 }
@@ -161,9 +160,9 @@ mod tests {
     #[test]
     fn incremental_push_equals_ingest() {
         let r = result_with_two_aggregates();
-        let batch = AggregateResultManager::new();
+        let mut batch = AggregateResultManager::new();
         batch.ingest(&r);
-        let inc = AggregateResultManager::new();
+        let mut inc = AggregateResultManager::new();
         let id = AggregateId { node_mask: 0b1, mda: 1 };
         for v in [10.0, 11.0, 500.0] {
             inc.push(id, v);
@@ -177,7 +176,7 @@ mod tests {
     #[test]
     fn min_max_statistics_maintained() {
         let r = result_with_two_aggregates();
-        let arm = AggregateResultManager::new();
+        let mut arm = AggregateResultManager::new();
         arm.ingest(&r);
         let id = AggregateId { node_mask: 0b1, mda: 1 };
         assert_eq!(arm.min_max(id), Some((10.0, 500.0)));

@@ -2,24 +2,27 @@
 //! 1997), as recalled in Section 4.1 — and as shown *incorrect* for RDF in
 //! Section 4.2.
 //!
-//! Cells hold partial aggregates; a child node is computed by aggregating a
-//! parent's cell values along the dropped dimension. When a fact has
-//! several values on the dropped dimension it sits in several parent cells,
-//! and its contribution is added once per cell — Lemma 1's double counting.
-//! `count(*)`, `count(M)`, `sum(M)` and `avg(M)` are all affected;
+//! Cells hold partial aggregates; a child node is computed by aggregating
+//! its MMST parent's cell values along the dropped dimension. When a fact
+//! has several values on the dropped dimension it sits in several parent
+//! cells, and its contribution is added once per cell — Lemma 1's double
+//! counting. `count(*)`, `count(M)`, `sum(M)` and `avg(M)` are all affected;
 //! `min`/`max` happen to commute with the projection and stay correct.
 //!
-//! This implementation exists as the experimental baseline (and to verify
-//! Lemma 1 / Theorem 1 empirically); use [`crate::mvd_cube`] for correct
-//! results.
+//! This is a self-contained evaluator over [`prepare`]'s translation and
+//! the lattice's MMST, sharing nothing with the bitmap engine. It exists to
+//! show that error (and to verify Lemma 1 / Theorem 1 empirically), so it is
+//! deliberately unoptimised — serial, every node's cells held in an ordered
+//! map until the pass ends — and never timed; use [`crate::mvd_cube`] for
+//! correct results.
 
-use crate::engine::{run_engine, CubeAlgebra};
-use crate::exec::ExecCtx;
-use crate::mvdcube::{prepare_in, MvdCubeOptions};
-use crate::result::CubeResult;
-use crate::spec::{CubeSpec, MdaKind};
+use crate::mvdcube::{prepare, MvdCubeOptions};
+use crate::result::{CubeResult, NodeResult, NULL_CODE};
+use crate::spec::{CubeSpec, Mda, MdaKind};
+use crate::translate::node_axes;
 use spade_bitmap::Bitmap;
-use spade_storage::FactId;
+use spade_storage::{AggFn, FactId};
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-measure partial aggregate (the classical cell payload).
 #[derive(Clone, Copy, Debug)]
@@ -38,38 +41,22 @@ impl MeasureAccum {
 
 /// A classical cell: partially aggregated values, no fact identity.
 #[derive(Clone, Debug)]
-pub(crate) struct ArrayCell {
+struct ArrayCell {
     fact_count: f64,
     measures: Vec<MeasureAccum>,
 }
 
-pub(crate) struct ArrayAlgebra<'a, 'b> {
-    pub spec: &'b CubeSpec<'a>,
-    /// MDA list cached once — `emit` runs per cell.
-    pub mdas: Vec<crate::spec::Mda>,
-}
-
-impl<'a, 'b> ArrayAlgebra<'a, 'b> {
-    pub fn new(spec: &'b CubeSpec<'a>) -> Self {
-        ArrayAlgebra { spec, mdas: spec.mdas() }
-    }
-}
-
-impl<'a, 'b> CubeAlgebra for ArrayAlgebra<'a, 'b> {
-    type Cell = ArrayCell;
-    /// Classical cells are already aggregated; nothing to precompute.
-    type EmitPlan = ();
-    type EmitScratch = ();
-
-    fn root_cell(&self, facts: &Bitmap) -> ArrayCell {
+impl ArrayCell {
+    /// A root cell: the aggregates of one array cell's facts.
+    fn of_facts(spec: &CubeSpec<'_>, facts: &Bitmap) -> ArrayCell {
         let mut cell = ArrayCell {
             fact_count: 0.0,
-            measures: vec![MeasureAccum::empty(); self.spec.measures.len()],
+            measures: vec![MeasureAccum::empty(); spec.measures.len()],
         };
         for fact in facts.iter() {
             let fact = FactId(fact);
             cell.fact_count += 1.0;
-            for (mi, m) in self.spec.measures.iter().enumerate() {
+            for (mi, m) in spec.measures.iter().enumerate() {
                 let c = m.preagg.count(fact);
                 if c == 0 {
                     continue;
@@ -86,9 +73,9 @@ impl<'a, 'b> CubeAlgebra for ArrayAlgebra<'a, 'b> {
 
     /// The incorrect step: aggregates are *added* across parent cells —
     /// "the fact n will be counted twice, instead of just once" (Lemma 1).
-    fn merge(&self, into: &mut ArrayCell, from: &ArrayCell) {
-        into.fact_count += from.fact_count;
-        for (a, b) in into.measures.iter_mut().zip(&from.measures) {
+    fn add(&mut self, from: &ArrayCell) {
+        self.fact_count += from.fact_count;
+        for (a, b) in self.measures.iter_mut().zip(&from.measures) {
             a.sum += b.sum;
             a.count += b.count;
             a.lo = a.lo.min(b.lo);
@@ -96,37 +83,22 @@ impl<'a, 'b> CubeAlgebra for ArrayAlgebra<'a, 'b> {
         }
     }
 
-    fn plan_emit(&self, _alive: &[bool]) {}
-
-    fn emit(
-        &self,
-        cell: &ArrayCell,
-        alive: &[bool],
-        _plan: &(),
-        _scratch: &mut (),
-    ) -> Vec<Option<f64>> {
-        self.mdas
-            .iter()
-            .zip(alive)
-            .map(|(mda, &is_alive)| {
-                if !is_alive {
-                    return None;
-                }
-                match mda.kind {
-                    MdaKind::FactCount => Some(cell.fact_count),
-                    MdaKind::Measure { measure, agg } => {
-                        let acc = &cell.measures[measure];
-                        if acc.count == 0.0 {
-                            return None;
-                        }
-                        Some(match agg {
-                            spade_storage::AggFn::Count => acc.count,
-                            spade_storage::AggFn::Sum => acc.sum,
-                            spade_storage::AggFn::Avg => acc.sum / acc.count,
-                            spade_storage::AggFn::Min => acc.lo,
-                            spade_storage::AggFn::Max => acc.hi,
-                        })
+    fn values(&self, mdas: &[Mda]) -> Vec<Option<f64>> {
+        mdas.iter()
+            .map(|mda| match mda.kind {
+                MdaKind::FactCount => Some(self.fact_count),
+                MdaKind::Measure { measure, agg } => {
+                    let acc = &self.measures[measure];
+                    if acc.count == 0.0 {
+                        return None;
                     }
+                    Some(match agg {
+                        AggFn::Count => acc.count,
+                        AggFn::Sum => acc.sum,
+                        AggFn::Avg => acc.sum / acc.count,
+                        AggFn::Min => acc.lo,
+                        AggFn::Max => acc.hi,
+                    })
                 }
             })
             .collect()
@@ -137,12 +109,57 @@ impl<'a, 'b> CubeAlgebra for ArrayAlgebra<'a, 'b> {
 ///
 /// Results are correct only for lattice nodes retaining every multi-valued
 /// dimension (Theorem 1); the experiments use this to measure baseline
-/// errors.
+/// errors. A cell of any node is a root cell index with the dropped
+/// dimensions' coordinates at 0, and each child sums its parent's cells in
+/// ascending cell order, so every `f64` is a function of the data alone:
+/// results are bit-identical for every `options` value (the MMST itself
+/// never depends on the chunking — the lowest missing dimension is always
+/// the cheapest to drop).
 pub fn array_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
-    ExecCtx::unbounded(options.threads, |cx| {
-        let (lattice, translation) = prepare_in(spec, options, None, cx)?;
-        run_engine(spec, &lattice, &translation, &ArrayAlgebra::new(spec), None, options, cx)
-    })
+    let (lattice, translation) = prepare(spec, options, None);
+    let mdas = spec.mdas();
+    let mut result = CubeResult::new(mdas.iter().map(|m| m.label.clone()).collect());
+    let mmst = lattice.mmst();
+    let root: BTreeMap<u64, ArrayCell> = translation
+        .partitions
+        .iter()
+        .flat_map(|p| &p.cells)
+        .map(|(cell, facts)| (*cell, ArrayCell::of_facts(spec, facts)))
+        .collect();
+    let mut nodes: HashMap<u32, BTreeMap<u64, ArrayCell>> = HashMap::from([(mmst.root, root)]);
+    for mask in mmst.topological() {
+        if let Some(&(parent, dropped)) = mmst.parent.get(&mask) {
+            let (stride, domain) =
+                (translation.strides[dropped], lattice.domains[dropped] as u64);
+            let mut cells: BTreeMap<u64, ArrayCell> = BTreeMap::new();
+            for (&cell, from) in &nodes[&parent] {
+                let key = cell - cell / stride % domain * stride;
+                cells
+                    .entry(key)
+                    .and_modify(|into| into.add(from))
+                    .or_insert_with(|| from.clone());
+            }
+            nodes.insert(mask, cells);
+        }
+        let cells = &nodes[&mask];
+        if cells.is_empty() {
+            continue;
+        }
+        let axes = node_axes(&lattice, mask);
+        let mut node = NodeResult::new(mask);
+        for (&cell, payload) in cells {
+            let key = axes
+                .iter()
+                .map(|&(stride, domain)| match cell / stride % domain {
+                    code if code == domain - 1 => NULL_CODE,
+                    code => code as u32,
+                })
+                .collect();
+            node.groups.insert(key, payload.values(&mdas));
+        }
+        result.nodes.insert(mask, node);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -237,6 +254,49 @@ mod tests {
                         (a, b) => assert_eq!(a, b),
                     }
                 }
+            }
+        }
+    }
+
+    /// The baseline's sums follow the data, never the plan: 24 000 facts, a
+    /// multi-valued dimension and measure values with no exact binary form
+    /// give the same bits at every thread count and chunking.
+    #[test]
+    fn results_are_bit_identical_under_every_plan() {
+        use spade_storage::{CategoricalColumn, NumericColumn};
+        const N: usize = 24_000;
+        let labels: Vec<String> = (0..11).map(|v| format!("v{v:02}")).collect();
+        let column = |name: &str, values: &dyn Fn(usize) -> Vec<usize>| {
+            let rows: Vec<Vec<&str>> = (0..N)
+                .map(|f| values(f).into_iter().map(|v| labels[v].as_str()).collect())
+                .collect();
+            CategoricalColumn::from_rows(name, &rows)
+        };
+        let a = column("a", &|f| {
+            if f % 3 == 0 {
+                vec![f % 11, (f / 11) % 11]
+            } else {
+                vec![f % 11]
+            }
+        });
+        let b = column("b", &|f| if f % 13 == 0 { vec![] } else { vec![(f / 7) % 7] });
+        let c = column("c", &|f| vec![(f / 5) % 5]);
+        let rows: Vec<Vec<f64>> = (0..N).map(|i| vec![0.1 * i as f64]).collect();
+        let m = NumericColumn::from_rows("v", &rows).preaggregate();
+        let spec = CubeSpec::new(
+            vec![&a, &b, &c],
+            vec![MeasureSpec { preagg: &m, fns: vec![AggFn::Sum, AggFn::Avg] }],
+            N,
+        );
+        let reference = array_cube(&spec, &MvdCubeOptions::default());
+        assert_eq!(reference.nodes.len(), 8);
+        for threads in [1usize, 2, 8] {
+            for chunk_size in [None, Some(3)] {
+                let options = MvdCubeOptions { threads, chunk_size, ..Default::default() };
+                assert!(
+                    array_cube(&spec, &options) == reference,
+                    "threads {threads}, chunk_size {chunk_size:?}"
+                );
             }
         }
     }

@@ -43,13 +43,6 @@ impl ComparisonReport {
         }
     }
 
-    /// All ratios pooled (for quantile summaries).
-    pub fn all_ratios(&self) -> Vec<f64> {
-        let mut out: Vec<f64> = self.error_ratios.values().flatten().copied().collect();
-        out.sort_by(f64::total_cmp);
-        out
-    }
-
     /// Accumulates another report (e.g. across the lattices of a dataset).
     pub fn merge(&mut self, other: &ComparisonReport) {
         self.total_aggregates += other.total_aggregates;

@@ -1,16 +1,20 @@
-//! Cross-shard merge and parallel measure emit.
+//! Measure emit and the cross-shard merge.
 //!
-//! After the shard cascade, every emitting `(node, region)` holds one
-//! sorted partial cell list per shard that touched it. This module finishes
-//! the evaluation in three deterministic steps:
+//! A finished cell's measures come from one **bitmap-to-CSR join**
+//! ([`LatticePlan::emit_cell`]): the cell's fact set against the per-fact
+//! pre-aggregated measure columns, which are ordered by fact id like the
+//! bitmap (`⊗`, Section 4.3). A single-shard plan emits at flush time
+//! ([`emit_region_into`]); after a multi-shard cascade every emitting
+//! `(node, region)` holds one sorted partial cell list per shard that
+//! touched it, and [`merge_and_emit`] finishes in three deterministic steps:
 //!
 //! 1. **Gather** — partials are grouped per `(node, region)` in shard
 //!    order (a `BTreeMap` keyed by `(mask, region)` fixes the region
 //!    order);
-//! 2. **Merge** — each region folds its partials left-to-right with
-//!    [`merge_sorted`], combining cells that share a local index via
-//!    [`CubeAlgebra::merge`]; regions are independent, so this fans out on
-//!    [`spade_parallel::map`] with input-order results;
+//! 2. **Merge** — each region merges its partials pairwise in shard order
+//!    with [`merge_sorted`], uniting cells that share a local index;
+//!    regions are independent, so this fans out on
+//!    [`spade_parallel::try_map`] with input-order results;
 //! 3. **Emit** — the merged cell lists are cut into weighted tasks
 //!    (boundaries depend only on cell counts), each task decodes its
 //!    cells' group keys and computes measures with a task-local scratch,
@@ -18,15 +22,18 @@
 //!    in task order.
 //!
 //! Merging before emitting is what makes sharding invisible: a cell's
-//! measures are computed exactly once, from its fully merged payload, just
+//! measures are computed exactly once, from its complete fact set, just
 //! as the serial engine computes them at flush time.
 
 use super::shard::{RegionCells, ShardPartials};
 use super::store::{merge_sorted, RegionStore};
-use super::{CubeAlgebra, LatticePlan};
+use super::LatticePlan;
 use crate::exec::ExecCtx;
 use crate::result::{CubeResult, NodeResult};
+use crate::spec::{Mda, MdaKind};
+use spade_bitmap::Bitmap;
 use spade_parallel::Cancelled;
+use spade_storage::{AggFn, MeasureTotals};
 use std::collections::BTreeMap;
 
 /// Ceiling on the number of emit tasks one evaluation plans.
@@ -36,33 +43,113 @@ const EMIT_TARGET: usize = 64;
 const MIN_EMIT_CELLS: u64 = 512;
 
 /// A keyed region: `((node mask, region), sorted cells)`.
-type KeyedRegion<C> = ((u32, u64), RegionCells<C>);
+type KeyedRegion = ((u32, u64), RegionCells);
 
 /// One emit task: a contiguous slice of a merged region's cells.
-type EmitTask<'a, C> = (u32, u64, &'a [(u64, C)]);
+type EmitTask<'a> = (u32, u64, &'a [(u64, Bitmap)]);
+
+/// Reusable emit buffers: the decoded fact list and per-measure totals.
+#[derive(Default)]
+pub(crate) struct EmitScratch {
+    facts: Vec<u32>,
+    totals: Vec<MeasureTotals>,
+}
+
+/// The measure indexes with at least one live MDA — the only ones a node's
+/// cells accumulate; this is where early-stop's pruning actually saves
+/// work. Computed once per node (not per cell, let alone per fact).
+pub(super) fn needed_measures(mdas: &[Mda], n_measures: usize, alive: &[bool]) -> Vec<usize> {
+    let mut needed = vec![false; n_measures];
+    for (mda, &is_alive) in mdas.iter().zip(alive) {
+        if let (MdaKind::Measure { measure, .. }, true) = (&mda.kind, is_alive) {
+            needed[*measure] = true;
+        }
+    }
+    (0..n_measures).filter(|&m| needed[m]).collect()
+}
+
+impl LatticePlan<'_> {
+    /// Computes the per-MDA values of a finished cell. `alive[i] == false`
+    /// means MDA `i` was pruned by early-stop and must not be computed;
+    /// `needed` is the node's [`needed_measures`].
+    fn emit_cell(
+        &self,
+        cell: &Bitmap,
+        alive: &[bool],
+        needed: &[usize],
+        scratch: &mut EmitScratch,
+    ) -> Vec<Option<f64>> {
+        // Measure computation is a batched bitmap-to-CSR join: the cell's
+        // bitmap is decoded once (container-at-a-time) into a reused fact
+        // buffer, then each needed measure's pre-aggregated
+        // struct-of-arrays columns are scanned contiguously in one pass
+        // ("measure computation … can aggregate different measures
+        // simultaneously", Section 4.3 (b) — here measure-major so each
+        // column is walked sequentially). Count-only cells skip the join
+        // entirely; nothing is allocated per cell and nothing panics on
+        // facts without a value (they simply contribute nothing).
+        let measures = &self.spec.measures;
+        let facts = if needed.is_empty() {
+            cell.cardinality()
+        } else {
+            scratch.facts.clear();
+            cell.decode_into(&mut scratch.facts);
+            scratch.totals.clear();
+            scratch.totals.resize(measures.len(), MeasureTotals::default());
+            for &mi in needed {
+                scratch.totals[mi] =
+                    measures[mi].preagg.accumulate(scratch.facts.iter().copied());
+            }
+            scratch.facts.len() as u64
+        };
+        self.mdas
+            .iter()
+            .zip(alive)
+            .map(|(mda, &is_alive)| {
+                if !is_alive {
+                    return None;
+                }
+                match mda.kind {
+                    MdaKind::FactCount => Some(facts as f64),
+                    MdaKind::Measure { measure, agg } => {
+                        let t = scratch.totals[measure];
+                        if t.count == 0 {
+                            return None;
+                        }
+                        Some(match agg {
+                            AggFn::Count => t.count as f64,
+                            AggFn::Sum => t.sum,
+                            AggFn::Avg => t.sum / t.count as f64,
+                            AggFn::Min => t.min,
+                            AggFn::Max => t.max,
+                        })
+                    }
+                }
+            })
+            .collect()
+    }
+}
 
 /// Emits one completed region's measures straight into `result` — the
 /// emit-at-flush path of a single-shard plan ([`super::shard::ShardSink`]),
 /// where no cross-shard merge is needed. `key_buf`/`scratch` are the
 /// cascade-lifetime reusable buffers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_region_into<A: CubeAlgebra>(
-    algebra: &A,
-    plan: &LatticePlan<A>,
+pub(crate) fn emit_region_into(
+    plan: &LatticePlan<'_>,
     mask: u32,
     region: u64,
-    store: &RegionStore<A::Cell>,
+    store: &RegionStore<Bitmap>,
     key_buf: &mut Vec<u32>,
-    scratch: &mut A::EmitScratch,
+    scratch: &mut EmitScratch,
     result: &mut CubeResult,
 ) {
     let geom = &plan.geoms[&mask];
     let alive = &plan.alive[&mask];
-    let emit_plan = &plan.plans[&mask];
+    let needed = &plan.needed[&mask];
     let node = result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
     for (local, cell) in store.iter_cells() {
         geom.decode_into(region, local, key_buf);
-        node.groups.insert(key_buf.clone(), algebra.emit(cell, alive, emit_plan, scratch));
+        node.groups.insert(key_buf.clone(), plan.emit_cell(cell, alive, needed, scratch));
     }
 }
 
@@ -71,16 +158,15 @@ pub(crate) fn emit_region_into<A: CubeAlgebra>(
 /// output is bit-identical to an unbudgeted run. Records the engine's
 /// `merge_emit` span with region/cell-count attrs; the nested `merge` and
 /// `emit` child spans split the phase durations.
-pub(crate) fn merge_and_emit<A: CubeAlgebra>(
-    algebra: &A,
-    plan: &LatticePlan<A>,
-    shard_outputs: Vec<ShardPartials<A::Cell>>,
+pub(crate) fn merge_and_emit(
+    plan: &LatticePlan<'_>,
+    shard_outputs: Vec<ShardPartials>,
     mut result: CubeResult,
     cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
     let (span, cx) = cx.span("merge_emit");
     // —— gather: (node, region) → partials in shard order ——
-    let mut grouped: BTreeMap<(u32, u64), Vec<RegionCells<A::Cell>>> = BTreeMap::new();
+    let mut grouped: BTreeMap<(u32, u64), Vec<RegionCells>> = BTreeMap::new();
     for shard in shard_outputs {
         for (mask, region, cells) in shard {
             grouped.entry((mask, region)).or_default().push(cells);
@@ -91,7 +177,7 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     let items: Vec<_> = grouped.into_iter().collect();
     span.attr("regions", items.len() as u64);
     let (merge_span, _) = cx.span("merge");
-    let merged: Vec<KeyedRegion<A::Cell>> =
+    let merged: Vec<KeyedRegion> =
         spade_parallel::try_map(items, cx.threads, |((mask, region), mut partials)| {
             cx.check()?;
             // Balanced pairwise tree merge: O(n log k) instead of the
@@ -102,8 +188,7 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
                 let mut it = partials.into_iter();
                 while let Some(a) = it.next() {
                     match it.next() {
-                        Some(b) => next
-                            .push(merge_sorted(a, b, |into, from| algebra.merge(into, from))),
+                        Some(b) => next.push(merge_sorted(a, b, Bitmap::union_with)),
                         None => next.push(a),
                     }
                 }
@@ -120,7 +205,7 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     emit_span.attr("cells", total_cells);
     let task_cells =
         (total_cells.div_ceil(EMIT_TARGET as u64)).max(MIN_EMIT_CELLS).max(1) as usize;
-    let mut tasks: Vec<EmitTask<'_, A::Cell>> = Vec::new();
+    let mut tasks: Vec<EmitTask<'_>> = Vec::new();
     for ((mask, region), cells) in &merged {
         for (a, b) in spade_parallel::chunk_ranges(cells.len(), task_cells) {
             tasks.push((*mask, *region, &cells[a..b]));
@@ -130,14 +215,14 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
         cx.check()?;
         let geom = &plan.geoms[&mask];
         let alive = &plan.alive[&mask];
-        let emit_plan = &plan.plans[&mask];
+        let needed = &plan.needed[&mask];
         let mut key_buf: Vec<u32> = Vec::new();
-        let mut scratch = A::EmitScratch::default();
+        let mut scratch = EmitScratch::default();
         let groups: Vec<(Vec<u32>, Vec<Option<f64>>)> = cells
             .iter()
             .map(|(local, cell)| {
                 geom.decode_into(region, *local, &mut key_buf);
-                (key_buf.clone(), algebra.emit(cell, alive, emit_plan, &mut scratch))
+                (key_buf.clone(), plan.emit_cell(cell, alive, needed, &mut scratch))
             })
             .collect();
         Ok((mask, groups))

@@ -1,21 +1,17 @@
-//! The shared one-pass lattice evaluation engine — region-sharded.
+//! The one-pass lattice evaluation engine: a region-sharded cascade over
+//! bitmap cells.
 //!
-//! MVDCube and the classical ArrayCube baseline differ only in what a cube
-//! cell *holds* and how parent cells combine into child cells:
-//!
-//! * MVDCube cells hold **fact sets** (Roaring bitmaps); combination is set
-//!   union, which consolidates a multi-valued fact that occupies several
-//!   parent cells into one child membership (the correctness fix);
-//! * ArrayCube cells hold **partial aggregates**; combination is algebraic
-//!   addition, which double-counts exactly as Lemma 1 describes.
-//!
-//! Everything else — partition iteration, MMST propagation, the
-//! write-to-disk check, measure emit — is the same machinery, captured by
-//! [`CubeAlgebra`] and [`run_engine`] and organised as a module tree:
-//! [`geometry`] (per-node array geometry and projections), [`store`] (flat
-//! dense/sparse region storage and batched fan-in merges), [`shard`] (the
-//! shard plan and per-shard cascade), and [`emit`] (cross-shard merge and
-//! parallel measure computation).
+//! This is MVDCube's evaluation (Algorithm 1): ArrayCube's one-pass MMST
+//! cascade with one change — a cube cell holds the **set of facts** it
+//! groups (a Roaring [`spade_bitmap::Bitmap`]) instead of a partial
+//! aggregate. A parent cell combines into a child cell by set union, which
+//! consolidates a multi-valued fact that occupies several parent cells into
+//! one child membership (the correctness fix of Section 4.2), and measures
+//! are joined in only when a region is complete. The module tree: [`geometry`]
+//! (per-node array geometry and projections), [`store`] (flat dense/sparse
+//! region storage and batched fan-in unions), [`shard`] (the shard plan and
+//! per-shard cascade), and [`emit`] (the bitmap-to-CSR measure join,
+//! cross-shard merge and parallel emit).
 //!
 //! ## Shard lifecycle (intra-lattice parallelism)
 //!
@@ -39,10 +35,9 @@
 //!    engine's `O(in-flight regions)` memory profile.
 //! 3. **Merge + emit** ([`emit::merge_and_emit`]): per `(node, region)`,
 //!    the shard partials merge by a balanced pairwise tree in shard order
-//!    (cells sharing a local index combine via [`CubeAlgebra::merge`]),
-//!    then the merged cell lists are cut into weighted emit tasks that
-//!    compute group keys and measures in parallel; a serial fold writes
-//!    the results.
+//!    (cells sharing a local index unite), then the merged cell lists are
+//!    cut into weighted emit tasks that compute group keys and measures in
+//!    parallel; a serial fold writes the results.
 //!
 //! ## Determinism argument
 //!
@@ -51,13 +46,12 @@
 //!
 //! * a shard decomposition only changes *which intermediate partials
 //!   exist*, never the final content of a cell: projection maps each
-//!   parent cell to exactly one child cell, and [`CubeAlgebra::merge`] is
-//!   associative and commutative (set union for MVDCube), so merging
-//!   partials at the child equals merging at the parent and then
-//!   projecting, whatever the grouping;
-//! * measures are emitted exactly once per cell, from its fully merged
-//!   payload — for MVDCube every emitted `f64` is a function of the final
-//!   fact set alone, so it cannot observe the decomposition;
+//!   parent cell to exactly one child cell, and set union is associative
+//!   and commutative, so uniting partials at the child equals uniting at
+//!   the parent and then projecting, whatever the grouping;
+//! * measures are emitted exactly once per cell, from its complete fact
+//!   set — every emitted `f64` is a function of that set alone, so it
+//!   cannot observe the decomposition;
 //! * every fan-out ([`spade_parallel::try_map`]) returns results in input
 //!   order and each shard is single-owner, so no ordering the computation
 //!   depends on is left to the scheduler.
@@ -66,12 +60,7 @@
 //! (which only picks the shard count and the worker pool; the other two
 //! knobs, storage policy and `shard_weight`, are read from
 //! [`crate::MvdCubeOptions`]) is a pure latency knob: results are
-//! bit-identical at every value, on every machine. For a cell algebra
-//! whose merge is associative only up to floating-point rounding (the
-//! ArrayCube baseline's partial sums), the last bits can depend on the
-//! plan; such runs pin `shard_weight` (or keep the default single-worker
-//! plan, as every experiment binary does) to fix the grouping. The
-//! pipeline itself only evaluates the MVD algebra.
+//! bit-identical at every value, on every machine.
 //!
 //! `crates/core/tests/parallel_determinism.rs` pins thread-count
 //! determinism end to end at 1/2/8 threads; `crates/cube/tests/store_prop.rs`
@@ -90,64 +79,19 @@ use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::mvdcube::MvdCubeOptions;
 use crate::result::CubeResult;
-use crate::spec::CubeSpec;
+use crate::spec::{CubeSpec, Mda};
 use crate::translate::Translation;
 use geometry::{node_geom, NodeGeom, Projection};
-use spade_bitmap::Bitmap;
 use spade_parallel::Cancelled;
 use std::collections::HashMap;
 
-/// What a cube cell holds and how cells combine — the algorithm-specific
-/// part of lattice evaluation. `Sync`/`Send` bounds let the engine fan the
-/// cascade and emit phases out over threads; `merge` must be associative
-/// and commutative (see the module docs' determinism argument).
-pub(crate) trait CubeAlgebra: Sync {
-    /// Cell payload.
-    type Cell: Clone + Send + Sync;
-
-    /// Per-node precomputed emit state (e.g. which measures are needed),
-    /// hoisted out of the per-cell hot path.
-    type EmitPlan: Send + Sync;
-
-    /// Reusable per-task scratch buffers for `emit` (e.g. the decoded
-    /// fact list), so the hot path allocates nothing per cell.
-    type EmitScratch: Default;
-
-    /// Builds a root cell from the facts of one array cell.
-    fn root_cell(&self, facts: &Bitmap) -> Self::Cell;
-
-    /// Combines a parent's cell into a child's cell (projection step).
-    fn merge(&self, into: &mut Self::Cell, from: &Self::Cell);
-
-    /// Combines a *run* of cells into one (the fan-in path: every parent
-    /// cell projecting onto the same child cell, batched by the engine's
-    /// sorted storage). Defaults to folding [`CubeAlgebra::merge`] in
-    /// order; algebras with an associative combine can override with a
-    /// one-pass k-way merge.
-    fn merge_run(&self, into: &mut Self::Cell, from: &[&Self::Cell]) {
-        for f in from {
-            self.merge(into, f);
-        }
-    }
-
-    /// Prepares per-node emit state from the node's MDA liveness.
-    fn plan_emit(&self, alive: &[bool]) -> Self::EmitPlan;
-
-    /// Computes the per-MDA values of a finished cell. `alive[i] == false`
-    /// means MDA `i` was pruned by early-stop and must not be computed.
-    fn emit(
-        &self,
-        cell: &Self::Cell,
-        alive: &[bool],
-        plan: &Self::EmitPlan,
-        scratch: &mut Self::EmitScratch,
-    ) -> Vec<Option<f64>>;
-}
-
 /// The read-only per-evaluation plan every shard and emit task shares:
-/// geometry, projections (pre-filtered to surviving subtrees), MDA
-/// liveness, and per-node emit plans.
-pub(crate) struct LatticePlan<A: CubeAlgebra> {
+/// the spec's measures and MDA list, geometry, projections (pre-filtered to
+/// surviving subtrees), MDA liveness, and the measures each node joins.
+pub(crate) struct LatticePlan<'s> {
+    pub(crate) spec: &'s CubeSpec<'s>,
+    /// The spec's MDA list, built once — emit reads it per cell.
+    pub(crate) mdas: Vec<Mda>,
     pub(crate) root: u32,
     /// All node masks, root first.
     pub(crate) nodes: Vec<u32>,
@@ -157,21 +101,21 @@ pub(crate) struct LatticePlan<A: CubeAlgebra> {
     pub(crate) alive: HashMap<u32, Vec<bool>>,
     /// node → whether any MDA is alive (the node emits / parks).
     pub(crate) emits: HashMap<u32, bool>,
-    /// node → precomputed emit plan (needed measures etc.).
-    pub(crate) plans: HashMap<u32, A::EmitPlan>,
+    /// node → the measures at least one live MDA needs.
+    pub(crate) needed: HashMap<u32, Vec<usize>>,
     /// Whether the root's subtree emits anything at all.
     pub(crate) keep_root: bool,
 }
 
-fn build_plan<A: CubeAlgebra>(
-    spec: &CubeSpec<'_>,
+fn build_plan<'s>(
+    spec: &'s CubeSpec<'s>,
     lattice: &Lattice,
-    algebra: &A,
     alive: Option<&HashMap<u32, Vec<bool>>>,
     policy: CellStorePolicy,
-) -> LatticePlan<A> {
+) -> LatticePlan<'s> {
     let mmst = lattice.mmst();
-    let n_mdas = spec.mdas().len();
+    let mdas = spec.mdas();
+    let n_mdas = mdas.len();
     let nodes = lattice.nodes();
 
     let mut geoms = HashMap::new();
@@ -191,8 +135,10 @@ fn build_plan<A: CubeAlgebra>(
         .collect();
     let emits: HashMap<u32, bool> =
         alive_map.iter().map(|(&m, flags)| (m, flags.iter().any(|&a| a))).collect();
-    let plans: HashMap<u32, A::EmitPlan> =
-        alive_map.iter().map(|(&m, flags)| (m, algebra.plan_emit(flags))).collect();
+    let needed: HashMap<u32, Vec<usize>> = alive_map
+        .iter()
+        .map(|(&m, flags)| (m, emit::needed_measures(&mdas, spec.measures.len(), flags)))
+        .collect();
     let mut keep: HashMap<u32, bool> = HashMap::new();
     for &mask in mmst.topological().iter().rev() {
         let child_alive = mmst.children_of(mask).iter().any(|c| keep[c]);
@@ -232,7 +178,18 @@ fn build_plan<A: CubeAlgebra>(
 
     let root = lattice.root_mask();
     let keep_root = keep[&root];
-    LatticePlan { root, nodes, geoms, projections, alive: alive_map, emits, plans, keep_root }
+    LatticePlan {
+        spec,
+        mdas,
+        root,
+        nodes,
+        geoms,
+        projections,
+        alive: alive_map,
+        emits,
+        needed,
+        keep_root,
+    }
 }
 
 /// Runs the region-sharded engine over a translation.
@@ -250,18 +207,16 @@ fn build_plan<A: CubeAlgebra>(
 /// span-tree shape is plan- and scheduler-independent for a fixed plan)
 /// plus a merge/emit span on multi-shard plans; a disabled context makes
 /// all of it free.
-pub(crate) fn run_engine<A: CubeAlgebra>(
+pub(crate) fn run_engine(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     translation: &Translation,
-    algebra: &A,
     alive: Option<&HashMap<u32, Vec<bool>>>,
     options: &MvdCubeOptions,
     cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
-    let labels = spec.mdas().into_iter().map(|m| m.label).collect();
-    let result = CubeResult::new(labels);
-    let plan = build_plan(spec, lattice, algebra, alive, options.store_policy);
+    let plan = build_plan(spec, lattice, alive, options.store_policy);
+    let result = CubeResult::new(plan.mdas.iter().map(|m| m.label.clone()).collect());
     if !plan.keep_root {
         return Ok(result);
     }
@@ -272,13 +227,13 @@ pub(crate) fn run_engine<A: CubeAlgebra>(
         // keeps the serial engine's O(in-flight regions) memory profile —
         // no partials, no merge phase.
         let mut result = result;
-        shard::run_shard_emit(algebra, &plan, translation, chunks, &mut result, cx)?;
+        shard::run_shard_emit(&plan, translation, chunks, &mut result, cx)?;
         return Ok(result);
     }
     let indexed: Vec<(usize, Vec<shard::ShardChunk>)> =
         shards.into_iter().enumerate().collect();
     let outputs = spade_parallel::try_map(indexed, cx.threads, |(i, chunks)| {
-        shard::run_shard(algebra, &plan, translation, i as u64, &chunks, cx)
+        shard::run_shard(&plan, translation, i as u64, &chunks, cx)
     })?;
-    emit::merge_and_emit(algebra, &plan, outputs, result, cx)
+    emit::merge_and_emit(&plan, outputs, result, cx)
 }

@@ -5,7 +5,7 @@
 //! partition dominates — cut by [`plan_shards`] into ranges of roughly
 //! equal *weight* (cells plus their fact cardinality, the union cost
 //! driver). The auto plan sizes the shard count to the resolved worker
-//! budget (one worker ⇒ one shard); decomposition never changes MVDCube
+//! budget (one worker ⇒ one shard); decomposition never changes
 //! results — see the plan-invariance argument in [`super`]'s module
 //! docs.
 //!
@@ -29,12 +29,14 @@
 //! Nodes that never emit (pruned by early-stop or cross-lattice sharing)
 //! skip both and always move into the last child.
 
+use super::emit::{emit_region_into, EmitScratch};
 use super::geometry::{project, NodeGeom, Projection};
 use super::store::{merge_batch, ProjectedCell, RegionStore};
-use super::{CubeAlgebra, LatticePlan};
+use super::LatticePlan;
 use crate::exec::ExecCtx;
 use crate::result::CubeResult;
 use crate::translate::Translation;
+use spade_bitmap::Bitmap;
 use spade_parallel::Cancelled;
 use spade_telemetry::Span;
 use std::collections::HashMap;
@@ -53,11 +55,11 @@ const MAX_SHARDS: usize = 64;
 const MIN_SHARD_WEIGHT: u64 = 4 * 1024;
 
 /// One region's cells, sorted by local index.
-pub(crate) type RegionCells<C> = Vec<(u64, C)>;
+pub(crate) type RegionCells = Vec<(u64, Bitmap)>;
 
 /// A shard's parked output: one `(node, region, sorted cells)` partial per
 /// region of an emitting node the shard completed, in completion order.
-pub(crate) type ShardPartials<C> = Vec<(u32, u64, RegionCells<C>)>;
+pub(crate) type ShardPartials = Vec<(u32, u64, RegionCells)>;
 
 /// One contiguous run of a partition's cells assigned to a shard. A shard
 /// holds at most one chunk per partition (ranges are contiguous over the
@@ -77,7 +79,7 @@ pub(crate) struct ShardChunk {
 /// particular, one worker gets exactly one shard, so a serial run pays no
 /// decomposition tax (each extra shard costs an `O(content)` slice of
 /// cross-shard merge work, the parallelization tax a multi-core run
-/// amortizes). Decomposition never changes MVDCube results — see the
+/// amortizes). Decomposition never changes results — see the
 /// plan-invariance argument in [`super`]'s module docs.
 pub(crate) fn plan_shards(
     translation: &Translation,
@@ -118,19 +120,18 @@ pub(crate) fn plan_shards(
 }
 
 /// Where a completed region of an emitting node goes.
-pub(crate) enum ShardSink<'r, A: CubeAlgebra> {
+pub(crate) enum ShardSink<'r> {
     /// Multi-shard plan: park sorted partials for the cross-shard merge.
-    Park(ShardPartials<A::Cell>),
+    Park(ShardPartials),
     /// Single-shard plan: emit measures at flush and free the region.
-    Emit { result: &'r mut CubeResult, key_buf: Vec<u32>, scratch: A::EmitScratch },
+    Emit { result: &'r mut CubeResult, key_buf: Vec<u32>, scratch: EmitScratch },
 }
 
 /// The shard-local cascade state.
-struct RegionShard<'a, 'r, A: CubeAlgebra> {
-    algebra: &'a A,
-    plan: &'a LatticePlan<A>,
+struct RegionShard<'a, 'r> {
+    plan: &'a LatticePlan<'a>,
     /// node → region → flat cell storage (in-flight regions).
-    memory: HashMap<u32, HashMap<u64, RegionStore<A::Cell>>>,
+    memory: HashMap<u32, HashMap<u64, RegionStore<Bitmap>>>,
     /// node → region → remaining shard chunks before local completion.
     pending: HashMap<u32, HashMap<u64, u64>>,
     /// node → region → number of shard chunks mapping to it.
@@ -139,7 +140,7 @@ struct RegionShard<'a, 'r, A: CubeAlgebra> {
     /// [`RegionStore::with_load`]).
     load: u64,
     /// What to do with completed regions of emitting nodes.
-    sink: ShardSink<'r, A>,
+    sink: ShardSink<'r>,
 }
 
 /// Attaches the shard's workload attrs (chunk/cell/fact counts, executing
@@ -166,17 +167,16 @@ fn annotate(span: &Span, translation: &Translation, chunks: &[ShardChunk]) {
 /// are processed in plan order and the cascade below is single-owner. The
 /// budget is checked between region flushes, so cancellation latency is
 /// bounded by one chunk's cascade.
-pub(crate) fn run_shard<A: CubeAlgebra>(
-    algebra: &A,
-    plan: &LatticePlan<A>,
+pub(crate) fn run_shard(
+    plan: &LatticePlan<'_>,
     translation: &Translation,
     index: u64,
     chunks: &[ShardChunk],
     cx: &ExecCtx<'_>,
-) -> Result<ShardPartials<A::Cell>, Cancelled> {
+) -> Result<ShardPartials, Cancelled> {
     let (span, _) = cx.span_at("shard", index);
     annotate(&span, translation, chunks);
-    match cascade(algebra, plan, translation, chunks, ShardSink::Park(Vec::new()), cx)? {
+    match cascade(plan, translation, chunks, ShardSink::Park(Vec::new()), cx)? {
         ShardSink::Park(out) => Ok(out),
         ShardSink::Emit { .. } => unreachable!("park sink in, park sink out"),
     }
@@ -184,9 +184,8 @@ pub(crate) fn run_shard<A: CubeAlgebra>(
 
 /// Runs a single-shard plan end to end, emitting measures into `result` at
 /// flush time (no partials, no merge phase — the serial fast path).
-pub(crate) fn run_shard_emit<A: CubeAlgebra>(
-    algebra: &A,
-    plan: &LatticePlan<A>,
+pub(crate) fn run_shard_emit(
+    plan: &LatticePlan<'_>,
     translation: &Translation,
     chunks: &[ShardChunk],
     result: &mut CubeResult,
@@ -194,20 +193,18 @@ pub(crate) fn run_shard_emit<A: CubeAlgebra>(
 ) -> Result<(), Cancelled> {
     let (span, _) = cx.span_at("shard", 0);
     annotate(&span, translation, chunks);
-    let sink =
-        ShardSink::Emit { result, key_buf: Vec::new(), scratch: A::EmitScratch::default() };
-    cascade(algebra, plan, translation, chunks, sink, cx)?;
+    let sink = ShardSink::Emit { result, key_buf: Vec::new(), scratch: EmitScratch::default() };
+    cascade(plan, translation, chunks, sink, cx)?;
     Ok(())
 }
 
-fn cascade<'r, A: CubeAlgebra>(
-    algebra: &A,
-    plan: &LatticePlan<A>,
+fn cascade<'r>(
+    plan: &LatticePlan<'_>,
     translation: &Translation,
     chunks: &[ShardChunk],
-    sink: ShardSink<'r, A>,
+    sink: ShardSink<'r>,
     cx: &ExecCtx<'_>,
-) -> Result<ShardSink<'r, A>, Cancelled> {
+) -> Result<ShardSink<'r>, Cancelled> {
     let mut totals: HashMap<u32, HashMap<u64, u64>> =
         plan.nodes.iter().map(|&m| (m, HashMap::new())).collect();
     for chunk in chunks {
@@ -218,7 +215,6 @@ fn cascade<'r, A: CubeAlgebra>(
         }
     }
     let mut shard = RegionShard {
-        algebra,
         plan,
         memory: plan.nodes.iter().map(|&m| (m, HashMap::new())).collect(),
         pending: plan.nodes.iter().map(|&m| (m, HashMap::new())).collect(),
@@ -242,7 +238,7 @@ fn cascade<'r, A: CubeAlgebra>(
         // thereby updates its subtree — immediately.
         let mut store = RegionStore::with_load(root_geom, shard.load);
         for (global, facts) in &partition.cells[chunk.start..chunk.end] {
-            store.push_sorted(root_geom.global_to_local(*global), algebra.root_cell(facts));
+            store.push_sorted(root_geom.global_to_local(*global), facts.clone());
         }
         shard.flush(plan.root, root_geom.region_of(&partition.coords), store);
     }
@@ -250,7 +246,7 @@ fn cascade<'r, A: CubeAlgebra>(
     Ok(shard.sink)
 }
 
-impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
+impl RegionShard<'_, '_> {
     /// Handles a shard-locally completed region: emits it (single-shard
     /// sink), propagates it to the node's MMST children, recursively
     /// flushing children that complete, and finally parks the cells
@@ -258,7 +254,7 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
     /// `computeAndStoreAggregatedMeasures` + `emptyMemory`, with parking
     /// replacing the measure computation when other shards may still
     /// contribute.
-    fn flush(&mut self, mask: u32, region: u64, mut store: RegionStore<A::Cell>) {
+    fn flush(&mut self, mask: u32, region: u64, mut store: RegionStore<Bitmap>) {
         let coverage = self.totals[&mask][&region];
         let emits = self.plan.emits[&mask];
         // Emit-at-flush (single-shard plans): the region is globally
@@ -268,16 +264,9 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
         if emits {
             match &mut self.sink {
                 ShardSink::Park(_) => parks = true,
-                ShardSink::Emit { result, key_buf, scratch } => super::emit::emit_region_into(
-                    self.algebra,
-                    self.plan,
-                    mask,
-                    region,
-                    &store,
-                    key_buf,
-                    scratch,
-                    result,
-                ),
+                ShardSink::Emit { result, key_buf, scratch } => {
+                    emit_region_into(self.plan, mask, region, &store, key_buf, scratch, result)
+                }
             }
         }
         // Propagate to MMST children (projections are pre-filtered to
@@ -293,14 +282,14 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
             let child_region = project(region, region_d, region_below);
             if !parks && pi + 1 == n_projs {
                 let taken = std::mem::replace(&mut store, RegionStore::placeholder());
-                let batch: Vec<(u64, ProjectedCell<'_, A::Cell>)> = taken
+                let batch: Vec<(u64, ProjectedCell<'_, Bitmap>)> = taken
                     .into_cells()
                     .into_iter()
                     .map(|(l, c)| (project(l, local_d, local_below), ProjectedCell::Owned(c)))
                     .collect();
                 self.merge_into(child, child_region, batch);
             } else {
-                let batch: Vec<(u64, ProjectedCell<'_, A::Cell>)> = store
+                let batch: Vec<(u64, ProjectedCell<'_, Bitmap>)> = store
                     .iter_cells()
                     .map(|(l, c)| {
                         (project(l, local_d, local_below), ProjectedCell::Borrowed(c))
@@ -335,7 +324,7 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
         &mut self,
         child: u32,
         child_region: u64,
-        batch: Vec<(u64, ProjectedCell<'_, A::Cell>)>,
+        batch: Vec<(u64, ProjectedCell<'_, Bitmap>)>,
     ) {
         let geom: &NodeGeom = &self.plan.geoms[&child];
         let load = self.load;
@@ -345,7 +334,7 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
             .unwrap()
             .entry(child_region)
             .or_insert_with(|| RegionStore::with_load(geom, load));
-        merge_batch(self.algebra, store, batch);
+        merge_batch(store, batch);
     }
 }
 
@@ -353,7 +342,6 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
 mod tests {
     use super::*;
     use crate::translate::Partition;
-    use spade_bitmap::Bitmap;
 
     fn translation_with(cells_per_partition: &[usize]) -> Translation {
         let partitions = cells_per_partition

@@ -7,12 +7,12 @@
 //! projected parent cells in a store: the batch is stable-sorted, so all
 //! cells mapping to one child cell form an adjacent run in ascending-parent
 //! order — merge order is identical in dense and sparse modes — and each
-//! run merges k-way via [`CubeAlgebra::merge_run`].
+//! run merges in one k-way [`Bitmap::union_with_all`].
 
 #[cfg(doc)]
 use super::geometry::CellStorePolicy;
 use super::geometry::NodeGeom;
-use super::CubeAlgebra;
+use spade_bitmap::Bitmap;
 
 /// Flat cell storage of one (node, region): dense array or sorted sparse
 /// pairs, keyed by local cell index.
@@ -118,20 +118,20 @@ impl<'c, C: Clone> ProjectedCell<'c, C> {
 
 /// Merges a batch of projected cells into a region store. The batch is
 /// stable-sorted here, so equal child indexes form adjacent runs in
-/// ascending-parent order, and each run merges k-way via
-/// [`CubeAlgebra::merge_run`], reading borrowed cells in place (a cell is
-/// cloned only when it must be *placed* into an empty slot).
-pub(crate) fn merge_batch<A: CubeAlgebra>(
-    algebra: &A,
-    store: &mut RegionStore<A::Cell>,
-    mut batch: Vec<(u64, ProjectedCell<'_, A::Cell>)>,
+/// ascending-parent order, and each run merges in one k-way union (set
+/// union is associative and commutative, so this is exactly the folded
+/// pairwise union), reading borrowed cells in place (a cell is cloned only
+/// when it must be *placed* into an empty slot).
+pub(crate) fn merge_batch(
+    store: &mut RegionStore<Bitmap>,
+    mut batch: Vec<(u64, ProjectedCell<'_, Bitmap>)>,
 ) {
     if batch.is_empty() {
         return;
     }
     batch.sort_by_key(|(k, _)| *k);
     let mut it = batch.into_iter().peekable();
-    let mut run: Vec<ProjectedCell<'_, A::Cell>> = Vec::new();
+    let mut run: Vec<ProjectedCell<'_, Bitmap>> = Vec::new();
     match store {
         RegionStore::Dense(slots) => {
             while let Some((idx, first)) = it.next() {
@@ -142,20 +142,20 @@ pub(crate) fn merge_batch<A: CubeAlgebra>(
                 match &mut slots[idx as usize] {
                     Some(existing) => {
                         if run.is_empty() {
-                            algebra.merge(existing, first.get());
+                            existing.union_with(first.get());
                         } else {
-                            let mut refs: Vec<&A::Cell> = Vec::with_capacity(run.len() + 1);
+                            let mut refs: Vec<&Bitmap> = Vec::with_capacity(run.len() + 1);
                             refs.push(first.get());
                             refs.extend(run.iter().map(ProjectedCell::get));
-                            algebra.merge_run(existing, &refs);
+                            existing.union_with_all(&refs);
                         }
                     }
                     slot @ None => {
                         let mut base = first.into_owned();
                         if !run.is_empty() {
-                            let refs: Vec<&A::Cell> =
+                            let refs: Vec<&Bitmap> =
                                 run.iter().map(ProjectedCell::get).collect();
-                            algebra.merge_run(&mut base, &refs);
+                            base.union_with_all(&refs);
                         }
                         *slot = Some(base);
                     }
@@ -165,7 +165,7 @@ pub(crate) fn merge_batch<A: CubeAlgebra>(
         RegionStore::Sparse(existing) => {
             // Coalesce runs to owned cells, then merge-join with the
             // existing sorted store.
-            let mut coalesced: Vec<(u64, A::Cell)> = Vec::new();
+            let mut coalesced: Vec<(u64, Bitmap)> = Vec::new();
             while let Some((idx, first)) = it.next() {
                 run.clear();
                 while it.peek().is_some_and(|(k, _)| *k == idx) {
@@ -173,13 +173,13 @@ pub(crate) fn merge_batch<A: CubeAlgebra>(
                 }
                 let mut base = first.into_owned();
                 if !run.is_empty() {
-                    let refs: Vec<&A::Cell> = run.iter().map(ProjectedCell::get).collect();
-                    algebra.merge_run(&mut base, &refs);
+                    let refs: Vec<&Bitmap> = run.iter().map(ProjectedCell::get).collect();
+                    base.union_with_all(&refs);
                 }
                 coalesced.push((idx, base));
             }
             let old = std::mem::take(existing);
-            *existing = merge_sorted(old, coalesced, |into, from| algebra.merge(into, from));
+            *existing = merge_sorted(old, coalesced, Bitmap::union_with);
         }
     }
 }

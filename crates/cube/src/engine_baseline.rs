@@ -6,9 +6,9 @@
 //! (hashing on every cell touch), parent cells are *cloned* into every MMST
 //! child, and measure computation walks the per-fact pre-aggregates one
 //! fact at a time. The optimized engine behind [`crate::mvd_cube`] replaces all
-//! three; `BENCH_engine.json` (see `spade-bench`'s `bench_engine` binary)
-//! tracks the speedup of the new path against this one, and the
-//! property tests use it as a second reference implementation.
+//! three; this one is the oracle every op of the pinned benchmark's
+//! `cube_dense` workload is checked against, and the property tests' second
+//! reference implementation.
 //!
 //! Do not extend this module — it exists to stay *unchanged*.
 

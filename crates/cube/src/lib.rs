@@ -13,9 +13,10 @@
 //!   evaluation in the presence of multi-valued dimensions, propagating
 //!   Roaring bitmaps down the MMST and computing measures from per-fact
 //!   pre-aggregates at flush time;
-//! * [`arraycube`] — the classical ArrayCube baseline, which computes each
-//!   lattice node from a parent's *aggregated values* and is therefore
-//!   subject to the errors characterized by Lemma 1 / Theorem 1;
+//! * [`arraycube`] — the classical ArrayCube baseline, a small
+//!   self-contained evaluator that computes each lattice node from its MMST
+//!   parent's *aggregated values* and is therefore subject to the errors
+//!   characterized by Lemma 1 / Theorem 1 (never timed);
 //! * [`pgcube`] — a PostgreSQL-12-style one-pass `GROUP BY CUBE`
 //!   (grouping-sets via symmetric rollup-chain decomposition over the
 //!   flattened join result), in its `count(*)` (PGCube\*) and

@@ -9,15 +9,13 @@
 //! by joining each cell's bitmap with the per-fact pre-aggregated measures
 //! (`⊗`), which are ordered by fact ID like the bitmaps.
 
-use crate::engine::{run_engine, CellStorePolicy, CubeAlgebra};
+use crate::engine::{run_engine, CellStorePolicy};
 use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::result::CubeResult;
-use crate::spec::{CubeSpec, MdaKind};
+use crate::spec::CubeSpec;
 use crate::translate::Translation;
-use spade_bitmap::Bitmap;
 use spade_parallel::Cancelled;
-use spade_storage::MeasureTotals;
 use std::collections::HashMap;
 
 /// Tuning knobs for an MVDCube run.
@@ -76,122 +74,6 @@ pub fn chunk_sizes(domains: &[u32], options: &MvdCubeOptions, n_facts: usize) ->
         .collect()
 }
 
-/// The MVD algebra: cells are fact sets; union consolidates facts.
-pub(crate) struct MvdAlgebra<'a, 'b> {
-    pub spec: &'b CubeSpec<'a>,
-    /// MDA list cached once — `emit` runs per cell.
-    pub mdas: Vec<crate::spec::Mda>,
-}
-
-impl<'a, 'b> MvdAlgebra<'a, 'b> {
-    pub fn new(spec: &'b CubeSpec<'a>) -> Self {
-        MvdAlgebra { spec, mdas: spec.mdas() }
-    }
-}
-
-/// Per-node precomputed emit state: which measures any live MDA needs.
-/// Computed once per node (not per cell, let alone per fact).
-pub(crate) struct MvdEmitPlan {
-    /// Measure indexes with at least one live MDA — the only ones
-    /// accumulated; this is where early-stop's pruning actually saves work.
-    needed_measures: Vec<usize>,
-}
-
-/// Reusable emit buffers: the decoded fact list and per-measure totals.
-#[derive(Default)]
-pub(crate) struct MvdEmitScratch {
-    facts: Vec<u32>,
-    totals: Vec<MeasureTotals>,
-}
-
-impl<'a, 'b> CubeAlgebra for MvdAlgebra<'a, 'b> {
-    type Cell = Bitmap;
-    type EmitPlan = MvdEmitPlan;
-    type EmitScratch = MvdEmitScratch;
-
-    fn root_cell(&self, facts: &Bitmap) -> Bitmap {
-        facts.clone()
-    }
-
-    fn merge(&self, into: &mut Bitmap, from: &Bitmap) {
-        into.union_with(from);
-    }
-
-    /// Fan-in fast path: one k-way union instead of pairwise re-merges
-    /// (set union is associative and commutative, so the result is exactly
-    /// the folded union).
-    fn merge_run(&self, into: &mut Bitmap, from: &[&Bitmap]) {
-        into.union_with_all(from);
-    }
-
-    fn plan_emit(&self, alive: &[bool]) -> MvdEmitPlan {
-        let n_measures = self.spec.measures.len();
-        let mut needed = vec![false; n_measures];
-        for (mda, &is_alive) in self.mdas.iter().zip(alive) {
-            if let (MdaKind::Measure { measure, .. }, true) = (&mda.kind, is_alive) {
-                needed[*measure] = true;
-            }
-        }
-        MvdEmitPlan { needed_measures: (0..n_measures).filter(|&m| needed[m]).collect() }
-    }
-
-    fn emit(
-        &self,
-        cell: &Bitmap,
-        alive: &[bool],
-        plan: &MvdEmitPlan,
-        scratch: &mut MvdEmitScratch,
-    ) -> Vec<Option<f64>> {
-        // Measure computation is a batched bitmap-to-CSR join: the cell's
-        // bitmap is decoded once (container-at-a-time) into a reused fact
-        // buffer, then each needed measure's pre-aggregated
-        // struct-of-arrays columns are scanned contiguously in one pass
-        // ("measure computation … can aggregate different measures
-        // simultaneously", Section 4.3 (b) — here measure-major so each
-        // column is walked sequentially). Count-only cells skip the join
-        // entirely; nothing is allocated per cell and nothing panics on
-        // facts without a value (they simply contribute nothing).
-        let facts = if plan.needed_measures.is_empty() {
-            cell.cardinality()
-        } else {
-            scratch.facts.clear();
-            cell.decode_into(&mut scratch.facts);
-            scratch.totals.clear();
-            scratch.totals.resize(self.spec.measures.len(), MeasureTotals::default());
-            for &mi in &plan.needed_measures {
-                scratch.totals[mi] =
-                    self.spec.measures[mi].preagg.accumulate(scratch.facts.iter().copied());
-            }
-            scratch.facts.len() as u64
-        };
-        self.mdas
-            .iter()
-            .zip(alive)
-            .map(|(mda, &is_alive)| {
-                if !is_alive {
-                    return None;
-                }
-                match mda.kind {
-                    MdaKind::FactCount => Some(facts as f64),
-                    MdaKind::Measure { measure, agg } => {
-                        let t = scratch.totals[measure];
-                        if t.count == 0 {
-                            return None;
-                        }
-                        Some(match agg {
-                            spade_storage::AggFn::Count => t.count as f64,
-                            spade_storage::AggFn::Sum => t.sum,
-                            spade_storage::AggFn::Avg => t.sum / t.count as f64,
-                            spade_storage::AggFn::Min => t.min,
-                            spade_storage::AggFn::Max => t.max,
-                        })
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
 /// Builds the lattice and translation for a spec (shared with baselines and
 /// the pipeline so comparisons and benchmarks use identical layouts).
 pub fn prepare(
@@ -224,7 +106,7 @@ pub fn prepare_in(
 pub fn mvd_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
     ExecCtx::unbounded(options.threads, |cx| {
         let (lattice, translation) = prepare_in(spec, options, None, cx)?;
-        run_engine(spec, &lattice, &translation, &MvdAlgebra::new(spec), None, options, cx)
+        run_engine(spec, &lattice, &translation, None, options, cx)
     })
 }
 
@@ -257,7 +139,7 @@ pub fn mvd_cube_pruned_in(
     alive: &HashMap<u32, Vec<bool>>,
     cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
-    run_engine(spec, lattice, translation, &MvdAlgebra::new(spec), Some(alive), options, cx)
+    run_engine(spec, lattice, translation, Some(alive), options, cx)
 }
 
 /// Runs early-stop pruning and then evaluates the surviving MDAs — the

@@ -1,10 +1,9 @@
 //! The shared bench-corpus catalog.
 //!
-//! `bench_ingest`, `bench_store`, and `bench_engine` used to each carry a
-//! private copy of "which corpora do we measure on" — the Table-2-like
-//! N-Triples cases (graph + RDFS overlay depth) and the Section-6.5
-//! synthetic cube cases. This module is the single source of truth: every
-//! bench iterates the same catalog, so their JSON artifacts stay directly
+//! "Which corpora do we measure on" — the Table-2-like N-Triples cases
+//! (graph + RDFS overlay depth) and the Section-6.5 synthetic cube cases —
+//! lives here once: the pinned benchmark's `offline_build` and `cube_*`
+//! workloads iterate this catalog, so their figures stay directly
 //! comparable across PRs.
 
 use crate::{nt_corpus, RealisticConfig, SyntheticConfig};

@@ -16,10 +16,10 @@
 //!   and Section 6 report for Airline, CEOs, DBLP, Foodista, NASA, and
 //!   Nobel; see `DESIGN.md` for the substitution rationale;
 //! * [`nt`] — N-Triples corpus generation (serialization + deterministic
-//!   RDFS ontology overlays), feeding the `bench_ingest` offline-phase
-//!   benchmark;
-//! * [`corpus`] — the shared bench-corpus catalog (`bench_ingest`,
-//!   `bench_store`, and `bench_engine` all measure the same named cases);
+//!   RDFS ontology overlays), feeding the pinned benchmark's
+//!   `offline_build` workload;
+//! * [`corpus`] — the shared bench-corpus catalog (the named cases the
+//!   pinned benchmark measures);
 //! * [`mini`] — the exact running-example graph of Figure 1 (Dos Santos,
 //!   Ghosn, their companies and political connections), used by examples
 //!   and tests.

@@ -1,12 +1,12 @@
-//! N-Triples corpus generation for the ingestion benchmarks.
+//! N-Triples corpus generation for the ingestion benchmark.
 //!
-//! `bench_ingest` measures the full offline phase — parse, dictionary
-//! encode, index build, RDFS saturation — so its inputs must be *text*
-//! (the simulated graphs of [`crate::realistic`] serialized to `.nt`) and
-//! must carry an ontology for saturation to chew on (the simulated graphs
-//! themselves contain no schema triples). [`nt_corpus`] produces both: a
-//! named Table-2 graph with a deterministic RDFS overlay, serialized in
-//! insertion order.
+//! The pinned benchmark's `offline_build` workload measures the full
+//! offline phase — parse, dictionary encode, index build, RDFS saturation
+//! — so its inputs must be *text* (the simulated graphs of
+//! [`crate::realistic`] serialized to `.nt`) and must carry an ontology for
+//! saturation to chew on (the simulated graphs themselves contain no schema
+//! triples). [`nt_corpus`] produces both: a named Table-2 graph with a
+//! deterministic RDFS overlay, serialized in insertion order.
 
 use crate::realistic;
 use crate::RealisticConfig;
@@ -77,7 +77,7 @@ pub fn add_ontology(graph: &mut Graph, ns: &str, depth: usize) -> usize {
 
 /// Generates the named simulated graph (as in [`realistic`]), overlays an
 /// RDFS ontology of the given subclass-chain depth, and serializes it to
-/// N-Triples — the standard `bench_ingest` input.
+/// N-Triples — the standard offline-phase benchmark input.
 pub fn nt_corpus(name: &str, cfg: &RealisticConfig, ontology_depth: usize) -> String {
     let mut graph = match name {
         "Airline" => realistic::airline(cfg),

@@ -368,14 +368,6 @@ impl Dictionary {
         self.ids_map().get(key.as_str()).copied()
     }
 
-    /// Looks up the id of an IRI string.
-    pub fn id_of_iri(&self, iri: &str) -> Option<TermId> {
-        let mut key = String::with_capacity(iri.len() + 1);
-        key.push('I');
-        key.push_str(iri);
-        self.ids_map().get(key.as_str()).copied()
-    }
-
     /// The term for `id`. Panics on an id from another dictionary.
     pub fn term(&self, id: TermId) -> &Term {
         &self.terms[id.index()]

@@ -117,8 +117,8 @@ fn ingest_serial(input: &str, threads: usize) -> Result<Graph, NtParseError> {
 
 /// The preserved serial baseline: line-at-a-time owned-`Term` parsing and
 /// per-insert interning/indexing, exactly the cost model the optimized
-/// pipeline replaces. Kept for benchmarks (`bench_ingest`) and as the
-/// equivalence oracle in tests.
+/// pipeline replaces. Kept as the equivalence oracle of the tests and of
+/// the pinned benchmark's `offline_build` workload.
 pub fn ingest_baseline(input: &str) -> Result<Graph, NtParseError> {
     let mut graph = Graph::new();
     for (lineno, raw) in input.lines().enumerate() {

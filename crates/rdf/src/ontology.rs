@@ -41,7 +41,6 @@
 
 use crate::dict::TermId;
 use crate::graph::{Graph, Triple};
-use crate::term::Term;
 use crate::vocab;
 use std::collections::HashMap;
 
@@ -358,15 +357,10 @@ pub fn saturate_baseline(graph: &mut Graph) -> usize {
     }
 }
 
-/// Builds a schema triple `(sub, rel, sup)` with IRI strings — test helper
-/// and convenience for generators.
-pub fn schema_triple(sub: &str, rel: &str, sup: &str) -> (Term, Term, Term) {
-    (Term::iri(sub), Term::iri(rel), Term::iri(sup))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://x/{s}"))

@@ -83,11 +83,6 @@ impl Term {
         !matches!(self, Term::Literal(_))
     }
 
-    /// `true` for literals.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal(_))
-    }
-
     /// The literal, if this term is one.
     pub fn as_literal(&self) -> Option<&Literal> {
         match self {

@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client for loopback use — the determinism
-//! tests, the CI smoke job, and `bench_serve` all drive the daemon through
-//! this instead of shelling out to curl.
+//! tests and the pinned benchmark's serve workloads drive the daemon
+//! through this instead of shelling out to curl.
 //!
 //! Supports exactly what the server speaks: `GET`/`POST`,
 //! `Content-Length` bodies, keep-alive connection reuse — plus polite

@@ -433,8 +433,8 @@
 //!   (see above).
 //!
 //! Tracing is observation-only: response bodies stay bit-identical with
-//! and without it, and the substrate's overhead on the warm path is
-//! bounded by the `--profile-overhead` mode of `bench_serve`.
+//! and without it, and the substrate's cost on the warm path is part of
+//! the pinned benchmark's `serve.wire_overhead_ms` layer.
 //!
 //! # Running
 //!

@@ -8,20 +8,17 @@
 //! * [`normal`] — standard normal CDF and quantile function (for the
 //!   `z_{1−α}` critical values of Theorem 2);
 //! * [`ci`] — the large-sample confidence interval around the estimated
-//!   interestingness score (Theorem 2, Appendices B and C);
-//! * [`reservoir`] — Vitter's reservoir sampling (Algorithm R), the paper's
-//!   sampler for the stratified per-group samples of Section 5.3. The
-//!   workspace itself draws them as mergeable bottom-k samples in
-//!   `spade-cube` (`translate`) and does not use this module.
+//!   interestingness score (Theorem 2, Appendices B and C).
+//!
+//! The stratified per-group samples of Section 5.3 are drawn in `spade-cube`
+//! (`translate`), as mergeable bottom-k samples.
 
 pub mod ci;
 pub mod interestingness;
 pub mod moments;
 pub mod normal;
-pub mod reservoir;
 
 pub use ci::{GroupSample, InterestingnessCi, ScoreInterval};
 pub use interestingness::Interestingness;
 pub use moments::RunningMoments;
 pub use normal::{normal_cdf, normal_quantile};
-pub use reservoir::Reservoir;

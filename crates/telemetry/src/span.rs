@@ -330,13 +330,6 @@ impl Span {
         self.push_attr(key, AttrValue::U64(value));
     }
 
-    /// Attaches a string attribute.
-    pub fn attr_str(&self, key: &'static str, value: &str) {
-        if self.inner.is_some() {
-            self.push_attr(key, AttrValue::Str(value.to_owned()));
-        }
-    }
-
     /// Attaches the executing thread's id as a volatile `thread` attr
     /// (excluded from [`Trace::shape`], varies run to run).
     pub fn record_thread(&self) {

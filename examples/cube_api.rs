@@ -44,14 +44,10 @@ fn main() {
     // `threads: 1`. (In the full pipeline, `SpadeConfig::threads` feeds
     // the same knob through `evaluate_cfs`.)
     let opts = MvdCubeOptions { threads: 0, ..Default::default() };
-    // The ArrayCube/PGCube baselines aggregate f64 partial sums, which are
-    // plan-*sensitive* in the last bits — the experiment convention is to
-    // run them on the default single-worker plan.
-    let baseline_opts = MvdCubeOptions::default();
 
     let correct = mvd_cube(&spec, &opts);
-    let classical = array_cube(&spec, &baseline_opts);
-    let postgres = pg_cube(&spec, PgCubeVariant::Distinct, &baseline_opts);
+    let classical = array_cube(&spec, &opts);
+    let postgres = pg_cube(&spec, PgCubeVariant::Distinct, &opts);
 
     // The A4 node of Figure 4: count of CEOs by company/area alone.
     let area_mask = 0b100;
