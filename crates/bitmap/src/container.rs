@@ -1,78 +1,46 @@
-//! The three Roaring container kinds for one 16-bit chunk, and the
-//! canonical-representation rule that picks between them.
+//! The two container kinds for one 16-bit chunk, and the canonical rule
+//! that picks between them.
 //!
-//! Every public container op ends by *canonicalizing*: the chunk is
-//! stored in whichever representation is cheapest in bytes for its
-//! current contents —
+//! A chunk is stored by cardinality alone:
 //!
-//! | representation | bytes | wins when |
+//! | representation | bytes | canonical when |
 //! |---|---|---|
-//! | sorted array | `2 × cardinality` | sparse scattered values |
-//! | run list | `4 × runs` | clustered values (few intervals) |
-//! | bitset | `8192` fixed | dense scattered values |
+//! | sorted array | `2 × cardinality` | cardinality ≤ 4 096 |
+//! | bitset | `8192` fixed | cardinality > 4 096 |
 //!
-//! with ties broken Array ≻ Run ≻ Bitset. Because the choice is a pure
-//! function of the *set* (never of the op path that produced it), equal
-//! sets always have identical representations: derived `PartialEq` is
-//! exact set equality, and engine results stay bit-identical no matter
-//! how a cell was assembled (plan invariance).
+//! Every op that can change a chunk's cardinality re-applies the rule
+//! before it returns. Because the choice is a pure function of the *set*
+//! (never of the op path that produced it), equal sets always have
+//! identical representations: derived `PartialEq` is exact set equality,
+//! and engine results stay bit-identical no matter how a cell was
+//! assembled (plan invariance).
 //!
 //! The binary ops dispatch on the representation pair and call the
-//! matching kernel from [`crate::kernels`] / [`crate::run`]; see the
-//! crate docs for the full kernel table.
+//! matching kernel from [`crate::kernels`]; see the crate docs for the
+//! kernel table.
 
 use crate::kernels;
-use crate::run::{self, RunContainer};
 
-/// Maximum cardinality a (canonical) array container can hold: 4096
-/// values × 2 bytes = 8 KiB = the fixed bitset size.
-pub const ARRAY_TO_BITSET_THRESHOLD: usize = 4096;
+/// Maximum cardinality of an array container: 4096 values × 2 bytes =
+/// 8 KiB = the fixed bitset size.
+pub(crate) const ARRAY_TO_BITSET_THRESHOLD: usize = 4096;
 
 const BITSET_WORDS: usize = kernels::BITSET_WORDS;
 
-/// Fixed container cost of the bitset representation, in bytes.
-const BITSET_BYTES: u64 = (BITSET_WORDS * 8) as u64;
-
-/// The representation the canonical rule picks for given stats.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Repr {
-    Array,
-    Run,
-    Bitset,
-}
-
-/// Cheapest representation for a chunk with `card` values in `runs`
-/// runs; ties break Array ≻ Run ≻ Bitset.
-fn best_repr(card: u32, runs: u32) -> Repr {
-    let array_bytes = 2 * card as u64;
-    let run_bytes = 4 * runs as u64;
-    if array_bytes <= run_bytes && array_bytes <= BITSET_BYTES {
-        Repr::Array
-    } else if run_bytes <= BITSET_BYTES {
-        Repr::Run
-    } else {
-        Repr::Bitset
-    }
-}
-
 /// One chunk's worth (low 16 bits) of values.
 #[derive(Clone, PartialEq, Eq)]
-pub enum Container {
-    /// Sorted array of low values; canonical while sparse and scattered.
+pub(crate) enum Container {
+    /// Sorted array of low values; canonical up to the threshold.
     Array(Vec<u16>),
-    /// Sorted inclusive intervals; canonical while clustered.
-    Run(RunContainer),
-    /// 65536-bit set with cached stats; canonical while dense and
-    /// scattered.
+    /// 65536-bit set with cached cardinality; canonical above it.
     Bitset(Box<BitsetContainer>),
 }
 
-/// Fixed 8 KiB bit set plus cached cardinality and run count.
+/// Fixed 8 KiB bit set plus cached cardinality.
 #[derive(Clone, PartialEq, Eq)]
-pub struct BitsetContainer {
+pub(crate) struct BitsetContainer {
     words: [u64; BITSET_WORDS],
     cardinality: u32,
-    runs: u32,
 }
 
 impl Default for Container {
@@ -83,54 +51,21 @@ impl Default for Container {
 
 impl BitsetContainer {
     fn new() -> Self {
-        BitsetContainer { words: [0; BITSET_WORDS], cardinality: 0, runs: 0 }
+        BitsetContainer { words: [0; BITSET_WORDS], cardinality: 0 }
     }
 
     /// The raw 64-bit words (for container-at-a-time decoding).
-    pub fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// Recomputes the cached stats from the words, word-at-a-time.
-    fn refresh_stats(&mut self) {
-        let (card, runs) = kernels::words_stats(&self.words);
-        self.cardinality = card;
-        self.runs = runs;
-    }
-
-    /// Sets a bit, keeping both cached stats current in O(1) via the
-    /// neighbor bits: joining two runs loses one, extending a run is
-    /// neutral, an isolated bit adds one.
     #[inline]
     fn set(&mut self, low: u16) -> bool {
-        let (w, b) = (low as usize >> 6, low & 63);
-        let mask = 1u64 << b;
-        if self.words[w] & mask != 0 {
-            return false;
-        }
+        let (w, mask) = (low as usize >> 6, 1u64 << (low & 63));
+        let added = self.words[w] & mask == 0;
         self.words[w] |= mask;
-        self.cardinality += 1;
-        let left = low > 0 && self.get(low - 1);
-        let right = low < u16::MAX && self.get(low + 1);
-        self.runs = self.runs + 1 - left as u32 - right as u32;
-        true
-    }
-
-    /// Clears a bit, with the mirrored O(1) run-count update (splitting
-    /// a run adds one).
-    #[inline]
-    fn unset(&mut self, low: u16) -> bool {
-        let (w, b) = (low as usize >> 6, low & 63);
-        let mask = 1u64 << b;
-        if self.words[w] & mask == 0 {
-            return false;
-        }
-        self.words[w] &= !mask;
-        self.cardinality -= 1;
-        let left = low > 0 && self.get(low - 1);
-        let right = low < u16::MAX && self.get(low + 1);
-        self.runs = self.runs - 1 + left as u32 + right as u32;
-        true
+        self.cardinality += added as u32;
+        added
     }
 
     #[inline]
@@ -152,240 +87,104 @@ impl BitsetContainer {
     }
 }
 
-/// Canonical container from a bitset with current cached stats.
+/// Canonical container from a bitset with a current cached cardinality.
 fn from_bitset(bs: Box<BitsetContainer>) -> Container {
-    match best_repr(bs.cardinality, bs.runs) {
-        Repr::Bitset => Container::Bitset(bs),
-        Repr::Array => Container::Array(bs.to_array()),
-        Repr::Run => {
-            let mut runs = Vec::with_capacity(bs.runs as usize);
-            kernels::words_to_runs(&bs.words, &mut runs);
-            Container::Run(RunContainer::from_runs(runs))
-        }
+    if bs.cardinality as usize > ARRAY_TO_BITSET_THRESHOLD {
+        Container::Bitset(bs)
+    } else {
+        Container::Array(bs.to_array())
     }
+}
+
+/// A bitset holding the given deduplicated low values.
+fn bitset_of(lows: &[u16]) -> Box<BitsetContainer> {
+    let mut bs = Box::new(BitsetContainer::new());
+    kernels::scatter(lows, &mut bs.words);
+    bs.cardinality = lows.len() as u32;
+    bs
 }
 
 /// Canonical container from sorted deduplicated low values (any length).
 fn from_lows(lows: Vec<u16>) -> Container {
-    let card = lows.len() as u32;
-    let runs = kernels::array_runs(&lows);
-    match best_repr(card, runs) {
-        Repr::Array => Container::Array(lows),
-        Repr::Run => Container::Run(RunContainer::from_sorted_lows(&lows)),
-        Repr::Bitset => {
-            let mut bs = Box::new(BitsetContainer::new());
-            kernels::scatter(&lows, &mut bs.words);
-            bs.cardinality = card;
-            bs.runs = runs;
-            Container::Bitset(bs)
-        }
-    }
-}
-
-/// Canonical container from a normalized run container.
-fn from_run(rc: RunContainer) -> Container {
-    match best_repr(rc.cardinality(), rc.n_runs()) {
-        Repr::Run => Container::Run(rc),
-        Repr::Array => {
-            let mut lows = Vec::with_capacity(rc.cardinality() as usize);
-            rc.to_lows(&mut lows);
-            Container::Array(lows)
-        }
-        Repr::Bitset => {
-            let mut bs = Box::new(BitsetContainer::new());
-            for &(s, e) in rc.runs() {
-                kernels::set_range(&mut bs.words, s, e);
-            }
-            bs.cardinality = rc.cardinality();
-            bs.runs = rc.n_runs();
-            Container::Bitset(bs)
-        }
+    if lows.len() <= ARRAY_TO_BITSET_THRESHOLD {
+        Container::Array(lows)
+    } else {
+        Container::Bitset(bitset_of(&lows))
     }
 }
 
 impl Container {
-    pub fn singleton(low: u16) -> Self {
+    pub(crate) fn singleton(low: u16) -> Self {
         Container::Array(vec![low])
     }
 
     /// Builds the canonical container from sorted, deduplicated low
     /// values.
-    pub fn from_sorted_lows(lows: &[u16]) -> Self {
-        let card = lows.len() as u32;
-        let runs = kernels::array_runs(lows);
-        match best_repr(card, runs) {
-            Repr::Array => Container::Array(lows.to_vec()),
-            Repr::Run => Container::Run(RunContainer::from_sorted_lows(lows)),
-            Repr::Bitset => {
-                let mut bs = Box::new(BitsetContainer::new());
-                kernels::scatter(lows, &mut bs.words);
-                bs.cardinality = card;
-                bs.runs = runs;
-                Container::Bitset(bs)
-            }
+    pub(crate) fn from_sorted_lows(lows: &[u16]) -> Self {
+        if lows.len() <= ARRAY_TO_BITSET_THRESHOLD {
+            Container::Array(lows.to_vec())
+        } else {
+            Container::Bitset(bitset_of(lows))
         }
     }
 
-    /// Canonical container holding the full inclusive range `[s, e]` —
-    /// `O(1)`, the building block of [`crate::Bitmap::full`].
-    pub fn from_range(s: u16, e: u16) -> Self {
-        debug_assert!(s <= e);
-        from_run(RunContainer::from_runs(vec![(s, e)]))
-    }
-
-    /// Number of runs (maximal intervals of consecutive values).
-    fn n_runs(&self) -> u32 {
-        match self {
-            Container::Array(values) => kernels::array_runs(values),
-            Container::Run(rc) => rc.n_runs(),
-            Container::Bitset(bs) => bs.runs,
-        }
-    }
-
-    /// Re-establishes the canonical (cheapest) representation. Every
-    /// public mutating op ends here.
-    fn canonicalize(&mut self) {
-        let target = best_repr(self.cardinality(), self.n_runs());
-        let matches_target = matches!(
-            (&*self, target),
-            (Container::Array(_), Repr::Array)
-                | (Container::Run(_), Repr::Run)
-                | (Container::Bitset(_), Repr::Bitset)
-        );
-        if matches_target {
-            return;
-        }
-        *self = match std::mem::take(self) {
-            Container::Array(v) => from_lows(v),
-            Container::Run(rc) => from_run(rc),
-            Container::Bitset(bs) => from_bitset(bs),
-        };
-    }
-
-    /// True when this container holds the cheapest of the three
-    /// representations for its contents *and* all cached stats are
-    /// consistent — the invariant every public op restores. Exposed for
-    /// the property-test suite.
-    pub fn is_canonical(&self) -> bool {
+    /// True when this container holds the representation the cardinality
+    /// rule prescribes *and* its payload is well-formed (array strictly
+    /// sorted, cached bitset cardinality current) — the invariant every
+    /// op restores. Checked by the property-test suite.
+    pub(crate) fn is_canonical(&self) -> bool {
         match self {
             Container::Array(values) => {
-                if !values.windows(2).all(|w| w[0] < w[1]) {
-                    return false;
-                }
-            }
-            Container::Run(rc) => {
-                let runs = rc.runs();
-                let normal = runs.iter().all(|&(s, e)| s <= e)
-                    && runs.windows(2).all(|w| (w[0].1 as u32) + 1 < w[1].0 as u32);
-                let card: u32 = runs.iter().map(|&(s, e)| e as u32 - s as u32 + 1).sum();
-                if !normal || card != rc.cardinality() {
-                    return false;
-                }
+                values.len() <= ARRAY_TO_BITSET_THRESHOLD
+                    && values.windows(2).all(|w| w[0] < w[1])
             }
             Container::Bitset(bs) => {
-                if kernels::words_stats(&bs.words) != (bs.cardinality, bs.runs) {
-                    return false;
-                }
+                bs.cardinality as usize > ARRAY_TO_BITSET_THRESHOLD
+                    && kernels::words_card(&bs.words) == bs.cardinality
             }
         }
-        let target = best_repr(self.cardinality(), self.n_runs());
-        matches!(
-            (self, target),
-            (Container::Array(_), Repr::Array)
-                | (Container::Run(_), Repr::Run)
-                | (Container::Bitset(_), Repr::Bitset)
-        )
     }
 
-    pub fn insert(&mut self, low: u16) -> bool {
-        let added = match self {
+    pub(crate) fn insert(&mut self, low: u16) -> bool {
+        match self {
             Container::Array(values) => match values.binary_search(&low) {
                 Ok(_) => false,
                 Err(pos) => {
                     values.insert(pos, low);
+                    if values.len() > ARRAY_TO_BITSET_THRESHOLD {
+                        *self = Container::Bitset(bitset_of(values));
+                    }
                     true
                 }
             },
-            Container::Run(rc) => rc.insert(low),
             Container::Bitset(bs) => bs.set(low),
-        };
-        if added {
-            self.canonicalize();
         }
-        added
     }
 
-    pub fn remove(&mut self, low: u16) -> bool {
-        let removed = match self {
-            Container::Array(values) => match values.binary_search(&low) {
-                Ok(pos) => {
-                    values.remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
-            Container::Run(rc) => rc.remove(low),
-            Container::Bitset(bs) => bs.unset(low),
-        };
-        if removed {
-            self.canonicalize();
-        }
-        removed
-    }
-
-    pub fn contains(&self, low: u16) -> bool {
+    pub(crate) fn contains(&self, low: u16) -> bool {
         match self {
             Container::Array(values) => values.binary_search(&low).is_ok(),
-            Container::Run(rc) => rc.contains(low),
             Container::Bitset(bs) => bs.get(low),
         }
     }
 
-    pub fn cardinality(&self) -> u32 {
+    pub(crate) fn cardinality(&self) -> u32 {
         match self {
             Container::Array(values) => values.len() as u32,
-            Container::Run(rc) => rc.cardinality(),
             Container::Bitset(bs) => bs.cardinality,
         }
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cardinality() == 0
-    }
-
-    pub fn min(&self) -> Option<u16> {
-        match self {
-            Container::Array(values) => values.first().copied(),
-            Container::Run(rc) => rc.min(),
-            Container::Bitset(bs) => bs
-                .words
-                .iter()
-                .enumerate()
-                .find(|(_, &w)| w != 0)
-                .map(|(i, w)| (i * 64 + w.trailing_zeros() as usize) as u16),
-        }
-    }
-
-    pub fn max(&self) -> Option<u16> {
-        match self {
-            Container::Array(values) => values.last().copied(),
-            Container::Run(rc) => rc.max(),
-            Container::Bitset(bs) => bs
-                .words
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, &w)| w != 0)
-                .map(|(i, w)| (i * 64 + 63 - w.leading_zeros() as usize) as u16),
-        }
     }
 
     /// K-way union of several containers in one pass — the fan-in path of
     /// cube-cell consolidation, where a child cell absorbs many parent
     /// cells at once. Equivalent to folding [`Container::union_with`]
-    /// pairwise (canonicalization makes the representations identical
+    /// pairwise (the canonical rule makes the representations identical
     /// too), but without the per-step reallocation and re-merge.
-    pub fn union_many(parts: &[&Container]) -> Container {
+    pub(crate) fn union_many(parts: &[&Container]) -> Container {
         debug_assert!(!parts.is_empty());
         if parts.len() == 1 {
             return parts[0].clone();
@@ -402,65 +201,43 @@ impl Container {
             }
             lows.sort_unstable();
             lows.dedup();
-            return from_lows(lows);
+            return Container::Array(lows);
         }
-        // Accumulate through one bitset: scatter arrays, range-fill runs,
-        // word-OR bitsets; one stats pass at the end.
+        // Accumulate through one bitset: scatter arrays, word-OR bitsets;
+        // one popcount pass at the end.
         let mut bs = Box::new(BitsetContainer::new());
         for c in parts {
             match c {
                 Container::Bitset(b) => {
-                    for (w, &word) in b.words.iter().enumerate() {
-                        bs.words[w] |= word;
+                    for (x, y) in bs.words.iter_mut().zip(b.words.iter()) {
+                        *x |= *y;
                     }
                 }
                 Container::Array(v) => kernels::scatter(v, &mut bs.words),
-                Container::Run(r) => {
-                    for &(s, e) in r.runs() {
-                        kernels::set_range(&mut bs.words, s, e);
-                    }
-                }
             }
         }
-        bs.refresh_stats();
+        bs.cardinality = kernels::words_card(&bs.words);
         from_bitset(bs)
     }
 
-    pub fn union_with(&mut self, other: &Container) {
-        *self = match (std::mem::take(self), other) {
-            (Container::Bitset(mut a), Container::Bitset(b)) => {
-                let (card, runs) = kernels::union_words(&mut a.words, &b.words);
-                a.cardinality = card;
-                a.runs = runs;
-                from_bitset(a)
+    /// A union never shrinks a chunk, so a bitset operand's result is a
+    /// bitset; only array ∪ array has to re-apply the rule.
+    pub(crate) fn union_with(&mut self, other: &Container) {
+        match (&mut *self, other) {
+            (Container::Bitset(a), Container::Bitset(b)) => {
+                a.cardinality = kernels::union_words(&mut a.words, &b.words);
             }
-            (Container::Bitset(mut a), Container::Array(b)) => {
+            (Container::Bitset(a), Container::Array(b)) => {
                 for &low in b {
                     a.set(low);
                 }
-                from_bitset(a)
-            }
-            (Container::Bitset(mut a), Container::Run(r)) => {
-                for &(s, e) in r.runs() {
-                    kernels::set_range(&mut a.words, s, e);
-                }
-                a.refresh_stats();
-                from_bitset(a)
             }
             (Container::Array(a), Container::Bitset(b)) => {
                 let mut bs = b.clone();
-                for &low in &a {
+                for &low in a.iter() {
                     bs.set(low);
                 }
-                from_bitset(bs)
-            }
-            (Container::Run(rc), Container::Bitset(b)) => {
-                let mut bs = b.clone();
-                for &(s, e) in rc.runs() {
-                    kernels::set_range(&mut bs.words, s, e);
-                }
-                bs.refresh_stats();
-                from_bitset(bs)
+                *self = Container::Bitset(bs);
             }
             (Container::Array(a), Container::Array(b)) => {
                 let mut merged = Vec::with_capacity(a.len() + b.len());
@@ -484,126 +261,31 @@ impl Container {
                 }
                 merged.extend_from_slice(&a[i..]);
                 merged.extend_from_slice(&b[j..]);
-                from_lows(merged)
+                *self = from_lows(merged);
             }
-            (Container::Array(a), Container::Run(r)) => {
-                let mut ar = Vec::new();
-                run::lows_to_runs(&a, &mut ar);
-                let mut out = Vec::new();
-                run::merge_runs(&ar, r.runs(), &mut out);
-                from_run(RunContainer::from_runs(out))
-            }
-            (Container::Run(rc), Container::Array(b)) => {
-                let mut br = Vec::new();
-                run::lows_to_runs(b, &mut br);
-                let mut out = Vec::new();
-                run::merge_runs(rc.runs(), &br, &mut out);
-                from_run(RunContainer::from_runs(out))
-            }
-            (Container::Run(a), Container::Run(b)) => {
-                let mut out = Vec::new();
-                run::merge_runs(a.runs(), b.runs(), &mut out);
-                from_run(RunContainer::from_runs(out))
-            }
-        };
+        }
     }
 
-    pub fn intersect(&self, other: &Container) -> Container {
+    pub(crate) fn intersect(&self, other: &Container) -> Container {
         match (self, other) {
             (Container::Bitset(a), Container::Bitset(b)) => {
                 let mut out = a.clone();
-                let (card, runs) = kernels::intersect_words(&mut out.words, &b.words);
-                out.cardinality = card;
-                out.runs = runs;
+                out.cardinality = kernels::intersect_words(&mut out.words, &b.words);
                 from_bitset(out)
             }
             (Container::Array(a), Container::Bitset(b))
             | (Container::Bitset(b), Container::Array(a)) => {
-                from_lows(a.iter().copied().filter(|&v| b.get(v)).collect())
-            }
-            (Container::Run(r), Container::Bitset(b))
-            | (Container::Bitset(b), Container::Run(r)) => {
-                let mut out = Box::new(BitsetContainer::new());
-                for &(s, e) in r.runs() {
-                    kernels::copy_range(&b.words, &mut out.words, s, e);
-                }
-                out.refresh_stats();
-                from_bitset(out)
+                Container::Array(a.iter().copied().filter(|&v| b.get(v)).collect())
             }
             (Container::Array(a), Container::Array(b)) => {
                 let mut out = Vec::new();
                 kernels::intersect_arrays(a, b, &mut out);
-                from_lows(out)
-            }
-            (Container::Array(a), Container::Run(r))
-            | (Container::Run(r), Container::Array(a)) => {
-                let mut out = Vec::new();
-                run::array_intersect_runs(a, r.runs(), &mut out);
-                from_lows(out)
-            }
-            (Container::Run(a), Container::Run(b)) => {
-                let mut out = Vec::new();
-                run::intersect_runs(a.runs(), b.runs(), &mut out);
-                from_run(RunContainer::from_runs(out))
+                Container::Array(out)
             }
         }
     }
 
-    /// In-place intersection; recycles this container's allocation on
-    /// the array and bitset fast paths.
-    pub fn intersect_with(&mut self, other: &Container) {
-        match (&mut *self, other) {
-            (Container::Bitset(a), Container::Bitset(b)) => {
-                let (card, runs) = kernels::intersect_words(&mut a.words, &b.words);
-                a.cardinality = card;
-                a.runs = runs;
-            }
-            (Container::Array(a), Container::Bitset(b)) => a.retain(|&v| b.get(v)),
-            (Container::Array(a), Container::Array(b)) => {
-                let mut w = 0usize;
-                let mut j = 0usize;
-                for i in 0..a.len() {
-                    let v = a[i];
-                    j = kernels::gallop(b, j, v);
-                    if j == b.len() {
-                        break;
-                    }
-                    if b[j] == v {
-                        a[w] = v;
-                        w += 1;
-                        j += 1;
-                    }
-                }
-                a.truncate(w);
-            }
-            (Container::Array(a), Container::Run(r)) => {
-                let runs = r.runs();
-                let mut w = 0usize;
-                let mut j = 0usize;
-                for i in 0..a.len() {
-                    let v = a[i];
-                    while j < runs.len() && runs[j].1 < v {
-                        j += 1;
-                    }
-                    if j == runs.len() {
-                        break;
-                    }
-                    if runs[j].0 <= v {
-                        a[w] = v;
-                        w += 1;
-                    }
-                }
-                a.truncate(w);
-            }
-            _ => {
-                *self = self.intersect(other);
-                return;
-            }
-        }
-        self.canonicalize();
-    }
-
-    pub fn intersect_len(&self, other: &Container) -> u32 {
+    pub(crate) fn intersect_len(&self, other: &Container) -> u32 {
         match (self, other) {
             (Container::Bitset(a), Container::Bitset(b)) => {
                 kernels::intersect_words_card(&a.words, &b.words)
@@ -612,166 +294,21 @@ impl Container {
             | (Container::Bitset(b), Container::Array(a)) => {
                 a.iter().filter(|&&v| b.get(v)).count() as u32
             }
-            (Container::Run(r), Container::Bitset(b))
-            | (Container::Bitset(b), Container::Run(r)) => {
-                r.runs().iter().map(|&(s, e)| kernels::range_card(&b.words, s, e)).sum()
-            }
             (Container::Array(a), Container::Array(b)) => kernels::intersect_arrays_card(a, b),
-            (Container::Array(a), Container::Run(r))
-            | (Container::Run(r), Container::Array(a)) => {
-                run::array_intersect_runs_card(a, r.runs())
-            }
-            (Container::Run(a), Container::Run(b)) => {
-                run::intersect_runs_card(a.runs(), b.runs())
-            }
         }
     }
 
-    pub fn and_not(&self, other: &Container) -> Container {
-        match (self, other) {
-            (Container::Array(a), Container::Array(b)) => {
-                let mut out = Vec::new();
-                kernels::difference_arrays(a, b, &mut out);
-                from_lows(out)
-            }
-            (Container::Array(a), Container::Bitset(b)) => {
-                from_lows(a.iter().copied().filter(|&v| !b.get(v)).collect())
-            }
-            (Container::Array(a), Container::Run(r)) => {
-                let mut out = Vec::new();
-                run::array_subtract_runs(a, r.runs(), &mut out);
-                from_lows(out)
-            }
-            (Container::Run(a), Container::Run(b)) => {
-                let mut out = Vec::new();
-                run::subtract_runs(a.runs(), b.runs(), &mut out);
-                from_run(RunContainer::from_runs(out))
-            }
-            (Container::Run(a), Container::Array(b)) => {
-                let mut br = Vec::new();
-                run::lows_to_runs(b, &mut br);
-                let mut out = Vec::new();
-                run::subtract_runs(a.runs(), &br, &mut out);
-                from_run(RunContainer::from_runs(out))
-            }
-            (Container::Run(a), Container::Bitset(b)) => {
-                let mut out = Box::new(BitsetContainer::new());
-                for &(s, e) in a.runs() {
-                    kernels::set_range(&mut out.words, s, e);
-                }
-                let (card, runs) = kernels::difference_words(&mut out.words, &b.words);
-                out.cardinality = card;
-                out.runs = runs;
-                from_bitset(out)
-            }
-            (Container::Bitset(a), Container::Bitset(b)) => {
-                let mut out = a.clone();
-                let (card, runs) = kernels::difference_words(&mut out.words, &b.words);
-                out.cardinality = card;
-                out.runs = runs;
-                from_bitset(out)
-            }
-            (Container::Bitset(a), Container::Array(b)) => {
-                let mut out = a.clone();
-                for &low in b {
-                    out.unset(low);
-                }
-                from_bitset(out)
-            }
-            (Container::Bitset(a), Container::Run(r)) => {
-                let mut mask = Box::new([0u64; BITSET_WORDS]);
-                for &(s, e) in r.runs() {
-                    kernels::set_range(&mut mask, s, e);
-                }
-                let mut out = a.clone();
-                let (card, runs) = kernels::difference_words(&mut out.words, &mask);
-                out.cardinality = card;
-                out.runs = runs;
-                from_bitset(out)
-            }
-        }
-    }
-
-    /// Number of values strictly smaller than `low`.
-    pub fn rank(&self, low: u16) -> u32 {
-        match self {
-            Container::Array(values) => match values.binary_search(&low) {
-                Ok(pos) | Err(pos) => pos as u32,
-            },
-            Container::Run(rc) => rc.rank(low),
-            Container::Bitset(bs) => {
-                let (w, b) = (low as usize / 64, low as usize % 64);
-                let mut total: u32 = bs.words[..w].iter().map(|x| x.count_ones()).sum();
-                if b > 0 {
-                    total += (bs.words[w] & ((1u64 << b) - 1)).count_ones();
-                }
-                total
-            }
-        }
-    }
-
-    /// The `n`-th smallest value within this container.
-    pub fn select(&self, n: u16) -> Option<u16> {
-        match self {
-            Container::Array(values) => values.get(n as usize).copied(),
-            Container::Run(rc) => rc.select(n as u32),
-            Container::Bitset(bs) => {
-                let mut remaining = n as u32;
-                for (wi, &word) in bs.words.iter().enumerate() {
-                    let ones = word.count_ones();
-                    if remaining < ones {
-                        let mut w = word;
-                        for _ in 0..remaining {
-                            w &= w - 1;
-                        }
-                        return Some((wi * 64 + w.trailing_zeros() as usize) as u16);
-                    }
-                    remaining -= ones;
-                }
-                None
-            }
-        }
-    }
-
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Container::Array(values) => values.len() * 2,
-            Container::Run(rc) => rc.runs().len() * 4,
-            Container::Bitset(_) => BITSET_WORDS * 8 + 8,
-        }
-    }
-
-    pub fn iter(&self) -> ContainerIter<'_> {
+    pub(crate) fn iter(&self) -> ContainerIter<'_> {
         match self {
             Container::Array(values) => ContainerIter::Array(values.iter()),
-            Container::Run(rc) => ContainerIter::Run {
-                runs: rc.runs(),
-                idx: 0,
-                next: rc.runs().first().map_or(0, |r| r.0 as u32),
-            },
             Container::Bitset(bs) => ContainerIter::Bitset { bs, word: 0, bits: bs.words[0] },
         }
     }
 }
 
-impl std::fmt::Debug for Container {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Container::Array(v) => write!(f, "Array(card={})", v.len()),
-            Container::Run(rc) => {
-                write!(f, "Run(card={}, runs={})", rc.cardinality(), rc.n_runs())
-            }
-            Container::Bitset(bs) => {
-                write!(f, "Bitset(card={}, runs={})", bs.cardinality, bs.runs)
-            }
-        }
-    }
-}
-
 /// Ascending iterator over one container's low values.
-pub enum ContainerIter<'a> {
+pub(crate) enum ContainerIter<'a> {
     Array(std::slice::Iter<'a, u16>),
-    Run { runs: &'a [(u16, u16)], idx: usize, next: u32 },
     Bitset { bs: &'a BitsetContainer, word: usize, bits: u64 },
 }
 
@@ -781,21 +318,6 @@ impl<'a> Iterator for ContainerIter<'a> {
     fn next(&mut self) -> Option<u16> {
         match self {
             ContainerIter::Array(iter) => iter.next().copied(),
-            ContainerIter::Run { runs, idx, next } => {
-                if *idx >= runs.len() {
-                    return None;
-                }
-                let v = *next as u16;
-                if *next >= runs[*idx].1 as u32 {
-                    *idx += 1;
-                    if *idx < runs.len() {
-                        *next = runs[*idx].0 as u32;
-                    }
-                } else {
-                    *next += 1;
-                }
-                Some(v)
-            }
             ContainerIter::Bitset { bs, word, bits } => loop {
                 if *bits != 0 {
                     let b = bits.trailing_zeros();
@@ -816,139 +338,71 @@ impl<'a> Iterator for ContainerIter<'a> {
 mod tests {
     use super::*;
 
-    /// Scattered values (stride 2) — run-hostile, so representation is
-    /// driven purely by cardinality.
     fn scattered(n: usize) -> Vec<u16> {
         (0..n).map(|i| (i * 2) as u16).collect()
     }
 
     #[test]
-    fn canonical_rule_picks_cheapest() {
-        // Sparse scattered → array.
-        let c = Container::from_sorted_lows(&scattered(100));
-        assert!(matches!(c, Container::Array(_)) && c.is_canonical());
-        // Dense scattered → bitset (cardinality over 4096, runs over 2048).
-        let c = Container::from_sorted_lows(&scattered(5000));
-        assert!(matches!(c, Container::Bitset(_)) && c.is_canonical());
-        // Clustered → run, regardless of cardinality.
-        let c = Container::from_sorted_lows(&(0..6000).collect::<Vec<u16>>());
-        assert!(matches!(c, Container::Run(_)) && c.is_canonical());
-        let c = Container::from_sorted_lows(&(10..16).collect::<Vec<u16>>());
-        assert!(matches!(c, Container::Run(_)) && c.is_canonical());
-        // Tiny sets stay arrays (tie-break favors Array over Run).
-        let c = Container::from_sorted_lows(&[7, 8]);
-        assert!(matches!(c, Container::Array(_)) && c.is_canonical());
+    fn canonical_rule_is_cardinality_alone() {
+        // Same cardinality, scattered or contiguous: same kind.
+        for lows in [scattered(100), (0..100).collect()] {
+            let c = Container::from_sorted_lows(&lows);
+            assert!(matches!(c, Container::Array(_)) && c.is_canonical());
+        }
+        for lows in [scattered(5000), (0..5000).collect()] {
+            let c = Container::from_sorted_lows(&lows);
+            assert!(matches!(c, Container::Bitset(_)) && c.is_canonical());
+        }
+        let at = Container::from_sorted_lows(&scattered(ARRAY_TO_BITSET_THRESHOLD));
+        assert!(matches!(at, Container::Array(_)) && at.is_canonical());
     }
 
     #[test]
-    fn threshold_conversion_both_ways() {
+    fn insert_converts_at_the_threshold() {
         let mut c = Container::default();
-        for v in scattered(ARRAY_TO_BITSET_THRESHOLD + 1) {
-            c.insert(v);
-            assert!(c.is_canonical());
+        for v in scattered(ARRAY_TO_BITSET_THRESHOLD) {
+            assert!(c.insert(v));
         }
-        assert!(matches!(c, Container::Bitset(_)));
-        c.remove(0);
         assert!(matches!(c, Container::Array(_)) && c.is_canonical());
-        assert_eq!(c.cardinality(), ARRAY_TO_BITSET_THRESHOLD as u32);
-    }
-
-    #[test]
-    fn contiguous_inserts_become_runs() {
-        let mut c = Container::default();
-        for v in 0..5000u16 {
-            c.insert(v);
-        }
-        assert!(matches!(c, Container::Run(_)) && c.is_canonical());
-        assert_eq!(c.cardinality(), 5000);
-        // Punching scattered holes re-fragments it back toward a bitset.
-        for v in (0..5000u16).step_by(2) {
-            c.remove(v);
-            assert!(c.is_canonical());
-        }
-        assert_eq!(c.cardinality(), 2500);
+        assert!(!c.insert(0));
         assert!(matches!(c, Container::Array(_)));
+        assert!(c.insert(1));
+        assert!(matches!(c, Container::Bitset(_)) && c.is_canonical());
+        assert_eq!(c.cardinality(), ARRAY_TO_BITSET_THRESHOLD as u32 + 1);
+        assert!(!c.insert(1) && c.insert(3) && c.is_canonical());
+        assert!(c.contains(3) && !c.contains(5));
     }
 
     #[test]
-    fn bitset_rank_select() {
+    fn bitset_iter_decodes_in_order() {
         let lows = scattered(6000);
         let c = Container::from_sorted_lows(&lows);
         assert!(matches!(c, Container::Bitset(_)));
-        assert_eq!(c.rank(100), 50);
-        assert_eq!(c.select(100), Some(200));
-        assert_eq!(c.select(5999), Some(11_998));
-        assert_eq!(c.select(6000), None);
-        assert_eq!(c.min(), Some(0));
-        assert_eq!(c.max(), Some(11_998));
+        assert_eq!(c.iter().collect::<Vec<u16>>(), lows);
     }
 
     #[test]
-    fn run_rank_select_iter() {
-        let c = Container::from_sorted_lows(&(100..7000).collect::<Vec<u16>>());
-        assert!(matches!(c, Container::Run(_)));
-        assert_eq!(c.rank(100), 0);
-        assert_eq!(c.rank(150), 50);
-        assert_eq!(c.select(0), Some(100));
-        assert_eq!(c.select(6899), Some(6999));
-        assert_eq!(c.select(6900), None);
-        let decoded: Vec<u16> = c.iter().collect();
-        assert_eq!(decoded, (100..7000).collect::<Vec<u16>>());
-    }
-
-    #[test]
-    fn mixed_representation_union() {
-        let sparse = Container::from_sorted_lows(&[1, 3, 5]);
-        let dense_lows: Vec<u16> = (1000..6000).collect();
-        let dense = Container::from_sorted_lows(&dense_lows);
-        assert!(matches!(dense, Container::Run(_)));
+    fn mixed_representation_union_and_intersect() {
+        let sparse = Container::from_sorted_lows(&[1, 3, 5, 6]);
+        let dense = Container::from_sorted_lows(&scattered(5000));
         let mut a = sparse.clone();
         a.union_with(&dense);
-        assert_eq!(a.cardinality(), 3 + 5000);
-        let mut b = dense;
+        let mut b = dense.clone();
         b.union_with(&sparse);
-        assert_eq!(b.cardinality(), 3 + 5000);
-        assert_eq!(a, b); // canonical: same set ⇒ same representation
-        assert_eq!(a.intersect_len(&b), 5003);
-
-        let scat = Container::from_sorted_lows(&scattered(5000));
-        let mut c = scat.clone();
-        c.union_with(&sparse);
-        assert_eq!(c.cardinality(), 5003); // all of {1, 3, 5} are odd, scattered is even
-        assert!(c.is_canonical());
-    }
-
-    #[test]
-    fn and_not_all_representations() {
-        let a = Container::from_sorted_lows(&(0..5000).collect::<Vec<u16>>());
-        let b = Container::from_sorted_lows(&(2500..7500).collect::<Vec<u16>>());
-        assert_eq!(a.and_not(&b).cardinality(), 2500);
-        assert_eq!(b.and_not(&a).cardinality(), 2500);
-        let s = Container::from_sorted_lows(&[0, 1, 2]);
-        assert_eq!(a.and_not(&s).cardinality(), 4997);
-        assert_eq!(s.and_not(&a).cardinality(), 0);
-        let bs = Container::from_sorted_lows(&scattered(5000));
-        assert_eq!(a.and_not(&bs).cardinality(), 2500);
-        assert_eq!(bs.and_not(&a).cardinality(), 2500);
-        assert!(bs.and_not(&a).is_canonical());
-    }
-
-    #[test]
-    fn intersect_with_matches_intersect() {
-        let shapes: Vec<Container> = vec![
-            Container::from_sorted_lows(&[5, 9, 1000, 40_000]),
-            Container::from_sorted_lows(&(0..5000).collect::<Vec<u16>>()),
-            Container::from_sorted_lows(&scattered(5000)),
-            Container::from_sorted_lows(&scattered(300)),
-        ];
-        for x in &shapes {
-            for y in &shapes {
-                let expect = x.intersect(y);
-                let mut got = x.clone();
-                got.intersect_with(y);
-                assert!(got.is_canonical());
-                assert!(got == expect, "intersect_with diverged");
-            }
+        assert_eq!(a.cardinality(), 5003); // 6 is already in `dense`
+        assert!(a.is_canonical());
+        assert!(a == b); // canonical: same set ⇒ same representation
+        assert_eq!(a.intersect_len(&dense), 5000);
+        for (x, y) in [(&sparse, &dense), (&dense, &sparse)] {
+            let i = x.intersect(y);
+            assert!(matches!(&i, Container::Array(v) if v == &[6]));
+            assert_eq!(x.intersect_len(y), 1);
         }
+        // bitset ∩ bitset falling under the threshold returns to an array.
+        let other = Container::from_sorted_lows(&(0..5000).collect::<Vec<u16>>());
+        let i = dense.intersect(&other);
+        assert_eq!(i.cardinality(), 2500);
+        assert!(matches!(i, Container::Array(_)) && i.is_canonical());
+        assert_eq!(dense.intersect_len(&other), 2500);
     }
 }

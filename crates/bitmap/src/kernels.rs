@@ -3,18 +3,18 @@
 //! Two families live here:
 //!
 //! * **word-at-a-time bitset kernels** — straight-line `u64` loops over the
-//!   fixed 1024-word payload (OR/AND/ANDNOT plus fused cardinality and
-//!   run counting). No per-bit branches, no data-dependent control flow:
-//!   each loop is a single pass the compiler autovectorizes.
-//! * **galloping array kernels** — intersection and difference for sorted
-//!   `u16` arrays. When the operand sizes are skewed (ratio ≥
-//!   [`GALLOP_RATIO`]) the kernel walks the small side and
-//!   exponential-searches the large side (`O(s·log(l/s))` instead of
-//!   `O(s+l)`); balanced operands take the classic two-pointer merge.
+//!   fixed 1024-word payload (OR/AND plus the popcount that yields the
+//!   result's cardinality). No per-bit branches, no data-dependent
+//!   control flow: each loop is a single pass the compiler autovectorizes.
+//! * **galloping array kernels** — intersection for sorted `u16` arrays.
+//!   When the operand sizes are skewed (ratio ≥ [`GALLOP_RATIO`]) the
+//!   kernel walks the small side and exponential-searches the large side
+//!   (`O(s·log(l/s))` instead of `O(s+l)`); balanced operands take the
+//!   classic two-pointer merge.
 //!
 //! All kernels are pure set arithmetic — representation choice (which
 //! container kind holds the result) happens in [`crate::container`] from
-//! the `(cardinality, runs)` stats these kernels return.
+//! the cardinality these kernels return.
 
 /// Words in one bitset container payload (65536 bits).
 pub(crate) const BITSET_WORDS: usize = 1024;
@@ -23,55 +23,29 @@ pub(crate) const BITSET_WORDS: usize = 1024;
 /// two-pointer merge to galloping (exponential search in the large side).
 pub(crate) const GALLOP_RATIO: usize = 16;
 
-/// Cardinality and run count of a word block, one pass each.
-///
-/// A run *ends* at bit `b` when `b` is set and `b+1` is clear; counting
-/// ends counts runs. Within a word that is `popcount(w & !(w >> 1))` —
-/// bit 63 always counts and is corrected against the next word's bit 0.
-pub(crate) fn words_stats(words: &[u64; BITSET_WORDS]) -> (u32, u32) {
+/// Cardinality of a word block.
+pub(crate) fn words_card(words: &[u64; BITSET_WORDS]) -> u32 {
     let mut card = 0u32;
     for &w in words.iter() {
         card += w.count_ones();
     }
-    let mut runs = 0u32;
-    for i in 0..BITSET_WORDS - 1 {
-        let w = words[i];
-        runs += (w & !(w >> 1)).count_ones();
-        runs -= ((w >> 63) & words[i + 1]) as u32 & 1;
-    }
-    let last = words[BITSET_WORDS - 1];
-    runs += (last & !(last >> 1)).count_ones();
-    (card, runs)
+    card
 }
 
-/// `a |= b`, word at a time; returns the result's `(cardinality, runs)`.
-pub(crate) fn union_words(a: &mut [u64; BITSET_WORDS], b: &[u64; BITSET_WORDS]) -> (u32, u32) {
+/// `a |= b`, word at a time; returns the result's cardinality.
+pub(crate) fn union_words(a: &mut [u64; BITSET_WORDS], b: &[u64; BITSET_WORDS]) -> u32 {
     for (x, y) in a.iter_mut().zip(b.iter()) {
         *x |= *y;
     }
-    words_stats(a)
+    words_card(a)
 }
 
-/// `a &= b`, word at a time; returns the result's `(cardinality, runs)`.
-pub(crate) fn intersect_words(
-    a: &mut [u64; BITSET_WORDS],
-    b: &[u64; BITSET_WORDS],
-) -> (u32, u32) {
+/// `a &= b`, word at a time; returns the result's cardinality.
+pub(crate) fn intersect_words(a: &mut [u64; BITSET_WORDS], b: &[u64; BITSET_WORDS]) -> u32 {
     for (x, y) in a.iter_mut().zip(b.iter()) {
         *x &= *y;
     }
-    words_stats(a)
-}
-
-/// `a &= !b`, word at a time; returns the result's `(cardinality, runs)`.
-pub(crate) fn difference_words(
-    a: &mut [u64; BITSET_WORDS],
-    b: &[u64; BITSET_WORDS],
-) -> (u32, u32) {
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x &= !*y;
-    }
-    words_stats(a)
+    words_card(a)
 }
 
 /// `|a ∩ b|` without materializing anything.
@@ -88,113 +62,6 @@ pub(crate) fn scatter(lows: &[u16], words: &mut [u64; BITSET_WORDS]) {
     for &low in lows {
         words[low as usize >> 6] |= 1u64 << (low & 63);
     }
-}
-
-/// Sets every bit of the inclusive range `[s, e]`, word-masked (no per-bit
-/// loop).
-pub(crate) fn set_range(words: &mut [u64; BITSET_WORDS], s: u16, e: u16) {
-    let (sw, sb) = (s as usize >> 6, s & 63);
-    let (ew, eb) = (e as usize >> 6, e & 63);
-    let smask = !0u64 << sb;
-    let emask = !0u64 >> (63 - eb);
-    if sw == ew {
-        words[sw] |= smask & emask;
-    } else {
-        words[sw] |= smask;
-        for w in &mut words[sw + 1..ew] {
-            *w = !0;
-        }
-        words[ew] |= emask;
-    }
-}
-
-/// `dst |= src & mask([s, e])` — copies one inclusive range of bits,
-/// word-masked.
-pub(crate) fn copy_range(
-    src: &[u64; BITSET_WORDS],
-    dst: &mut [u64; BITSET_WORDS],
-    s: u16,
-    e: u16,
-) {
-    let (sw, sb) = (s as usize >> 6, s & 63);
-    let (ew, eb) = (e as usize >> 6, e & 63);
-    let smask = !0u64 << sb;
-    let emask = !0u64 >> (63 - eb);
-    if sw == ew {
-        dst[sw] |= src[sw] & smask & emask;
-    } else {
-        dst[sw] |= src[sw] & smask;
-        for w in sw + 1..ew {
-            dst[w] |= src[w];
-        }
-        dst[ew] |= src[ew] & emask;
-    }
-}
-
-/// Popcount of one inclusive bit range.
-pub(crate) fn range_card(words: &[u64; BITSET_WORDS], s: u16, e: u16) -> u32 {
-    let (sw, sb) = (s as usize >> 6, s & 63);
-    let (ew, eb) = (e as usize >> 6, e & 63);
-    let smask = !0u64 << sb;
-    let emask = !0u64 >> (63 - eb);
-    if sw == ew {
-        return (words[sw] & smask & emask).count_ones();
-    }
-    let mut card = (words[sw] & smask).count_ones() + (words[ew] & emask).count_ones();
-    for w in &words[sw + 1..ew] {
-        card += w.count_ones();
-    }
-    card
-}
-
-/// Extracts the normalized run list of a word block into `out` (cleared
-/// first), skipping clear stretches a word at a time via
-/// `trailing_zeros` on the word and its complement.
-pub(crate) fn words_to_runs(words: &[u64; BITSET_WORDS], out: &mut Vec<(u16, u16)>) {
-    out.clear();
-    let mut pos = 0usize;
-    'outer: while pos < 65536 {
-        // Next set bit at or after `pos`.
-        let mut w = pos >> 6;
-        let mut word = words[w] & (!0u64 << (pos & 63));
-        while word == 0 {
-            w += 1;
-            if w == BITSET_WORDS {
-                break 'outer;
-            }
-            word = words[w];
-        }
-        let start = (w << 6) + word.trailing_zeros() as usize;
-        // Next clear bit after `start`.
-        let mut w2 = start >> 6;
-        let mut inv = !words[w2] & (!0u64 << (start & 63));
-        loop {
-            if inv != 0 {
-                let end = (w2 << 6) + inv.trailing_zeros() as usize - 1;
-                out.push((start as u16, end as u16));
-                pos = end + 2;
-                break;
-            }
-            w2 += 1;
-            if w2 == BITSET_WORDS {
-                out.push((start as u16, u16::MAX));
-                break 'outer;
-            }
-            inv = !words[w2];
-        }
-    }
-}
-
-/// Number of runs in a sorted deduplicated array.
-pub(crate) fn array_runs(values: &[u16]) -> u32 {
-    if values.is_empty() {
-        return 0;
-    }
-    let mut runs = 1u32;
-    for w in values.windows(2) {
-        runs += (w[1] != w[0].wrapping_add(1)) as u32;
-    }
-    runs
 }
 
 /// Index of the first element `≥ target` in `h[from..]`, by exponential
@@ -292,33 +159,6 @@ pub(crate) fn intersect_arrays_card(a: &[u16], b: &[u16]) -> u32 {
     count
 }
 
-/// `a \ b` into `out` (appended). Gallops over `b` when it dwarfs `a`.
-pub(crate) fn difference_arrays(a: &[u16], b: &[u16], out: &mut Vec<u16>) {
-    if b.is_empty() {
-        out.extend_from_slice(a);
-        return;
-    }
-    if !a.is_empty() && b.len() / a.len() >= GALLOP_RATIO {
-        let mut pos = 0usize;
-        for &v in a {
-            pos = gallop(b, pos, v);
-            if pos == b.len() || b[pos] != v {
-                out.push(v);
-            }
-        }
-    } else {
-        let mut j = 0usize;
-        for &v in a {
-            while j < b.len() && b[j] < v {
-                j += 1;
-            }
-            if j == b.len() || b[j] != v {
-                out.push(v);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,26 +170,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_cardinality_and_runs() {
-        let w = boxed(&[0, 1, 2, 10, 63, 64, 65, 200]);
-        // runs: 0-2, 10, 63-65 (crosses the word boundary), 200.
-        assert_eq!(words_stats(&w), (8, 4));
-        let empty = Box::new([0u64; BITSET_WORDS]);
-        assert_eq!(words_stats(&empty), (0, 0));
-        let mut full = Box::new([0u64; BITSET_WORDS]);
-        set_range(&mut full, 0, u16::MAX);
-        assert_eq!(words_stats(&full), (65536, 1));
-    }
-
-    #[test]
-    fn set_range_word_boundaries() {
-        for (s, e) in [(0u16, 0u16), (63, 64), (5, 200), (65_530, 65_535), (64, 127)] {
-            let mut w = Box::new([0u64; BITSET_WORDS]);
-            set_range(&mut w, s, e);
-            let expect: Vec<u16> = (s..=e).collect();
-            let direct = boxed(&expect);
-            assert_eq!(*w, *direct, "range [{s}, {e}]");
-        }
+    fn word_ops_return_result_cardinality() {
+        // 63-65 straddles a word boundary.
+        let mut a = boxed(&[0, 1, 2, 10, 63, 64, 65, 200]);
+        let b = boxed(&[2, 3, 64, 65_535]);
+        assert_eq!(words_card(&a), 8);
+        assert_eq!(intersect_words_card(&a, &b), 2);
+        let mut i = a.clone();
+        assert_eq!(intersect_words(&mut i, &b), 2);
+        assert_eq!(*i, *boxed(&[2, 64]));
+        assert_eq!(union_words(&mut a, &b), 10);
+        assert_eq!(*a, *boxed(&[0, 1, 2, 3, 10, 63, 64, 65, 200, 65_535]));
     }
 
     #[test]
@@ -372,8 +203,6 @@ mod tests {
         let large: Vec<u16> = (0..8000).map(|i| i * 5).collect();
         let naive_inter: Vec<u16> =
             small.iter().copied().filter(|v| large.binary_search(v).is_ok()).collect();
-        let naive_diff: Vec<u16> =
-            small.iter().copied().filter(|v| large.binary_search(v).is_err()).collect();
 
         let mut out = Vec::new();
         intersect_arrays(&small, &large, &mut out);
@@ -382,9 +211,5 @@ mod tests {
         intersect_arrays(&large, &small, &mut out);
         assert_eq!(out, naive_inter);
         assert_eq!(intersect_arrays_card(&small, &large), naive_inter.len() as u32);
-
-        out.clear();
-        difference_arrays(&small, &large, &mut out);
-        assert_eq!(out, naive_diff);
     }
 }

@@ -84,7 +84,7 @@ pub fn enumerate_in(
     let items: Vec<Item> = spade_parallel::try_map(dim_attrs, cx.threads, |ai| {
         cx.check()?;
         let col = analysis.attributes[ai].categorical.as_ref().expect("dims have columns");
-        let tidset = Bitmap::from_iter(
+        let tidset = Bitmap::from_sorted_iter(
             (0..analysis.n_facts() as u32).filter(|&f| !col.codes_of(FactId(f)).is_empty()),
         );
         Ok(Item { attr: ai, tidset })

@@ -10,7 +10,6 @@
 
 use crate::result::CubeResult;
 use spade_stats::{Interestingness, RunningMoments};
-use std::collections::HashMap;
 
 /// Identifies one MDA inside one lattice: a lattice node plus an index into
 /// the cube spec's MDA list.
@@ -35,93 +34,45 @@ pub struct ScoredAggregate {
     pub group_count: usize,
 }
 
-/// Accumulates per-aggregate statistics in one pass and ranks by `h`.
+/// Scores every aggregate of a finished result with `h`, from one-pass
+/// moments (no re-scan of group values), and returns the `k` best.
 ///
-/// Single-owner: one manager scores one result on one thread.
-#[derive(Debug, Default)]
-pub struct AggregateResultManager {
-    stats: HashMap<AggregateId, RunningMoments>,
-}
-
-impl AggregateResultManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one group's aggregated value for an MDA.
-    pub fn push(&mut self, id: AggregateId, value: f64) {
-        self.stats.entry(id).or_default().push(value);
-    }
-
-    /// Ingests a finished [`CubeResult`] (the batch path used after
-    /// MVDCube/PGCube runs). Only *visible* groups are scored: per
-    /// Section 2, CFs missing a dimension do not contribute to the result.
-    ///
-    /// Groups are consumed in sorted key order: floating-point accumulation
-    /// is not associative, so a deterministic order makes scores (and hence
-    /// tie-breaking in the top-k) reproducible across runs. Each aggregate's
-    /// statistics are looked up once per node, not once per value.
-    pub fn ingest(&mut self, result: &CubeResult) {
-        for (&mask, node) in &result.nodes {
-            let mut groups: Vec<(&Vec<u32>, &Vec<Option<f64>>)> =
-                node.visible_groups().collect();
-            groups.sort_by(|a, b| a.0.cmp(b.0));
-            for mda in 0..result.mda_labels.len() {
-                let mut values = groups.iter().filter_map(|(_, v)| *v.get(mda)?).peekable();
-                if values.peek().is_some() {
-                    let moments =
-                        self.stats.entry(AggregateId { node_mask: mask, mda }).or_default();
-                    values.for_each(|v| moments.push(v));
-                }
-            }
-        }
-    }
-
-    /// Number of aggregates with at least one group value.
-    pub fn aggregate_count(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// The incremental min/max statistics of one aggregate, if present.
-    pub fn min_max(&self, id: AggregateId) -> Option<(f64, f64)> {
-        let m = self.stats.get(&id)?;
-        (m.count() > 0).then(|| (m.min(), m.max()))
-    }
-
-    /// Scores every aggregate with `h` and returns the `k` best, using the
-    /// one-pass moments (no re-scan of group values).
-    pub fn top_k(
-        &self,
-        h: Interestingness,
-        k: usize,
-        labels: &[String],
-    ) -> Vec<ScoredAggregate> {
-        let mut scored: Vec<ScoredAggregate> = self
-            .stats
-            .iter()
-            .map(|(&id, m)| ScoredAggregate {
-                id,
-                mda_label: labels.get(id.mda).cloned().unwrap_or_default(),
-                score: h.score_from_moments(m),
-                group_count: m.count() as usize,
-            })
-            .collect();
-        scored.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-        scored.truncate(k);
-        scored
-    }
-}
-
-/// Convenience: score a finished result directly and return the top-k.
+/// Only *visible* groups are scored: per Section 2, CFs missing a
+/// dimension do not contribute to the result. Groups are consumed in
+/// sorted key order: floating-point accumulation is not associative, so a
+/// deterministic order makes scores (and hence tie-breaking in the top-k)
+/// reproducible across runs.
 pub fn top_k_of_result(
     result: &CubeResult,
     h: Interestingness,
     k: usize,
 ) -> Vec<ScoredAggregate> {
-    let mut arm = AggregateResultManager::new();
-    arm.ingest(result);
-    arm.top_k(h, k, &result.mda_labels)
+    let mut scored = Vec::new();
+    // One accumulator per MDA, reset for each node.
+    let mut moments = vec![RunningMoments::default(); result.mda_labels.len()];
+    for (&node_mask, node) in &result.nodes {
+        let mut groups: Vec<(&Vec<u32>, &Vec<Option<f64>>)> = node.visible_groups().collect();
+        groups.sort_by(|a, b| a.0.cmp(b.0));
+        moments.fill(RunningMoments::default());
+        for (_, values) in groups {
+            for (m, value) in moments.iter_mut().zip(values) {
+                if let Some(v) = value {
+                    m.push(*v);
+                }
+            }
+        }
+        for (mda, m) in moments.iter().enumerate().filter(|(_, m)| m.count() > 0) {
+            scored.push(ScoredAggregate {
+                id: AggregateId { node_mask, mda },
+                mda_label: result.mda_labels[mda].clone(),
+                score: h.score_from_moments(m),
+                group_count: m.count() as usize,
+            });
+        }
+    }
+    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
+    scored.truncate(k);
+    scored
 }
 
 #[cfg(test)]
@@ -155,33 +106,6 @@ mod tests {
         let r = result_with_two_aggregates();
         let top = top_k_of_result(&r, Interestingness::Variance, 1);
         assert_eq!(top.len(), 1);
-    }
-
-    #[test]
-    fn incremental_push_equals_ingest() {
-        let r = result_with_two_aggregates();
-        let mut batch = AggregateResultManager::new();
-        batch.ingest(&r);
-        let mut inc = AggregateResultManager::new();
-        let id = AggregateId { node_mask: 0b1, mda: 1 };
-        for v in [10.0, 11.0, 500.0] {
-            inc.push(id, v);
-        }
-        let a = batch.top_k(Interestingness::Variance, 1, &r.mda_labels);
-        let b = inc.top_k(Interestingness::Variance, 1, &r.mda_labels);
-        assert_eq!(a[0].id, b[0].id);
-        assert!((a[0].score - b[0].score).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_max_statistics_maintained() {
-        let r = result_with_two_aggregates();
-        let mut arm = AggregateResultManager::new();
-        arm.ingest(&r);
-        let id = AggregateId { node_mask: 0b1, mda: 1 };
-        assert_eq!(arm.min_max(id), Some((10.0, 500.0)));
-        assert_eq!(arm.min_max(AggregateId { node_mask: 0b11, mda: 0 }), None);
-        assert_eq!(arm.aggregate_count(), 2);
     }
 
     #[test]

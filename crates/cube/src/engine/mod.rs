@@ -3,8 +3,8 @@
 //!
 //! This is MVDCube's evaluation (Algorithm 1): ArrayCube's one-pass MMST
 //! cascade with one change — a cube cell holds the **set of facts** it
-//! groups (a Roaring [`spade_bitmap::Bitmap`]) instead of a partial
-//! aggregate. A parent cell combines into a child cell by set union, which
+//! groups (a [`spade_bitmap::Bitmap`]: sorted-array chunks, bitsets where
+//! dense) instead of a partial aggregate. A parent cell combines into a child cell by set union, which
 //! consolidates a multi-valued fact that occupies several parent cells into
 //! one child membership (the correctness fix of Section 4.2), and measures
 //! are joined in only when a region is complete. The module tree: [`geometry`]

@@ -11,8 +11,9 @@
 //!   pass (Section 5.3);
 //! * [`mvdcube`] — **MVDCube** (Algorithm 1): the correct one-pass
 //!   evaluation in the presence of multi-valued dimensions, propagating
-//!   Roaring bitmaps down the MMST and computing measures from per-fact
-//!   pre-aggregates at flush time;
+//!   fact-set bitmaps (array and bitset containers, `spade-bitmap`) down
+//!   the MMST and computing measures from per-fact pre-aggregates at flush
+//!   time;
 //! * [`arraycube`] — the classical ArrayCube baseline, a small
 //!   self-contained evaluator that computes each lattice node from its MMST
 //!   parent's *aggregated values* and is therefore subject to the errors
@@ -21,8 +22,8 @@
 //!   (grouping-sets via symmetric rollup-chain decomposition over the
 //!   flattened join result), in its `count(*)` (PGCube\*) and
 //!   `count(distinct)` (PGCube^d) variants (Section 6, baselines);
-//! * [`arm`] — the Aggregate Result Manager: stores per-MDA group values,
-//!   incrementally maintains statistics, and ranks MDAs by interestingness
+//! * [`arm`] — the Aggregate Result Manager's job as one function: one-pass
+//!   statistics per MDA over a finished result, ranked by interestingness
 //!   (Section 3, Steps 4–5);
 //! * [`earlystop`] — the early-stop pruning loop over the stratified samples
 //!   (Section 5), wired into MVDCube;
@@ -62,7 +63,6 @@ pub mod result;
 pub mod spec;
 pub mod translate;
 
-pub use arm::AggregateResultManager;
 pub use arraycube::array_cube;
 pub use compare::{compare_results, ComparisonReport};
 pub use earlystop::{EarlyStopConfig, EarlyStopOutcome};

@@ -34,7 +34,7 @@
 //! | [`rdf`] | triple store, dictionary, N-Triples I/O, RDFS saturation |
 //! | [`summary`] | RDFQuotient-style structural summaries |
 //! | [`storage`] | CFS tables, attribute columns, pre-aggregated measures |
-//! | [`bitmap`] | Roaring-style bitmaps (cube cells, tidsets, samples) |
+//! | [`bitmap`] | Roaring-style bitmaps, array and bitset containers (cube cells, tidsets, samples) |
 //! | [`stats`] | interestingness functions, Delta-Method CIs, sampling |
 //! | [`cube`] | MVDCube, ArrayCube and PGCube baselines, lattices/MMST, ARM |
 //! | [`core`] | the Spade pipeline: derivations, CFS selection, enumeration, evaluation, top-k |
