@@ -27,8 +27,9 @@ use crate::config::SpadeConfig;
 use crate::enumeration::LatticeSpec;
 use spade_cube::earlystop;
 use spade_cube::mvdcube::{mvd_cube_pruned_in, prepare_in, MvdCubeOptions};
-use spade_cube::{CubeResult, CubeSpec, ExecCtx, MeasureSpec};
+use spade_cube::{CubeResult, CubeSpec, ExecCtx, MdaKind, MeasureSpec};
 use spade_parallel::Cancelled;
+use spade_storage::AggFn;
 use std::collections::{HashMap, HashSet};
 
 /// The evaluation output for one CFS.
@@ -84,10 +85,13 @@ pub fn evaluate_cfs_in(
     let options = MvdCubeOptions::default();
 
     // —— serial planning: cross-lattice sharing ——
-    // `(sorted dim attribute ids, MDA label)` pairs already evaluated in an
-    // earlier lattice of this CFS; lattice order decides who computes a
-    // shared aggregate, so this pass must stay sequential.
-    let mut shared: HashSet<(Vec<usize>, String)> = HashSet::new();
+    // The aggregates already evaluated in an earlier lattice of this CFS,
+    // by identity: sorted dimension attribute ids → `(measure attribute id,
+    // function)` pairs, `None` standing for `count(*)`. Not by label: two
+    // measures whose IRIs share a local name share a label. Lattice order
+    // decides who computes a shared aggregate, so this pass must stay
+    // sequential.
+    let mut shared: HashMap<Vec<usize>, HashSet<Option<(usize, AggFn)>>> = HashMap::new();
     let mut work: Vec<(CubeSpec<'_>, HashMap<u32, Vec<bool>>)> =
         Vec::with_capacity(lattices.len());
     for lattice_spec in lattices {
@@ -106,7 +110,16 @@ pub fn evaluate_cfs_in(
             })
             .collect();
         let spec = CubeSpec::new(dims, measures, analysis.n_facts());
-        let mdas = spec.mdas();
+        let mda_ids: Vec<Option<(usize, AggFn)>> = spec
+            .mdas()
+            .iter()
+            .map(|mda| match mda.kind {
+                MdaKind::FactCount => None,
+                MdaKind::Measure { measure, agg } => {
+                    Some((lattice_spec.measures[measure], agg))
+                }
+            })
+            .collect();
 
         // Mark duplicated (dim set, MDA) pairs dead.
         let n_dims = lattice_spec.dims.len();
@@ -116,10 +129,8 @@ pub fn evaluate_cfs_in(
                 .filter(|i| mask & (1 << i) != 0)
                 .map(|i| lattice_spec.dims[i])
                 .collect();
-            let flags: Vec<bool> = mdas
-                .iter()
-                .map(|mda| shared.insert((dim_attrs.clone(), mda.label.clone())))
-                .collect();
+            let evaluated = shared.entry(dim_attrs).or_default();
+            let flags: Vec<bool> = mda_ids.iter().map(|&id| evaluated.insert(id)).collect();
             evaluation.enumerated_aggregates += flags.iter().filter(|&&f| f).count();
             alive.insert(mask, flags);
         }
@@ -226,6 +237,55 @@ mod tests {
             eval.enumerated_aggregates <= independent,
             "sharing cannot increase the aggregate count"
         );
+    }
+
+    /// Two numeric properties whose IRIs share a local name (`a:age`,
+    /// `b:age`) carry the same MDA labels (`sum(age)`, …). Sharing keys on
+    /// attribute ids, so neither measure's aggregates are taken for the
+    /// other's: both are evaluated.
+    #[test]
+    fn measures_sharing_a_local_name_are_both_evaluated() {
+        use spade_rdf::{vocab, Graph, Term};
+        let mut g = Graph::new();
+        for i in 0..40i64 {
+            let n = Term::iri(format!("http://x.example/n{i}"));
+            g.insert(n.clone(), Term::iri(vocab::RDF_TYPE), Term::iri("http://x.example/T"));
+            let city = ["a", "b", "c", "d"][i as usize % 4];
+            g.insert(n.clone(), Term::iri("http://x.example/city"), Term::lit(city));
+            g.insert(n.clone(), Term::iri("http://a.example/age"), Term::int(i));
+            g.insert(n, Term::iri("http://b.example/age"), Term::int(100 + 3 * i));
+        }
+        let config = SpadeConfig {
+            min_cfs_size: 1,
+            min_support: 0.1,
+            max_distinct_ratio: 0.5,
+            ..Default::default()
+        };
+        let stats = offline::analyze(&g);
+        let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
+        let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+        let analysis = analyze_cfs(&g, &cfs_list[0], &derived, &config);
+        let ages: Vec<usize> = (analysis.measure_attrs().into_iter())
+            .filter(|&m| analysis.attributes[m].def.name == "age")
+            .collect();
+        assert_eq!(ages.len(), 2, "both age properties are measures named `age`");
+        let lattices = enumerate(&analysis, &config);
+        let eval = evaluate_cfs(&analysis, &lattices, &config);
+        let n_fns = config.agg_fns.len();
+        for age in ages {
+            let evaluated = lattices.iter().zip(&eval.results).any(|(lattice, result)| {
+                lattice.measures.iter().position(|&m| m == age).is_some_and(|j| {
+                    // MDA 0 is count(*); measure j's functions follow.
+                    let mdas = 1 + j * n_fns..1 + (j + 1) * n_fns;
+                    result
+                        .nodes
+                        .values()
+                        .flat_map(|node| node.groups())
+                        .any(|(_, values)| values[mdas.clone()].iter().any(Option::is_some))
+                })
+            });
+            assert!(evaluated, "attribute {age}: no aggregate of it was evaluated");
+        }
     }
 
     #[test]

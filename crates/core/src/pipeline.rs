@@ -13,7 +13,7 @@ use crate::enumeration::{enumerate_in, LatticeSpec};
 use crate::evaluate::evaluate_cfs_in;
 use crate::json::JsonWriter;
 use crate::offline::{self, DerivationCounts, OfflineStats};
-use spade_cube::arm::top_k_of_result;
+use spade_cube::arm::score_aggregates;
 use spade_cube::result::NULL_CODE;
 use spade_cube::ExecCtx;
 use spade_parallel::Cancelled;
@@ -89,7 +89,9 @@ pub struct TopAggregate {
     pub mda: String,
     /// Interestingness score.
     pub score: f64,
-    /// Number of (visible) groups.
+    /// Number of visible groups with a value for the MDA — the `W` the
+    /// score ranges over (groups whose facts all lack the measure are not
+    /// counted).
     pub groups: usize,
     /// Up to twelve `(group label, value)` pairs for display (Figure 6).
     pub sample_groups: Vec<(String, f64)>,
@@ -568,16 +570,18 @@ impl Spade {
 
         // —— Step 5: top-k (parallel per lattice result) ——
         let (span, _) = cx.span("topk");
-        // Score first with a light record; only the k winners get their
+        // Score first with a light record that borrows its label from the
+        // result; only the k winners get their label cloned and their
         // display details (dimension names, group samples) materialized.
-        // Scoring fans out over the per-lattice results and merges in input
-        // order, so the concatenation below — and therefore the tie-broken
-        // sort — is identical for every thread count.
-        struct Scored {
+        // Scoring fans out over the per-lattice results and the ranking is
+        // a total order — `(score, cfs, label, id)`, then lattice for
+        // aggregates of different lattices that tie on all four — so the
+        // winners are identical for every thread count.
+        struct Scored<'r> {
             cfs_idx: usize,
             lattice_idx: usize,
             id: spade_cube::arm::AggregateId,
-            label: String,
+            label: &'r str,
             score: f64,
             groups: usize,
         }
@@ -592,32 +596,29 @@ impl Spade {
                     .map(move |(lattice_idx, result)| (cfs_idx, lattice_idx, result))
             })
             .collect();
-        let per_result: Vec<Vec<Scored>> = spade_parallel::try_map(
+        let per_result: Vec<Vec<Scored<'_>>> = spade_parallel::try_map(
             score_inputs,
             cx.threads,
             |(cfs_idx, lattice_idx, result)| {
                 cx.check()?;
-                Ok(top_k_of_result(result, config.interestingness, usize::MAX)
-                    .into_iter()
-                    .filter(|s| s.score > 0.0)
-                    .map(|s| Scored {
-                        cfs_idx,
-                        lattice_idx,
-                        id: s.id,
-                        label: s.mda_label,
-                        score: s.score,
-                        groups: s.group_count,
-                    })
-                    .collect())
+                let mut scored = Vec::new();
+                score_aggregates(result, config.interestingness, |id, score, groups| {
+                    if score > 0.0 {
+                        let label = result.mda_labels[id.mda].as_str();
+                        scored.push(Scored { cfs_idx, lattice_idx, id, label, score, groups });
+                    }
+                });
+                Ok(scored)
             },
         )?;
-        let mut scored: Vec<Scored> = per_result.into_iter().flatten().collect();
-        scored.sort_by(|a, b| {
+        let mut scored: Vec<Scored<'_>> = per_result.into_iter().flatten().collect();
+        scored.sort_unstable_by(|a, b| {
             b.score
                 .total_cmp(&a.score)
                 .then_with(|| a.cfs_idx.cmp(&b.cfs_idx))
-                .then_with(|| a.label.cmp(&b.label))
+                .then_with(|| a.label.cmp(b.label))
                 .then_with(|| a.id.cmp(&b.id))
+                .then_with(|| a.lattice_idx.cmp(&b.lattice_idx))
         });
         scored.truncate(config.k);
         report.top = scored
@@ -636,7 +637,7 @@ impl Spade {
                             analysis.attributes[lattice_spec.dims[pos]].def.name.clone()
                         })
                         .collect(),
-                    mda: s.label,
+                    mda: s.label.to_owned(),
                     score: s.score,
                     groups: s.groups,
                     sample_groups: sample_groups(analysis, lattice_spec, node, s.id.mda),

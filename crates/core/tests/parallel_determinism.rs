@@ -11,6 +11,7 @@ use spade_core::offline;
 use spade_core::{Spade, SpadeConfig};
 use spade_cube::CubeResult;
 use spade_datagen::{realistic, RealisticConfig};
+use spade_telemetry::ledger::key_hash;
 
 /// Exact (bit-level) equality of two cube results: same nodes, same groups,
 /// same per-MDA values down to the f64 bit pattern.
@@ -24,11 +25,10 @@ fn assert_results_identical(a: &CubeResult, b: &CubeResult, context: &str) {
     for mask in masks {
         let na = &a.nodes[&mask];
         let nb = &b.nodes[&mask];
-        assert_eq!(na.groups.len(), nb.groups.len(), "{context}: node {mask:b} group count");
-        for (key, va) in &na.groups {
+        assert_eq!(na.group_count(), nb.group_count(), "{context}: node {mask:b} group count");
+        for (key, va) in na.groups() {
             let vb = nb
-                .groups
-                .get(key)
+                .get(&key)
                 .unwrap_or_else(|| panic!("{context}: node {mask:b} missing group {key:?}"));
             assert_eq!(va.len(), vb.len());
             for (i, (x, y)) in va.iter().zip(vb).enumerate() {
@@ -69,22 +69,34 @@ fn evaluation_is_bit_identical_across_thread_counts() {
     }
 }
 
-fn run_pipeline(threads: usize, early_stop: bool) -> Vec<(String, u64, usize)> {
+/// FNV-1a digests of the serial reports' deterministic JSON bodies
+/// (`to_json(false)`), recorded before results became columnar. Equality
+/// across thread counts cannot see a change that alters every body the same
+/// way; these pin the bytes across commits. A deliberate change to the
+/// report re-records them.
+const REPORT_DIGEST: u64 = 0x50af_cdaa_590c_d490;
+const REPORT_DIGEST_EARLY_STOP: u64 = 0xced9_c0f8_ffe2_d159;
+
+/// The top-k of one pipeline run, and the digest of its report body.
+fn run_pipeline(threads: usize, early_stop: bool) -> (Vec<(String, u64, usize)>, u64) {
     let mut g = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
     let mut config = SpadeConfig { k: 8, min_support: 0.3, threads, ..Default::default() };
     if early_stop {
         config = config.with_early_stop();
     }
     let report = Spade::new(config).run(&mut g);
-    report.top.iter().map(|t| (t.description(), t.score.to_bits(), t.groups)).collect()
+    let top =
+        report.top.iter().map(|t| (t.description(), t.score.to_bits(), t.groups)).collect();
+    (top, key_hash(&report.to_json(false)))
 }
 
 #[test]
 fn top_k_is_identical_across_thread_counts() {
-    let serial = run_pipeline(1, false);
+    let (serial, digest) = run_pipeline(1, false);
     assert!(!serial.is_empty());
+    assert_eq!(digest, REPORT_DIGEST, "the report body changed: {digest:#018x}");
     for threads in [2usize, 8] {
-        assert_eq!(serial, run_pipeline(threads, false), "threads={threads}");
+        assert_eq!(serial, run_pipeline(threads, false).0, "threads={threads}");
     }
 }
 
@@ -92,10 +104,11 @@ fn top_k_is_identical_across_thread_counts() {
 fn top_k_with_early_stop_is_identical_across_thread_counts() {
     // Early-stop draws per-lattice seeded samples; pruning decisions must
     // not depend on scheduling.
-    let serial = run_pipeline(1, true);
+    let (serial, digest) = run_pipeline(1, true);
     assert!(!serial.is_empty());
+    assert_eq!(digest, REPORT_DIGEST_EARLY_STOP, "the report body changed: {digest:#018x}");
     for threads in [2usize, 8] {
-        assert_eq!(serial, run_pipeline(threads, true), "threads={threads}");
+        assert_eq!(serial, run_pipeline(threads, true).0, "threads={threads}");
     }
 }
 

@@ -6,7 +6,7 @@
 //! p^A_j the value that PGCube^d computes for the same group. … Each
 //! aggregate thus leads to a set of error ratios, one per group."
 
-use crate::result::CubeResult;
+use crate::result::{CubeResult, NodeResult};
 use std::collections::HashMap;
 
 /// Outcome of comparing a baseline against the correct result.
@@ -71,20 +71,22 @@ pub fn compare_results(
     let n_mdas = correct.mda_labels.len();
 
     for (mask, correct_node) in &correct.nodes {
-        let baseline_node = baseline.node(*mask);
-        for mda in 0..n_mdas {
-            let label = &correct.mda_labels[mda];
-            let mut wrong = false;
-            for (key, correct_vals) in &correct_node.groups {
-                let m = correct_vals[mda];
-                let p = baseline_node.and_then(|n| n.groups.get(key)).and_then(|v| v[mda]);
+        let mut wrong = vec![false; n_mdas];
+        // A group missing on one side reads as all-`None` there: a value
+        // the other side has falsifies the aggregate (missing or phantom
+        // group).
+        for (correct_vals, baseline_vals) in join_rows(correct_node, baseline.node(*mask)) {
+            for mda in 0..n_mdas {
+                let m = correct_vals.and_then(|v| v[mda]);
+                let p = baseline_vals.and_then(|v| v[mda]);
                 match (m, p) {
                     (None, None) => {}
                     (Some(m), Some(p)) => {
                         let tol = rel_eps * (1.0 + m.abs().max(p.abs()));
                         if (m - p).abs() > tol {
-                            wrong = true;
+                            wrong[mda] = true;
                             if m != 0.0 && m.signum() == p.signum() {
+                                let label = &correct.mda_labels[mda];
                                 report
                                     .error_ratios
                                     .entry(label.clone())
@@ -93,25 +95,42 @@ pub fn compare_results(
                             }
                         }
                     }
-                    _ => wrong = true,
+                    _ => wrong[mda] = true,
                 }
             }
-            // Baseline groups that do not exist in the correct result also
-            // falsify the aggregate (phantom groups).
-            if let Some(bn) = baseline_node {
-                for (key, vals) in &bn.groups {
-                    if vals[mda].is_some() && !correct_node.groups.contains_key(key) {
-                        wrong = true;
-                    }
-                }
-            }
-            if wrong {
-                report.wrong_aggregates += 1;
-                *report.wrong_by_mda.entry(label.clone()).or_default() += 1;
-            }
+        }
+        for (label, _) in correct.mda_labels.iter().zip(wrong).filter(|(_, w)| *w) {
+            report.wrong_aggregates += 1;
+            *report.wrong_by_mda.entry(label.clone()).or_default() += 1;
         }
     }
     report
+}
+
+type Row<'a> = Option<&'a [Option<f64>]>;
+
+/// The rows of two results for one node, paired by group key in ascending
+/// key order — a merge join over the two sorted cell columns; `None` on the
+/// side that lacks the group.
+fn join_rows<'a>(a: &'a NodeResult, b: Option<&'a NodeResult>) -> Vec<(Row<'a>, Row<'a>)> {
+    if let Some(b) = b {
+        assert_eq!(a.domains, b.domains, "node {:b}: the results' domains differ", a.mask);
+    }
+    let mut rows_a = a.rows().peekable();
+    let mut rows_b = b.into_iter().flat_map(NodeResult::rows).peekable();
+    let mut out = Vec::new();
+    loop {
+        let (take_a, take_b) = match (rows_a.peek(), rows_b.peek()) {
+            (None, None) => break,
+            (Some(ra), Some(rb)) => (ra.0 <= rb.0, rb.0 <= ra.0),
+            (Some(_), None) => (true, false),
+            (None, Some(_)) => (false, true),
+        };
+        let a_row = rows_a.next_if(|_| take_a).map(|r| r.2);
+        let b_row = rows_b.next_if(|_| take_b).map(|r| r.2);
+        out.push((a_row, b_row));
+    }
+    out
 }
 
 #[cfg(test)]

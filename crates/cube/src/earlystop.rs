@@ -613,7 +613,7 @@ mod tests {
         let hot_idx = 1; // mdas: count(*), avg(hot), avg(flat)
         assert!(outcome.alive[&0b01][hot_idx], "hot aggregate wrongly pruned");
         let node = result.node(0b01).unwrap();
-        assert!(node.groups.values().any(|v| v[hot_idx].is_some()));
+        assert!(node.groups().any(|(_, v)| v[hot_idx].is_some()));
     }
 
     #[test]
@@ -677,7 +677,7 @@ mod tests {
             mvd_cube_with_earlystop(&spec, &MvdCubeOptions::default(), &config);
         for (mask, flags) in &outcome.alive {
             if let Some(node) = result.node(*mask) {
-                for values in node.groups.values() {
+                for (_, values) in node.groups() {
                     for (mi, v) in values.iter().enumerate() {
                         if !flags[mi] {
                             assert!(v.is_none(), "pruned MDA {mi} of node {mask:b} computed");

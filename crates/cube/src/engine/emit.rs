@@ -3,10 +3,14 @@
 //! A finished cell's measures come from one **bitmap-to-CSR join**
 //! ([`LatticePlan::emit_cell`]): the cell's fact set against the per-fact
 //! pre-aggregated measure columns, which are ordered by fact id like the
-//! bitmap (`⊗`, Section 4.3). A single-shard plan emits at flush time
-//! ([`emit_region_into`]); after a multi-shard cascade every emitting
-//! `(node, region)` holds one sorted partial cell list per shard that
-//! touched it, and [`merge_and_emit`] finishes in three deterministic steps:
+//! bitmap (`⊗`, Section 4.3). Every emitted cell becomes one row *appended*
+//! to its node's columnar [`NodeResult`]: the cell index and visibility from
+//! [`super::geometry::NodeGeom::cell_of`], then the values, written in place
+//! — no key vector, no value vector, no hash insert per group. A
+//! single-shard plan emits at flush time ([`emit_region_into`]); after a
+//! multi-shard cascade every emitting `(node, region)` holds one sorted
+//! partial cell list per shard that touched it, and [`merge_and_emit`]
+//! finishes in three deterministic steps:
 //!
 //! 1. **Gather** — partials are grouped per `(node, region)` in shard
 //!    order (a `BTreeMap` keyed by `(mask, region)` fixes the region
@@ -16,10 +20,12 @@
 //!    regions are independent, so this fans out on
 //!    [`spade_parallel::try_map`] with input-order results;
 //! 3. **Emit** — the merged cell lists are cut into weighted tasks
-//!    (boundaries depend only on cell counts), each task decodes its
-//!    cells' group keys and computes measures with a task-local scratch,
-//!    and a serial fold inserts the task outputs into the [`CubeResult`]
-//!    in task order.
+//!    (boundaries depend only on cell counts), each task appends its cells'
+//!    rows to a task-local part of the node with a task-local scratch, and a
+//!    serial fold appends the parts to the [`CubeResult`] in task order.
+//!
+//! Either way a node whose regions arrive out of key order has its rows
+//! sorted once afterwards ([`super::run_engine`]).
 //!
 //! Merging before emitting is what makes sharding invisible: a cell's
 //! measures are computed exactly once, from its complete fact set, just
@@ -69,16 +75,22 @@ pub(super) fn needed_measures(mdas: &[Mda], n_measures: usize, alive: &[bool]) -
 }
 
 impl LatticePlan<'_> {
-    /// Computes the per-MDA values of a finished cell. `alive[i] == false`
-    /// means MDA `i` was pruned by early-stop and must not be computed;
-    /// `needed` is the node's [`needed_measures`].
-    fn emit_cell(
-        &self,
+    /// An empty result for node `mask`.
+    pub(super) fn empty_node(&self, mask: u32) -> NodeResult {
+        NodeResult::new(mask, &self.domains, self.mdas.len())
+    }
+
+    /// Computes the per-MDA values of a finished cell, yielded in MDA order
+    /// for the caller to append. `alive[i] == false` means MDA `i` was
+    /// pruned by early-stop and must not be computed; `needed` is the
+    /// node's [`needed_measures`].
+    fn emit_cell<'a>(
+        &'a self,
         cell: &Bitmap,
-        alive: &[bool],
+        alive: &'a [bool],
         needed: &[usize],
-        scratch: &mut EmitScratch,
-    ) -> Vec<Option<f64>> {
+        scratch: &'a mut EmitScratch,
+    ) -> impl Iterator<Item = Option<f64>> + 'a {
         // Measure computation is a batched bitmap-to-CSR join: the cell's
         // bitmap is decoded once (container-at-a-time) into a reused fact
         // buffer, then each needed measure's pre-aggregated
@@ -102,55 +114,63 @@ impl LatticePlan<'_> {
             }
             scratch.facts.len() as u64
         };
-        self.mdas
-            .iter()
-            .zip(alive)
-            .map(|(mda, &is_alive)| {
-                if !is_alive {
-                    return None;
-                }
-                match mda.kind {
-                    MdaKind::FactCount => Some(facts as f64),
-                    MdaKind::Measure { measure, agg } => {
-                        let t = scratch.totals[measure];
-                        if t.count == 0 {
-                            return None;
-                        }
-                        Some(match agg {
-                            AggFn::Count => t.count as f64,
-                            AggFn::Sum => t.sum,
-                            AggFn::Avg => t.sum / t.count as f64,
-                            AggFn::Min => t.min,
-                            AggFn::Max => t.max,
-                        })
+        let totals = &scratch.totals;
+        self.mdas.iter().zip(alive).map(move |(mda, &is_alive)| {
+            if !is_alive {
+                return None;
+            }
+            match mda.kind {
+                MdaKind::FactCount => Some(facts as f64),
+                MdaKind::Measure { measure, agg } => {
+                    let t = totals[measure];
+                    if t.count == 0 {
+                        return None;
                     }
+                    Some(match agg {
+                        AggFn::Count => t.count as f64,
+                        AggFn::Sum => t.sum,
+                        AggFn::Avg => t.sum / t.count as f64,
+                        AggFn::Min => t.min,
+                        AggFn::Max => t.max,
+                    })
                 }
-            })
-            .collect()
+            }
+        })
+    }
+
+    /// Appends cells of one region of `node`, given in ascending local
+    /// order, as rows.
+    fn emit_cells<'c>(
+        &self,
+        node: &mut NodeResult,
+        region: u64,
+        cells: impl Iterator<Item = (u64, &'c Bitmap)>,
+        scratch: &mut EmitScratch,
+    ) {
+        let mask = node.mask;
+        let (geom, alive, needed) =
+            (&self.geoms[&mask], &self.alive[&mask], &self.needed[&mask]);
+        for (local, cell) in cells {
+            let (index, visible) = geom.cell_of(region, local);
+            node.push_row(index, visible, self.emit_cell(cell, alive, needed, scratch));
+        }
     }
 }
 
 /// Emits one completed region's measures straight into `result` — the
 /// emit-at-flush path of a single-shard plan ([`super::shard::ShardSink`]),
-/// where no cross-shard merge is needed. `key_buf`/`scratch` are the
-/// cascade-lifetime reusable buffers.
+/// where no cross-shard merge is needed. `scratch` is the cascade-lifetime
+/// reusable buffer.
 pub(crate) fn emit_region_into(
     plan: &LatticePlan<'_>,
     mask: u32,
     region: u64,
     store: &RegionStore<Bitmap>,
-    key_buf: &mut Vec<u32>,
     scratch: &mut EmitScratch,
     result: &mut CubeResult,
 ) {
-    let geom = &plan.geoms[&mask];
-    let alive = &plan.alive[&mask];
-    let needed = &plan.needed[&mask];
-    let node = result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
-    for (local, cell) in store.iter_cells() {
-        geom.decode_into(region, local, key_buf);
-        node.groups.insert(key_buf.clone(), plan.emit_cell(cell, alive, needed, scratch));
-    }
+    let node = result.nodes.entry(mask).or_insert_with(|| plan.empty_node(mask));
+    plan.emit_cells(node, region, store.iter_cells(), scratch);
 }
 
 /// Merges shard partials and emits measures into `result`. The budget is
@@ -211,29 +231,18 @@ pub(crate) fn merge_and_emit(
             tasks.push((*mask, *region, &cells[a..b]));
         }
     }
-    let outputs = spade_parallel::try_map(tasks, cx.threads, |(mask, region, cells)| {
+    let parts = spade_parallel::try_map(tasks, cx.threads, |(mask, region, cells)| {
         cx.check()?;
-        let geom = &plan.geoms[&mask];
-        let alive = &plan.alive[&mask];
-        let needed = &plan.needed[&mask];
-        let mut key_buf: Vec<u32> = Vec::new();
-        let mut scratch = EmitScratch::default();
-        let groups: Vec<(Vec<u32>, Vec<Option<f64>>)> = cells
-            .iter()
-            .map(|(local, cell)| {
-                geom.decode_into(region, *local, &mut key_buf);
-                (key_buf.clone(), plan.emit_cell(cell, alive, needed, &mut scratch))
-            })
-            .collect();
-        Ok((mask, groups))
+        let mut part = plan.empty_node(mask);
+        let cells = cells.iter().map(|(local, cell)| (*local, cell));
+        plan.emit_cells(&mut part, region, cells, &mut EmitScratch::default());
+        Ok(part)
     })?;
 
     // —— serial fold, in task order ——
-    for (mask, groups) in outputs {
-        let node = result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
-        for (key, values) in groups {
-            node.groups.insert(key, values);
-        }
+    for part in parts {
+        let mask = part.mask;
+        result.nodes.entry(mask).or_insert_with(|| plan.empty_node(mask)).append(part);
     }
     Ok(result)
 }

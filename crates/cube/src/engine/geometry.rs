@@ -79,21 +79,21 @@ impl NodeGeom {
         self.dims.iter().zip(&self.region_strides).map(|(&d, &s)| coords[d] as u64 * s).sum()
     }
 
-    /// Decodes a `(region, local cell)` pair into per-dim value codes,
-    /// writing into `out` (cleared first) to avoid per-cell allocation.
-    /// The internal null slot (last code of each domain) is remapped to
-    /// [`crate::result::NULL_CODE`].
-    pub(crate) fn decode_into(&self, region: u64, local: u64, out: &mut Vec<u32>) {
-        out.clear();
+    /// Maps a `(region, local cell)` pair to the node's row-major cell
+    /// index over its full domains — the row key of
+    /// [`crate::result::NodeResult`] — and whether the cell is visible: no
+    /// coordinate sits in its domain's null slot (the last one).
+    #[inline]
+    pub(crate) fn cell_of(&self, region: u64, local: u64) -> (u64, bool) {
+        let mut cell = 0u64;
+        let mut visible = true;
         for k in 0..self.dims.len() {
             let coord = (region / self.region_strides[k]) % self.n_chunks[k];
             let code = coord * self.chunk[k] + (local / self.local_strides[k]) % self.chunk[k];
-            out.push(if code == self.domains[k] - 1 {
-                crate::result::NULL_CODE
-            } else {
-                code as u32
-            });
+            visible &= code != self.domains[k] - 1;
+            cell += code * self.global_strides[k];
         }
+        (cell, visible)
     }
 }
 
@@ -188,25 +188,16 @@ mod tests {
     }
 
     #[test]
-    fn decode_roundtrips_and_marks_nulls() {
+    fn cell_of_is_row_major_and_marks_nulls() {
         // Dims {0, 2} of a 3-dim lattice: domains [4, 5], chunks [2, 2].
         let lattice = Lattice::new(vec![4, 9, 5], vec![2, 3, 2]);
         let geom = geom_for(&lattice, 0b101);
-        let mut out = Vec::new();
         for a in 0..4u64 {
             for b in 0..5u64 {
                 let region =
                     (a / 2) * geom.region_strides[0] + (b / 2) * geom.region_strides[1];
                 let local = (a % 2) * geom.local_strides[0] + (b % 2) * geom.local_strides[1];
-                geom.decode_into(region, local, &mut out);
-                let expect = |c: u64, d: u64| {
-                    if c == d - 1 {
-                        crate::result::NULL_CODE
-                    } else {
-                        c as u32
-                    }
-                };
-                assert_eq!(out, vec![expect(a, 4), expect(b, 5)]);
+                assert_eq!(geom.cell_of(region, local), (a * 5 + b, a != 3 && b != 4));
             }
         }
     }

@@ -36,8 +36,16 @@
 //! 3. **Merge + emit** ([`emit::merge_and_emit`]): per `(node, region)`,
 //!    the shard partials merge by a balanced pairwise tree in shard order
 //!    (cells sharing a local index unite), then the merged cell lists are
-//!    cut into weighted emit tasks that compute group keys and measures in
-//!    parallel; a serial fold writes the results.
+//!    cut into weighted emit tasks that compute cell indexes and measures
+//!    in parallel, each appending rows to a part of its node; a serial fold
+//!    appends the parts in task order.
+//!
+//! On either path an emitted cell is a row *appended* to its node's
+//! columnar [`crate::NodeResult`], never a key inserted into a map. A node
+//! whose regions arrive out of key order — several regions (chunked
+//! lattices) or several shards — has its rows sorted once at the end, so
+//! every result holds its rows in ascending key order (see
+//! [`crate::result`]).
 //!
 //! ## Determinism argument
 //!
@@ -78,7 +86,7 @@ pub use geometry::{CellStorePolicy, DENSE_CAPACITY_LIMIT};
 use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
 use crate::mvdcube::MvdCubeOptions;
-use crate::result::CubeResult;
+use crate::result::{CubeResult, NodeResult};
 use crate::spec::{CubeSpec, Mda};
 use crate::translate::Translation;
 use geometry::{node_geom, NodeGeom, Projection};
@@ -92,6 +100,8 @@ pub(crate) struct LatticePlan<'s> {
     pub(crate) spec: &'s CubeSpec<'s>,
     /// The spec's MDA list, built once — emit reads it per cell.
     pub(crate) mdas: Vec<Mda>,
+    /// Domain size of every lattice dimension, null slot included.
+    pub(crate) domains: Vec<u32>,
     pub(crate) root: u32,
     /// All node masks, root first.
     pub(crate) nodes: Vec<u32>,
@@ -181,6 +191,7 @@ fn build_plan<'s>(
     LatticePlan {
         spec,
         mdas,
+        domains: lattice.domains.clone(),
         root,
         nodes,
         geoms,
@@ -216,7 +227,7 @@ pub(crate) fn run_engine(
     cx: &ExecCtx<'_>,
 ) -> Result<CubeResult, Cancelled> {
     let plan = build_plan(spec, lattice, alive, options.store_policy);
-    let result = CubeResult::new(plan.mdas.iter().map(|m| m.label.clone()).collect());
+    let mut result = CubeResult::new(plan.mdas.iter().map(|m| m.label.clone()).collect());
     if !plan.keep_root {
         return Ok(result);
     }
@@ -226,14 +237,17 @@ pub(crate) fn run_engine(
         // flushes, so measures are emitted at flush time and the cascade
         // keeps the serial engine's O(in-flight regions) memory profile —
         // no partials, no merge phase.
-        let mut result = result;
         shard::run_shard_emit(&plan, translation, chunks, &mut result, cx)?;
-        return Ok(result);
+    } else {
+        let indexed: Vec<(usize, Vec<shard::ShardChunk>)> =
+            shards.into_iter().enumerate().collect();
+        let outputs = spade_parallel::try_map(indexed, cx.threads, |(i, chunks)| {
+            shard::run_shard(&plan, translation, i as u64, &chunks, cx)
+        })?;
+        result = emit::merge_and_emit(&plan, outputs, result, cx)?;
     }
-    let indexed: Vec<(usize, Vec<shard::ShardChunk>)> =
-        shards.into_iter().enumerate().collect();
-    let outputs = spade_parallel::try_map(indexed, cx.threads, |(i, chunks)| {
-        shard::run_shard(&plan, translation, i as u64, &chunks, cx)
-    })?;
-    emit::merge_and_emit(&plan, outputs, result, cx)
+    // Regions (and shards) append rows in their own order; restore key
+    // order where it differs.
+    result.nodes.values_mut().for_each(NodeResult::sort_rows);
+    Ok(result)
 }

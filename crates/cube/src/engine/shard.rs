@@ -124,7 +124,7 @@ pub(crate) enum ShardSink<'r> {
     /// Multi-shard plan: park sorted partials for the cross-shard merge.
     Park(ShardPartials),
     /// Single-shard plan: emit measures at flush and free the region.
-    Emit { result: &'r mut CubeResult, key_buf: Vec<u32>, scratch: EmitScratch },
+    Emit { result: &'r mut CubeResult, scratch: EmitScratch },
 }
 
 /// The shard-local cascade state.
@@ -193,7 +193,7 @@ pub(crate) fn run_shard_emit(
 ) -> Result<(), Cancelled> {
     let (span, _) = cx.span_at("shard", 0);
     annotate(&span, translation, chunks);
-    let sink = ShardSink::Emit { result, key_buf: Vec::new(), scratch: EmitScratch::default() };
+    let sink = ShardSink::Emit { result, scratch: EmitScratch::default() };
     cascade(plan, translation, chunks, sink, cx)?;
     Ok(())
 }
@@ -264,8 +264,8 @@ impl RegionShard<'_, '_> {
         if emits {
             match &mut self.sink {
                 ShardSink::Park(_) => parks = true,
-                ShardSink::Emit { result, key_buf, scratch } => {
-                    emit_region_into(self.plan, mask, region, &store, key_buf, scratch, result)
+                ShardSink::Emit { result, scratch } => {
+                    emit_region_into(self.plan, mask, region, &store, scratch, result)
                 }
             }
         }

@@ -13,7 +13,7 @@
 //! Do not extend this module — it exists to stay *unchanged*.
 
 use crate::lattice::Lattice;
-use crate::result::{CubeResult, NodeResult};
+use crate::result::{CubeResult, Group, NodeResult};
 use crate::spec::{CubeSpec, MdaKind};
 use crate::translate::{strides_for, Translation};
 use spade_bitmap::Bitmap;
@@ -146,7 +146,8 @@ struct Engine<'a, 'b> {
     region_totals: HashMap<u32, HashMap<u64, u64>>,
     alive: HashMap<u32, Vec<bool>>,
     keep: HashMap<u32, bool>,
-    result: CubeResult,
+    /// node → its emitted `(key, values)` groups.
+    groups: HashMap<u32, Vec<Group>>,
 }
 
 impl<'a, 'b> Engine<'a, 'b> {
@@ -160,10 +161,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 let values = emit_cell(self.spec, &self.mdas, cell, &self.alive[&mask]);
                 emitted.push((key, values));
             }
-            let node = self.result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
-            for (key, values) in emitted {
-                node.groups.insert(key, values);
-            }
+            self.groups.entry(mask).or_default().extend(emitted);
         }
 
         let coverage = self.region_totals[&mask][&region];
@@ -294,10 +292,11 @@ pub fn run_engine_baseline(
         alive: alive_map,
         keep,
         region_totals,
-        result: CubeResult::new(labels),
+        groups: HashMap::new(),
     };
+    let mut result = CubeResult::new(labels);
     if !engine.keep[&root] {
-        return engine.result;
+        return result;
     }
     for partition in &translation.partitions {
         let cells: HashMap<u64, Bitmap> =
@@ -306,7 +305,11 @@ pub fn run_engine_baseline(
             partition.coords.iter().zip(&region_strides).map(|(&c, &s)| c as u64 * s).sum();
         engine.flush(root, region, cells);
     }
-    engine.result
+    for (mask, groups) in engine.groups {
+        let node = NodeResult::from_groups(mask, &lattice.domains, n_mdas, groups);
+        result.nodes.insert(mask, node);
+    }
+    result
 }
 
 /// Full-lattice MVDCube evaluation on the baseline engine.

@@ -22,9 +22,12 @@
 //!   (grouping-sets via symmetric rollup-chain decomposition over the
 //!   flattened join result), in its `count(*)` (PGCube\*) and
 //!   `count(distinct)` (PGCube^d) variants (Section 6, baselines);
-//! * [`arm`] — the Aggregate Result Manager's job as one function: one-pass
-//!   statistics per MDA over a finished result, ranked by interestingness
-//!   (Section 3, Steps 4–5);
+//! * [`result`] — the one result type every evaluator returns: per lattice
+//!   node, columns of rows (cell index, visibility, per-MDA values) kept in
+//!   ascending group-key order;
+//! * [`arm`] — the Aggregate Result Manager's job: one pass over each
+//!   node's visible rows in that order, one set of running moments per MDA,
+//!   ranked by interestingness (Section 3, Steps 4–5);
 //! * [`earlystop`] — the early-stop pruning loop over the stratified samples
 //!   (Section 5), wired into MVDCube;
 //! * [`compare`] — error measurement between a correct and a baseline result

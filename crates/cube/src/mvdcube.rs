@@ -229,7 +229,7 @@ mod tests {
         let result = example3_result();
         let root = result.node(0b111).unwrap();
         assert_eq!(root.group_count(), 11);
-        for values in root.groups.values() {
+        for (_, values) in root.groups() {
             assert_eq!(values[0], Some(1.0));
         }
     }
@@ -244,7 +244,7 @@ mod tests {
         // area labels sorted: Automotive(0), Diamond(1), Manufacturer(2),
         // Natural gas(3), null(4).
         let counts: Vec<(u32, f64)> =
-            area_node.groups.iter().map(|(k, v)| (k[0], v[0].unwrap())).collect();
+            area_node.groups().map(|(k, v)| (k[0], v[0].unwrap())).collect();
         let get = |code: u32| counts.iter().find(|(c, _)| *c == code).map(|(_, v)| *v);
         assert_eq!(get(0), Some(1.0)); // Automotive: Ghosn
         assert_eq!(get(1), Some(1.0)); // Diamond: Dos Santos
@@ -262,8 +262,8 @@ mod tests {
         let result = example3_result();
         let gender_node = result.node(0b010).unwrap();
         // gender labels: Female(0); Ghosn's missing gender → null group.
-        assert_eq!(gender_node.groups[&vec![0]][0], Some(1.0));
-        assert_eq!(gender_node.groups[&vec![NULL_CODE]][0], Some(1.0));
+        assert_eq!(gender_node.get(&[0]).unwrap()[0], Some(1.0));
+        assert_eq!(gender_node.get(&[NULL_CODE]).unwrap()[0], Some(1.0));
         assert_eq!(gender_node.visible_group_count(), 1);
         assert_eq!(gender_node.mda_values(0), vec![1.0]);
     }
@@ -274,7 +274,7 @@ mod tests {
     fn variation1_sum_netweorth_by_area() {
         let result = example3_result();
         let area_node = result.node(0b100).unwrap();
-        let manufacturer = &area_node.groups[&vec![2]];
+        let manufacturer = area_node.get(&[2]).unwrap();
         assert_eq!(manufacturer[1], Some(2.8e9 + 1.2e8));
     }
 
@@ -284,7 +284,7 @@ mod tests {
     fn variation2_avg_age_by_area() {
         let result = example3_result();
         let area_node = result.node(0b100).unwrap();
-        let manufacturer = &area_node.groups[&vec![2]];
+        let manufacturer = area_node.get(&[2]).unwrap();
         assert_eq!(manufacturer[2], Some(56.5));
     }
 
@@ -294,7 +294,7 @@ mod tests {
         let result = example3_result();
         let total = result.node(0).unwrap();
         assert_eq!(total.group_count(), 1);
-        let values = &total.groups[&vec![]];
+        let values = total.get(&[]).unwrap();
         assert_eq!(values[0], Some(2.0));
         assert_eq!(values[1], Some(2.8e9 + 1.2e8));
         assert_eq!(values[2], Some(56.5));
@@ -317,7 +317,7 @@ mod tests {
         );
         let result = mvd_cube(&spec, &MvdCubeOptions::default());
         let node = result.node(0b1).unwrap();
-        assert_eq!(node.groups[&vec![0]][1], Some(2.8e9));
+        assert_eq!(node.get(&[0]).unwrap()[1], Some(2.8e9));
         // The visible result is exactly {(Angola, $2.8B)}.
         assert_eq!(node.mda_values(1), vec![2.8e9]);
         assert_eq!(node.visible_group_count(), 1);
@@ -343,12 +343,12 @@ mod tests {
             for (mask, node) in &whole.nodes {
                 let other = chunked.node(*mask).unwrap();
                 assert_eq!(
-                    node.groups.len(),
-                    other.groups.len(),
+                    node.group_count(),
+                    other.group_count(),
                     "mask {mask:b} chunk {chunk}"
                 );
-                for (key, vals) in &node.groups {
-                    assert_eq!(&other.groups[key], vals, "mask {mask:b} chunk {chunk}");
+                for (key, vals) in node.groups() {
+                    assert_eq!(other.get(&key), Some(vals), "mask {mask:b} chunk {chunk}");
                 }
             }
         }

@@ -24,7 +24,7 @@
 //! aggregate").
 
 use crate::mvdcube::{chunk_sizes, MvdCubeOptions};
-use crate::result::{CubeResult, NodeResult};
+use crate::result::{CubeResult, Group, NodeResult};
 use crate::spec::{CubeSpec, MdaKind};
 use spade_storage::{AggFn, FactId};
 use std::collections::HashSet;
@@ -249,9 +249,8 @@ pub fn pg_cube(
     let mdas = spec.mdas();
     let labels = mdas.iter().map(|m| m.label.clone()).collect();
     let mut result = CubeResult::new(labels);
-    for mask in 0..=((1u32 << spec.n_dims()) - 1) {
-        result.nodes.insert(mask, NodeResult::new(mask));
-    }
+    // Per node (indexed by mask), its `(key, values)` groups.
+    let mut groups: Vec<Vec<Group>> = vec![Vec::new(); 1 << spec.n_dims()];
 
     let n_measures = spec.measures.len();
     for chain in symmetric_chains(spec.n_dims()) {
@@ -312,7 +311,7 @@ pub fn pg_cube(
                     if accums[li].started {
                         let values = accums[li].emit(&mdas, variant);
                         let key = std::mem::take(&mut accums[li].key);
-                        result.nodes.get_mut(&mask).unwrap().groups.insert(key, values);
+                        groups[mask as usize].push((key, values));
                     }
                     accums[li].reset(key_for(row, mask));
                 }
@@ -326,10 +325,15 @@ pub fn pg_cube(
                 if accums[li].started {
                     let values = accums[li].emit(&mdas, variant);
                     let key = std::mem::take(&mut accums[li].key);
-                    result.nodes.get_mut(&mask).unwrap().groups.insert(key, values);
+                    groups[mask as usize].push((key, values));
                 }
             }
         }
+    }
+    let domains = spec.domain_sizes();
+    for (mask, groups) in groups.into_iter().enumerate() {
+        let node = NodeResult::from_groups(mask as u32, &domains, mdas.len(), groups);
+        result.nodes.insert(mask as u32, node);
     }
     result
 }
@@ -383,9 +387,9 @@ mod tests {
         let spec = example3_spec(&data);
         let r = pg_cube(&spec, PgCubeVariant::Star, &MvdCubeOptions::default());
         let area = r.node(0b100).unwrap();
-        assert_eq!(area.groups[&vec![2]][0], Some(5.0)); // Manufacturer
+        assert_eq!(area.get(&[2]).unwrap()[0], Some(5.0)); // Manufacturer
         let gender = r.node(0b010).unwrap();
-        assert_eq!(gender.groups[&vec![0]][0], Some(3.0)); // Female
+        assert_eq!(gender.get(&[0]).unwrap()[0], Some(3.0)); // Female
     }
 
     /// PGCube^d fixes Example 3's counts via count(distinct CF)…
@@ -395,9 +399,9 @@ mod tests {
         let spec = example3_spec(&data);
         let r = pg_cube(&spec, PgCubeVariant::Distinct, &MvdCubeOptions::default());
         let area = r.node(0b100).unwrap();
-        assert_eq!(area.groups[&vec![2]][0], Some(2.0));
+        assert_eq!(area.get(&[2]).unwrap()[0], Some(2.0));
         let gender = r.node(0b010).unwrap();
-        assert_eq!(gender.groups[&vec![0]][0], Some(1.0));
+        assert_eq!(gender.get(&[0]).unwrap()[0], Some(1.0));
     }
 
     /// …but Variations 1–2 remain wrong: sums and averages double-count.
@@ -407,7 +411,7 @@ mod tests {
         let spec = example3_spec(&data);
         let r = pg_cube(&spec, PgCubeVariant::Distinct, &MvdCubeOptions::default());
         let area = r.node(0b100).unwrap();
-        let manufacturer = &area.groups[&vec![2]];
+        let manufacturer = &area.get(&[2]).unwrap();
         assert_eq!(manufacturer[1], Some(2.8e9 + 4.0 * 1.2e8)); // Variation 1
         let avg = manufacturer[2].unwrap();
         assert!((avg - (47.0 + 4.0 * 66.0) / 5.0).abs() < 1e-9); // Variation 2
@@ -423,9 +427,9 @@ mod tests {
         let pg = pg_cube(&spec, PgCubeVariant::Star, &opts);
         let mvd = crate::mvd_cube(&spec, &opts);
         let (a, b) = (pg.node(0b111).unwrap(), mvd.node(0b111).unwrap());
-        assert_eq!(a.groups.len(), b.groups.len());
-        for (key, vals) in &b.groups {
-            let avals = &a.groups[key];
+        assert_eq!(a.group_count(), b.group_count());
+        for (key, vals) in b.groups() {
+            let avals = a.get(&key).unwrap();
             for (x, y) in vals.iter().zip(avals) {
                 match (x, y) {
                     (Some(x), Some(y)) => assert!((x - y).abs() < 1e-6),
@@ -459,9 +463,9 @@ mod tests {
             let pg = pg_cube(&spec, variant, &opts);
             for (mask, node) in &mvd.nodes {
                 let other = pg.node(*mask).unwrap();
-                assert_eq!(node.groups.len(), other.groups.len(), "mask {mask:b}");
-                for (key, vals) in &node.groups {
-                    let ovals = &other.groups[key];
+                assert_eq!(node.group_count(), other.group_count(), "mask {mask:b}");
+                for (key, vals) in node.groups() {
+                    let ovals = other.get(&key).unwrap();
                     for (x, y) in vals.iter().zip(ovals) {
                         match (x, y) {
                             (Some(x), Some(y)) => {

@@ -69,9 +69,9 @@ fn assert_identical(
     for &mask in &masks {
         let na = &a.nodes[&mask];
         let nb = &b.nodes[&mask];
-        prop_assert_eq!(na.groups.len(), nb.groups.len(), "{}: node {:b}", context, mask);
-        for (key, va) in &na.groups {
-            let vb = nb.groups.get(key);
+        prop_assert_eq!(na.group_count(), nb.group_count(), "{}: node {:b}", context, mask);
+        for (key, va) in na.groups() {
+            let vb = nb.get(&key);
             prop_assert!(vb.is_some(), "{}: node {:b} missing group {:?}", context, mask, key);
             let vb = vb.unwrap();
             prop_assert_eq!(va.len(), vb.len());

@@ -57,12 +57,11 @@ fn main() {
         "group", "MVDCube (correct)", "ArrayCube", "PGCube^d"
     );
     let node = correct.node(area_mask).unwrap();
-    let mut keys: Vec<_> = node.visible_groups().map(|(k, _)| k.clone()).collect();
-    keys.sort();
-    for key in keys {
+    // Groups come in ascending key order.
+    for (key, _) in node.visible_groups() {
         let label = area.label(key[0]);
         let fmt = |r: &spade::cube::CubeResult| {
-            let v = &r.node(area_mask).unwrap().groups[&key];
+            let v = r.node(area_mask).unwrap().get(&key).unwrap();
             format!(
                 "{:>6} {:>9.2e} {:>5.1}",
                 v[0].unwrap_or(f64::NAN),

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use spade::cube::result::NULL_CODE;
 use spade::cube::{array_cube, mvd_cube, pg_cube, MvdCubeOptions, PgCubeVariant};
+use spade::cube::{CubeResult, NodeResult};
 use spade::prelude::*;
 use spade::storage::{CategoricalColumn, FactId, NumericColumn};
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,16 +35,26 @@ fn raw_data(n_dims: usize, max_facts: usize) -> impl Strategy<Value = RawData> {
     })
 }
 
-/// Naive reference: for each node mask, group facts by their (projected)
-/// value combinations and aggregate each fact exactly once per group.
-type Reference = BTreeMap<u32, BTreeMap<Vec<u32>, (u64, Option<(u64, f64, f64, f64)>)>>;
+/// Raw value codes per dimension (`0u8..4` in [`raw_data`]) plus the null
+/// slot.
+const RAW_DOMAIN: u32 = 5;
 
-fn brute_force(data: &RawData) -> Reference {
+/// A reference group's fact count and, if any of its facts carries the
+/// measure, the measure's `(count, sum, min, max)`.
+type RefGroup = (u64, Option<(u64, f64, f64, f64)>);
+
+/// Naive reference: for each node mask, group facts by their (projected)
+/// value combinations and aggregate each fact exactly once per group. Keys
+/// are raw value codes; each group's row holds the values
+/// [`check_against_reference`]'s spec computes — `count(*)`, then `count`,
+/// `sum`, `min`, `max`, `avg` of the measure.
+fn brute_force(data: &RawData) -> CubeResult {
     let n_dims = data.dims.len();
     let n_facts = data.measure.len();
-    let mut out: Reference = BTreeMap::new();
+    let labels = ["count(*)", "count(m)", "sum(m)", "min(m)", "max(m)", "avg(m)"];
+    let mut out = CubeResult::new(labels.map(String::from).to_vec());
     for mask in 0u32..(1 << n_dims) {
-        let node = out.entry(mask).or_default();
+        let mut node: BTreeMap<Vec<u32>, RefGroup> = BTreeMap::new();
         for fact in 0..n_facts {
             // Translation rule: facts with no value on any lattice dimension
             // are excluded from the cube entirely.
@@ -90,6 +101,18 @@ fn brute_force(data: &RawData) -> Reference {
                 }
             }
         }
+        let groups = node.into_iter().map(|(key, (count, measure))| {
+            let values = match measure {
+                None => vec![Some(count as f64), None, None, None, None, None],
+                Some((c, s, lo, hi)) => {
+                    let c = c as f64;
+                    vec![Some(count as f64), Some(c), Some(s), Some(lo), Some(hi), Some(s / c)]
+                }
+            };
+            (key, values)
+        });
+        let domains = vec![RAW_DOMAIN; n_dims];
+        out.nodes.insert(mask, NodeResult::from_groups(mask, &domains, labels.len(), groups));
     }
     out
 }
@@ -152,38 +175,37 @@ fn check_against_reference(data: &RawData, chunk: Option<u32>) -> Result<(), Tes
     let result = mvd_cube(&spec, &MvdCubeOptions { chunk_size: chunk, ..Default::default() });
     let reference = brute_force(data);
 
-    for (mask, ref_groups) in &reference {
-        let ref_nonempty: BTreeMap<_, _> = ref_groups.iter().collect();
+    for (mask, ref_groups) in &reference.nodes {
         let node = result.node(*mask);
-        let empty = Default::default();
-        let got = node.map(|n| &n.groups).unwrap_or(&empty);
+        let empty = NodeResult::default();
+        let got = node.unwrap_or(&empty);
         prop_assert_eq!(
-            got.len(),
-            ref_nonempty.len(),
+            got.group_count(),
+            ref_groups.group_count(),
             "group count mismatch at node {:b}",
             mask
         );
-        for (key, values) in got {
-            let raw_key = remap_key(key, &dims, &result.node(*mask).unwrap().dims);
-            let (ref_count, ref_measure) = ref_nonempty
+        for (key, values) in got.groups() {
+            let raw_key = remap_key(&key, &dims, &result.node(*mask).unwrap().dims);
+            let expected = ref_groups
                 .get(&raw_key)
                 .unwrap_or_else(|| panic!("unexpected group {raw_key:?} at node {mask:b}"));
             // MDA 0 = count(*) over facts.
-            prop_assert_eq!(values[0], Some(*ref_count as f64));
-            match ref_measure {
+            prop_assert_eq!(values[0], expected[0]);
+            match expected[1] {
                 None => {
                     for v in &values[1..] {
                         prop_assert_eq!(*v, None);
                     }
                 }
-                Some((c, s, lo, hi)) => {
-                    prop_assert_eq!(values[1], Some(*c as f64)); // count(m)
+                Some(c) => {
+                    prop_assert_eq!(values[1], Some(c)); // count(m)
                     let sum = values[2].unwrap();
-                    prop_assert!((sum - s).abs() < 1e-9);
-                    prop_assert_eq!(values[3], Some(*lo)); // min
-                    prop_assert_eq!(values[4], Some(*hi)); // max
+                    prop_assert!((sum - expected[2].unwrap()).abs() < 1e-9);
+                    prop_assert_eq!(values[3], expected[3]); // min
+                    prop_assert_eq!(values[4], expected[4]); // max
                     let avg = values[5].unwrap();
-                    prop_assert!((avg - s / *c as f64).abs() < 1e-9);
+                    prop_assert!((avg - expected[5].unwrap()).abs() < 1e-9);
                 }
             }
         }
@@ -228,9 +250,9 @@ proptest! {
             let retains_all = multi_valued.iter().all(|&d| mask & (1 << d) != 0);
             if retains_all {
                 let other = classical.node(*mask).unwrap();
-                prop_assert_eq!(node.groups.len(), other.groups.len());
-                for (key, vals) in &node.groups {
-                    let ovals = &other.groups[key];
+                prop_assert_eq!(node.group_count(), other.group_count());
+                for (key, vals) in node.groups() {
+                    let ovals = other.get(&key).unwrap();
                     for (a, b) in vals.iter().zip(ovals) {
                         match (a, b) {
                             (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9),
@@ -259,8 +281,8 @@ proptest! {
         let star = pg_cube(&spec, PgCubeVariant::Star, &opts);
         for (mask, node) in &correct.nodes {
             let other = star.node(*mask).unwrap();
-            for (key, vals) in &node.groups {
-                let ovals = &other.groups[key];
+            for (key, vals) in node.groups() {
+                let ovals = other.get(&key).unwrap();
                 if let (Some(m), Some(p)) = (vals[0], ovals[0]) {
                     prop_assert!(p >= m - 1e-9, "count {p} < correct {m} at {mask:b} {key:?}");
                 }

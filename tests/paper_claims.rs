@@ -60,7 +60,7 @@ fn example3_counts_from_real_graph() {
     let col = a.attributes[dims[2]].categorical.as_ref().unwrap();
     let manufacturer_code =
         (0..col.distinct_values() as u32).find(|&c| col.label(c) == "Manufacturer").unwrap();
-    assert_eq!(area_node.groups[&vec![manufacturer_code]][0], Some(2.0));
+    assert_eq!(area_node.get(&[manufacturer_code]).unwrap()[0], Some(2.0));
 }
 
 /// Lemma 1 on the real graph: PGCube* disagrees with MVDCube exactly
@@ -107,12 +107,12 @@ fn theorem1_bound_from_real_graph() {
     let mut correct_nodes = 0;
     for (mask, node) in &correct.nodes {
         let other = star.node(*mask).unwrap();
-        let agree = node.groups.iter().all(|(k, v)| {
-            other.groups.get(k).is_some_and(|ov| match (v[0], ov[0]) {
+        let agree = node.groups().all(|(k, v)| {
+            other.get(&k).is_some_and(|ov| match (v[0], ov[0]) {
                 (Some(x), Some(y)) => (x - y).abs() < 1e-9,
                 (a, b) => a == b,
             })
-        }) && other.groups.len() == node.groups.len();
+        }) && other.group_count() == node.group_count();
         if agree {
             correct_nodes += 1;
         }
