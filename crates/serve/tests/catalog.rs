@@ -5,9 +5,11 @@
 //! must actually evict cold graphs — and transparently reopen them at a
 //! bumped generation on the next request.
 
+use spade_core::json::Json;
 use spade_core::{Spade, SpadeConfig};
 use spade_serve::client::{self, Client};
 use spade_serve::server::{ServeConfig, ServeError, Server};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -294,6 +296,303 @@ fn startup_and_lazy_open_failure_modes() {
     assert_eq!(bad.status, 503, "{}", bad.text());
     let ok2 = client::post(addr, "/graphs/good/explore", b"").expect("good still serves");
     assert_eq!(ok2.status, 200);
+
+    assert!(server.shutdown(Duration::from_secs(10)), "drained in time");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every key path of a JSON document: `a.b` for nested objects, `a[].b`
+/// for the keys of any element of array `a`.
+fn key_paths(doc: &Json, prefix: &str, out: &mut BTreeSet<String>) {
+    match doc {
+        Json::Object(entries) => {
+            for (key, value) in entries {
+                let path =
+                    if prefix.is_empty() { key.clone() } else { format!("{prefix}.{key}") };
+                key_paths(value, &path, out);
+                out.insert(path);
+            }
+        }
+        Json::Array(items) => {
+            for item in items {
+                key_paths(item, &format!("{prefix}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn all_keys(text: &str) -> Vec<String> {
+    let mut out = BTreeSet::new();
+    key_paths(&spade_core::json::parse(text).expect("JSON body"), "", &mut out);
+    out.into_iter().collect()
+}
+
+fn top_keys(doc: &Json) -> Vec<String> {
+    let mut keys: Vec<String> =
+        doc.as_object().expect("JSON object").iter().map(|(k, _)| k.clone()).collect();
+    keys.sort();
+    keys
+}
+
+/// Every family of a Prometheus exposition as `name TYPE label,keys`
+/// (label keys sorted and unioned over the family's series; a histogram's
+/// `le` is its bucket bound, not a label of the family).
+fn metric_families(exposition: &str) -> Vec<String> {
+    let mut families: BTreeMap<String, (String, BTreeSet<String>)> = BTreeMap::new();
+    for line in exposition.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE line");
+            families.insert(name.to_owned(), (kind.to_owned(), BTreeSet::new()));
+            continue;
+        }
+        if line.starts_with('#') || line.is_empty() {
+            continue;
+        }
+        let series = line.rsplit_once(' ').expect("sample line").0;
+        let (sample, labels) = match series.split_once('{') {
+            Some((sample, labels)) => (sample, labels.trim_end_matches('}')),
+            None => (series, ""),
+        };
+        let family = if families.contains_key(sample) {
+            sample
+        } else {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| sample.strip_suffix(suffix))
+                .filter(|name| families.contains_key(*name))
+                .unwrap_or_else(|| panic!("sample {sample:?} has no TYPE line"))
+        };
+        let keys = &mut families.get_mut(family).expect("family").1;
+        for pair in labels.split(',').filter(|p| !p.is_empty()) {
+            let key = pair.split_once('=').expect("label pair").0;
+            if key != "le" {
+                keys.insert(key.to_owned());
+            }
+        }
+    }
+    families
+        .into_iter()
+        .map(|(name, (kind, keys))| {
+            let keys = keys.into_iter().collect::<Vec<_>>().join(",");
+            format!("{name} {kind} {keys}").trim_end().to_owned()
+        })
+        .collect()
+}
+
+fn assert_surface(what: &str, actual: &[String], expected: &[&str]) {
+    assert_eq!(actual, expected, "{what} surface changed; actual:\n{actual:#?}");
+}
+
+/// The status surface — every key of `/healthz`, `/graphs` and `/stats`,
+/// the top-level keys of `/debug/queries` and of a ledger entry, and every
+/// `/metrics` family's name, type and label keys — pinned after one cold
+/// explore, one cache hit and one reload on a two-graph catalog. Names,
+/// types, labels and keys are the wire contract dashboards and scripts
+/// read; this test fails on any addition, removal or rename.
+#[test]
+fn status_surface_is_pinned() {
+    let dir = temp_dir("surface");
+    let alpha = write_snapshot(&dir, "alpha.spade", 100, 11);
+    let beta = write_snapshot(&dir, "beta.spade", 90, 23);
+    let server = Server::start_catalog(
+        serve_config(1 << 20, 0),
+        base_config(),
+        vec![("alpha".to_owned(), alpha), ("beta".to_owned(), beta)],
+        "alpha",
+    )
+    .expect("catalog server starts");
+    let addr = server.local_addr();
+    let mut client = Client::new(addr);
+    assert_eq!(client.post("/explore", b"").expect("cold").header("x-cache"), Some("miss"));
+    assert_eq!(client.post("/explore", b"").expect("hit").header("x-cache"), Some("hit"));
+    assert_eq!(client.post("/reload", b"").expect("reload").status, 200);
+
+    let text = |route: &str| {
+        let response = client::get(addr, route).expect(route);
+        assert_eq!(response.status, 200, "{route}");
+        response.text()
+    };
+    assert_surface(
+        "/healthz",
+        &all_keys(&text("/healthz")),
+        &["generation", "graph", "graphs", "status"],
+    );
+    assert_surface(
+        "/graphs",
+        &all_keys(&text("/graphs")),
+        &[
+            "default",
+            "graphs",
+            "graphs[].generation",
+            "graphs[].loaded",
+            "graphs[].name",
+            "graphs[].path",
+            "graphs[].resident_bytes",
+        ],
+    );
+    assert_surface(
+        "/stats",
+        &all_keys(&text("/stats")),
+        &[
+            "cache",
+            "cache.bytes",
+            "cache.entries",
+            "cache.evictions",
+            "cache.hits",
+            "cache.misses",
+            "catalog",
+            "catalog.budget_bytes",
+            "catalog.evictions_total",
+            "catalog.graphs",
+            "catalog.loaded",
+            "catalog.loads_total",
+            "catalog.resident_bytes",
+            "cost_profiles",
+            "cost_profiles[].cost_ewma",
+            "cost_profiles[].cost_p50",
+            "cost_profiles[].cost_p95",
+            "cost_profiles[].cost_p99",
+            "cost_profiles[].est_cost_ewma",
+            "cost_profiles[].graph",
+            "cost_profiles[].latency_ewma_us",
+            "cost_profiles[].latency_p50_us",
+            "cost_profiles[].latency_p95_us",
+            "cost_profiles[].latency_p99_us",
+            "cost_profiles[].requests",
+            "cost_profiles[].slo_breaches",
+            "graphs",
+            "graphs[].generation",
+            "graphs[].loaded",
+            "graphs[].name",
+            "graphs[].resident_bytes",
+            "scorecard",
+            "scorecard.count",
+            "scorecard.q_error_geo_mean",
+            "scorecard.q_error_max",
+            "scorecard.q_error_p50",
+            "scorecard.q_error_p95",
+            "scorecard.q_error_p99",
+            "server",
+            "server.admission_capacity",
+            "server.admission_inflight_cost",
+            "server.connections_total",
+            "server.explore_cached_total",
+            "server.explore_total",
+            "server.graph_evictions_total",
+            "server.graph_loads_total",
+            "server.http_errors_total",
+            "server.in_flight",
+            "server.panics_total",
+            "server.queue_depth",
+            "server.rejected_busy_total",
+            "server.reload_total",
+            "server.request_threads",
+            "server.requests_total",
+            "server.responses_4xx",
+            "server.responses_5xx",
+            "server.shed_total",
+            "server.slow_log",
+            "server.slow_log.capacity",
+            "server.slow_log.threshold_ms",
+            "server.timeouts_total",
+            "server.uptime_secs",
+            "server.workers",
+            "snapshot",
+            "snapshot.generation",
+            "snapshot.graph",
+            "snapshot.load_ms",
+            "snapshot.properties",
+            "snapshot.source",
+            "snapshot.terms",
+            "snapshot.triples",
+        ],
+    );
+
+    let queries = spade_core::json::parse(&text("/debug/queries")).expect("queries JSON");
+    assert_surface(
+        "/debug/queries",
+        &top_keys(&queries),
+        &[
+            "admission_capacity",
+            "capacity",
+            "cost_profiles",
+            "entries",
+            "overall",
+            "recorded_total",
+            "scorecard",
+        ],
+    );
+    let entries = queries.get("entries").and_then(|e| e.as_array()).expect("entries");
+    assert_surface(
+        "ledger entry",
+        &top_keys(&entries[0]),
+        &[
+            "actual_cost",
+            "cache",
+            "cells",
+            "class",
+            "estimated_cost",
+            "facts",
+            "generation",
+            "graph",
+            "id",
+            "key_hash",
+            "route",
+            "slo_breach",
+            "stages",
+            "total_us",
+            "unix_ms",
+        ],
+    );
+
+    assert_surface(
+        "/metrics",
+        &metric_families(&text("/metrics")),
+        &[
+            "spade_serve_admission_capacity gauge",
+            "spade_serve_admission_inflight_cost gauge",
+            "spade_serve_cache_bytes gauge",
+            "spade_serve_cache_evictions_total counter",
+            "spade_serve_cache_hits_total counter",
+            "spade_serve_cache_misses_total counter",
+            "spade_serve_cancel_latency_seconds histogram",
+            "spade_serve_connections_total counter",
+            "spade_serve_explore_cached_total counter",
+            "spade_serve_explore_total counter",
+            "spade_serve_graph_cost_ewma gauge graph",
+            "spade_serve_graph_cost_units gauge graph,quantile",
+            "spade_serve_graph_evictions_total counter",
+            "spade_serve_graph_explore_total counter graph",
+            "spade_serve_graph_generation gauge graph",
+            "spade_serve_graph_latency_ewma_us gauge graph",
+            "spade_serve_graph_latency_us gauge graph,quantile",
+            "spade_serve_graph_loaded gauge graph",
+            "spade_serve_graph_loads_total counter",
+            "spade_serve_graph_memory_budget_bytes gauge",
+            "spade_serve_graph_resident_bytes gauge graph",
+            "spade_serve_graph_resident_bytes_total gauge",
+            "spade_serve_graphs_loaded gauge",
+            "spade_serve_http_errors_total counter",
+            "spade_serve_in_flight gauge",
+            "spade_serve_panics_total counter",
+            "spade_serve_queue_depth gauge",
+            "spade_serve_queue_wait_seconds histogram",
+            "spade_serve_rejected_busy_total counter",
+            "spade_serve_reload_total counter",
+            "spade_serve_request_seconds histogram route",
+            "spade_serve_requests_total counter",
+            "spade_serve_responses_4xx_total counter",
+            "spade_serve_responses_5xx_total counter",
+            "spade_serve_shed_total counter",
+            "spade_serve_slo_breach_total counter graph",
+            "spade_serve_snapshot_generation gauge",
+            "spade_serve_snapshot_triples gauge",
+            "spade_serve_stage_seconds histogram stage",
+            "spade_serve_timeouts_total counter",
+            "spade_serve_uptime_seconds gauge",
+        ],
+    );
 
     assert!(server.shutdown(Duration::from_secs(10)), "drained in time");
     std::fs::remove_dir_all(&dir).ok();
