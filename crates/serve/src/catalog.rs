@@ -58,11 +58,6 @@ impl GraphEntry {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Whether a state is currently loaded.
-    pub fn is_loaded(&self) -> bool {
-        self.peek().is_some()
-    }
-
     /// The loaded state without forcing a load (`None` when cold).
     pub fn peek(&self) -> Option<Arc<ServingState>> {
         self.lock().state.as_ref().map(Arc::clone)
@@ -87,8 +82,6 @@ pub struct Acquired {
     /// Names of graphs evicted to make room (the server retires their
     /// result-cache partitions).
     pub evicted: Vec<String>,
-    /// Whether this call performed a (re)open rather than a slot hit.
-    pub loaded: bool,
 }
 
 /// The catalog. The entry set is fixed at startup (sorted by name);
@@ -161,19 +154,9 @@ impl GraphCatalog {
         self.entries.iter().map(|e| e.name.clone()).collect()
     }
 
-    /// The configured byte budget (0 = unlimited).
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
-    }
-
     /// Sum of the loaded states' resident estimates.
     pub fn resident_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.resident_bytes()).sum()
-    }
-
-    /// How many graphs are currently loaded.
-    pub fn loaded_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_loaded()).count()
     }
 
     /// Snapshot (re)opens performed so far.
@@ -195,16 +178,12 @@ impl GraphCatalog {
         entry.last_used.store(self.tick(), Ordering::Relaxed);
         let mut slot = entry.lock();
         if let Some(state) = &slot.state {
-            return Ok(Acquired {
-                state: Arc::clone(state),
-                evicted: Vec::new(),
-                loaded: false,
-            });
+            return Ok(Acquired { state: Arc::clone(state), evicted: Vec::new() });
         }
         let state = self.open_into(entry, &mut slot, None)?;
         drop(slot);
         let evicted = self.enforce_budget(&entry.name);
-        Ok(Acquired { state, evicted, loaded: true })
+        Ok(Acquired { state, evicted })
     }
 
     /// Replaces `entry`'s state with a fresh open of `path` (or of its
@@ -221,7 +200,7 @@ impl GraphCatalog {
         let state = self.open_into(entry, &mut slot, path)?;
         drop(slot);
         let evicted = self.enforce_budget(&entry.name);
-        Ok(Acquired { state, evicted, loaded: true })
+        Ok(Acquired { state, evicted })
     }
 
     /// Opens the snapshot under the held slot lock and publishes it. The
@@ -286,6 +265,15 @@ pub fn valid_graph_name(name: &str) -> bool {
         && name.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
 }
 
+/// The graph name a single `--snapshot FILE` registers under: the file
+/// stem when it is a valid routing name, else `"default"`.
+pub fn graph_name_of(path: &Path) -> String {
+    match path.file_stem().and_then(|s| s.to_str()) {
+        Some(stem) if valid_graph_name(stem) => stem.to_owned(),
+        _ => "default".to_owned(),
+    }
+}
+
 /// Scans `dir` for `*.spade` snapshots and returns `(stem, path)` pairs
 /// sorted by name — the `--snapshot-dir` startup path. Entries whose stem
 /// is not a valid graph name are skipped (reported by the caller's log,
@@ -341,6 +329,6 @@ mod tests {
         assert_eq!(c.position("c"), None);
         assert_eq!(c.entries()[0].name(), "a");
         assert_eq!(c.entries()[0].generation(), 0);
-        assert!(!c.entries()[0].is_loaded());
+        assert!(c.entries()[0].peek().is_none());
     }
 }

@@ -44,6 +44,11 @@
 //!   request, and [`admission`] control sheds over-budget work before it
 //!   starts — see *Failure modes and SLOs* below.
 //!
+//! Module map: `server.rs` owns configuration, the accept and worker loops
+//! and routing; `server/explore.rs` the explore path (parse, cache,
+//! admission, evaluation, and the one place a request is recorded);
+//! `server/status.rs` the metric registry and every status view.
+//!
 //! # Wire protocol
 //!
 //! All request and response bodies are JSON (`application/json`) except
@@ -400,9 +405,9 @@
 //! * **Metrics** — all counters, gauges, and histograms live in a single
 //!   [`spade_telemetry::Registry`] and render deterministically (sorted
 //!   family order, fixed bucket bounds) at `GET /metrics`. Values owned
-//!   elsewhere (cache statistics, snapshot facts, uptime) are mirrored
-//!   into the registry at scrape time, so the exposition is one
-//!   consistent snapshot. Latency histograms share the
+//!   elsewhere (cache, catalog, admission, ledger profiles, uptime) are
+//!   read once per scrape into the registry, and `/stats` renders from the
+//!   same handles, so the views agree. Latency histograms share the
 //!   [`spade_telemetry::DURATION_BOUNDS_SECONDS`] bounds (0.5 ms – 10 s),
 //!   so `histogram_quantile` works uniformly across routes and stages.
 //! * **Traces** — every cold `/explore` records a hierarchical span tree

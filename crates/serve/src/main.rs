@@ -18,7 +18,7 @@
 //! the first name in sorted order — answers the unprefixed legacy routes
 //! and is loaded eagerly; everything else opens lazily (memory-mapped).
 
-use spade_serve::catalog::scan_snapshot_dir;
+use spade_serve::catalog::{graph_name_of, scan_snapshot_dir};
 use spade_serve::server::{ServeConfig, Server};
 use spade_serve::signal;
 use std::path::PathBuf;
@@ -44,36 +44,28 @@ fn main() {
     let mut base = spade_core::SpadeConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
+        let flag = arg.as_str();
+        let mut value = || {
             args.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
+                eprintln!("{flag} needs a value");
                 usage()
             })
         };
-        match arg.as_str() {
-            "--snapshot" => snapshot = Some(PathBuf::from(value("--snapshot"))),
-            "--snapshot-dir" => snapshot_dir = Some(PathBuf::from(value("--snapshot-dir"))),
-            "--default-graph" => default_graph = Some(value("--default-graph")),
-            "--graph-memory-budget" => {
-                config.graph_memory_budget =
-                    parse(&value("--graph-memory-budget"), "--graph-memory-budget")
-            }
-            "--addr" => config.addr = value("--addr"),
-            "--workers" => config.workers = parse(&value("--workers"), "--workers"),
-            "--threads" => config.threads = parse(&value("--threads"), "--threads"),
-            "--cache-bytes" => {
-                config.cache_bytes = parse(&value("--cache-bytes"), "--cache-bytes")
-            }
-            "--max-body-bytes" => {
-                config.limits.max_body_bytes =
-                    parse(&value("--max-body-bytes"), "--max-body-bytes")
-            }
+        match flag {
+            "--snapshot" => snapshot = Some(PathBuf::from(value())),
+            "--snapshot-dir" => snapshot_dir = Some(PathBuf::from(value())),
+            "--default-graph" => default_graph = Some(value()),
+            "--graph-memory-budget" => config.graph_memory_budget = parse(&value(), flag),
+            "--addr" => config.addr = value(),
+            "--workers" => config.workers = parse(&value(), flag),
+            "--threads" => config.threads = parse(&value(), flag),
+            "--cache-bytes" => config.cache_bytes = parse(&value(), flag),
+            "--max-body-bytes" => config.limits.max_body_bytes = parse(&value(), flag),
             "--drain-secs" => {
-                config.drain_deadline =
-                    Duration::from_secs(parse::<u64>(&value("--drain-secs"), "--drain-secs"))
+                config.drain_deadline = Duration::from_secs(parse(&value(), flag))
             }
             "--request-timeout" => {
-                let secs: f64 = parse(&value("--request-timeout"), "--request-timeout");
+                let secs: f64 = parse(&value(), flag);
                 if secs <= 0.0 || !secs.is_finite() {
                     eprintln!("--request-timeout: must be positive");
                     usage();
@@ -84,30 +76,26 @@ fn main() {
                 // `auto` turns on the closed loop: capacity is seeded from
                 // the static estimate and retargeted from the observed
                 // per-graph cost profile as requests complete.
-                let v = value("--admission-capacity");
+                let v = value();
                 if v == "auto" {
                     config.admission_auto = true;
                 } else {
-                    config.admission_capacity = parse(&v, "--admission-capacity");
+                    config.admission_capacity = parse(&v, flag);
                 }
             }
             "--latency-slo-ms" => {
-                let ms: u64 = parse(&value("--latency-slo-ms"), "--latency-slo-ms");
+                let ms: u64 = parse(&value(), flag);
                 if ms == 0 {
                     eprintln!("--latency-slo-ms: must be positive");
                     usage();
                 }
                 config.latency_slo = Some(Duration::from_millis(ms));
             }
-            "--ledger-capacity" => {
-                config.ledger_capacity = parse(&value("--ledger-capacity"), "--ledger-capacity")
-            }
-            "--slow-ms" => config.slow_ms = parse(&value("--slow-ms"), "--slow-ms"),
+            "--ledger-capacity" => config.ledger_capacity = parse(&value(), flag),
+            "--slow-ms" => config.slow_ms = parse(&value(), flag),
             "--log-json" => config.log_json = true,
-            "--k" => base.k = parse(&value("--k"), "--k"),
-            "--min-support" => {
-                base.min_support = parse(&value("--min-support"), "--min-support")
-            }
+            "--k" => base.k = parse(&value(), flag),
+            "--min-support" => base.min_support = parse(&value(), flag),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -137,7 +125,7 @@ fn main() {
             }
         }
     }
-    let snapshot_stem = snapshot.as_ref().map(|path| graph_name_of(path));
+    let snapshot_stem = snapshot.as_deref().map(graph_name_of);
     if let (Some(path), Some(stem)) = (&snapshot, &snapshot_stem) {
         graphs.retain(|(name, _)| name != stem);
         graphs.push((stem.clone(), path.clone()));
@@ -172,15 +160,6 @@ fn main() {
         if drained { "drained cleanly" } else { "drain deadline hit" }
     );
     std::process::exit(if drained { 0 } else { 1 });
-}
-
-/// Mirrors the server's legacy naming: the file stem when it is a valid
-/// routing name, else `"default"`.
-fn graph_name_of(path: &std::path::Path) -> String {
-    match path.file_stem().and_then(|s| s.to_str()) {
-        Some(stem) if spade_serve::catalog::valid_graph_name(stem) => stem.to_owned(),
-        _ => "default".to_owned(),
-    }
 }
 
 fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {

@@ -163,10 +163,25 @@ fn tiny_budget_evicts_and_transparently_reopens() {
     let addr = server.local_addr();
     let mut client = Client::new(addr);
 
+    // The unlabeled snapshot gauges describe the default graph (alpha,
+    // loaded eagerly).
+    let m = client.get("/metrics").expect("metrics").text();
+    assert!(metric_value(&m, "spade_serve_snapshot_triples").is_some_and(|t| t > 0), "{m}");
+
     // Touch beta: loads it (gen 1) and evicts alpha (loaded eagerly).
     let first = client.post("/graphs/beta/explore", b"").expect("beta explore");
     assert_eq!(first.status, 200);
     assert_eq!(first.text(), oracle_beta);
+
+    // A cold default graph serves no triples: every view agrees it is
+    // unloaded, and no gauge keeps its last loaded value.
+    let m = client.get("/metrics").expect("metrics").text();
+    assert_eq!(metric_value(&m, "spade_serve_snapshot_triples"), Some(0), "{m}");
+    assert!(m.contains("spade_serve_graph_loaded{graph=\"alpha\"} 0"), "{m}");
+    assert!(m.contains("spade_serve_graph_resident_bytes{graph=\"alpha\"} 0"), "{m}");
+    let stats = client.get("/stats").expect("stats").text();
+    assert!(stats.contains("\"snapshot\":{\"graph\":\"alpha\""), "{stats}");
+    assert!(stats.contains("\"loaded\":false}"), "{stats}");
 
     // Touch alpha: transparently reopens it at gen 2 and evicts beta.
     let back = client.post("/graphs/alpha/explore", b"").expect("alpha explore");
