@@ -162,7 +162,8 @@ pub struct ServingState {
 struct Shared {
     /// The configuration as started, `workers` resolved to the pool size.
     config: ServeConfig,
-    /// The pipeline, holding the base config admission estimates read.
+    /// The pipeline; its config is the base requests override and admission
+    /// estimates read.
     engine: Spade,
     /// Graph name → lazily-opened serving state (per-graph generations,
     /// LRU eviction under `graph_memory_budget`). Legacy single-graph

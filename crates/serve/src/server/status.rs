@@ -28,8 +28,8 @@ const STAGES: [&str; 6] = [
 ];
 
 /// Every server metric, registered on one [`Registry`] and rendered at
-/// `GET /metrics`. Fields the rest of the server updates at the event site
-/// are `pub(super)`; the private ones are written only by [`mirror`].
+/// `GET /metrics`. Handles the rest of the server updates at the event site
+/// are `pub(super)`; the private ones are written only in this module.
 pub(super) struct Metrics {
     registry: Registry,
     pub(super) requests_total: Counter,
