@@ -142,6 +142,14 @@ impl ResultCache {
         false
     }
 
+    /// Drops every entry (used on snapshot reload) without resetting the
+    /// hit/miss/eviction counters.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.recency.clear();
+        self.bytes = 0;
+    }
+
     /// Drops every entry whose key starts with `prefix` — one graph's
     /// partition of the shared cache (keys are `{graph}@g{generation}:…`),
     /// retired when that graph reloads or is evicted from the catalog.
@@ -224,6 +232,18 @@ mod tests {
         off.insert("a".into(), body(1));
         assert!(off.get("a").is_none());
         assert_eq!(off.stats().entries, 0);
+    }
+
+    #[test]
+    fn clear_keeps_counters() {
+        let mut c = ResultCache::new(10_000);
+        c.insert("a".into(), body(5));
+        let _ = c.get("a");
+        c.clear();
+        assert_eq!(c.stats().entries, 0);
+        assert_eq!(c.stats().bytes, 0);
+        assert_eq!(c.stats().hits, 1);
+        assert!(c.get("a").is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::server::ServingState;
 use spade_core::{OfflineState, SnapshotPipelineError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One registered graph: its routing name, its snapshot path, and the
 /// currently-loaded state (if any).
@@ -58,6 +58,11 @@ impl GraphEntry {
         self.resident.load(Ordering::Relaxed)
     }
 
+    /// Whether a state is currently loaded.
+    pub fn is_loaded(&self) -> bool {
+        self.peek().is_some()
+    }
+
     /// The loaded state without forcing a load (`None` when cold).
     pub fn peek(&self) -> Option<Arc<ServingState>> {
         self.lock().state.as_ref().map(Arc::clone)
@@ -68,7 +73,7 @@ impl GraphEntry {
         self.lock().path.clone()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+    fn lock(&self) -> MutexGuard<'_, Slot> {
         self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -82,6 +87,8 @@ pub struct Acquired {
     /// Names of graphs evicted to make room (the server retires their
     /// result-cache partitions).
     pub evicted: Vec<String>,
+    /// Whether this call performed a (re)open rather than a slot hit.
+    pub loaded: bool,
 }
 
 /// The catalog. The entry set is fixed at startup (sorted by name);
@@ -154,9 +161,19 @@ impl GraphCatalog {
         self.entries.iter().map(|e| e.name.clone()).collect()
     }
 
+    /// The configured byte budget (0 = unlimited).
+    pub fn budget_bytes(&self) -> u64 {
+        self.budget
+    }
+
     /// Sum of the loaded states' resident estimates.
     pub fn resident_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.resident_bytes()).sum()
+    }
+
+    /// How many graphs are currently loaded.
+    pub fn loaded_count(&self) -> usize {
+        self.entries.iter().filter(|e| e.is_loaded()).count()
     }
 
     /// Snapshot (re)opens performed so far.
@@ -176,14 +193,15 @@ impl GraphCatalog {
     /// graphs.
     pub fn acquire(&self, entry: &GraphEntry) -> Result<Acquired, SnapshotPipelineError> {
         entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let mut slot = entry.lock();
+        let slot = entry.lock();
         if let Some(state) = &slot.state {
-            return Ok(Acquired { state: Arc::clone(state), evicted: Vec::new() });
+            return Ok(Acquired {
+                state: Arc::clone(state),
+                evicted: Vec::new(),
+                loaded: false,
+            });
         }
-        let state = self.open_into(entry, &mut slot, None)?;
-        drop(slot);
-        let evicted = self.enforce_budget(&entry.name);
-        Ok(Acquired { state, evicted })
+        self.open(entry, slot, None)
     }
 
     /// Replaces `entry`'s state with a fresh open of `path` (or of its
@@ -196,22 +214,19 @@ impl GraphCatalog {
         path: Option<PathBuf>,
     ) -> Result<Acquired, SnapshotPipelineError> {
         entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let mut slot = entry.lock();
-        let state = self.open_into(entry, &mut slot, path)?;
-        drop(slot);
-        let evicted = self.enforce_budget(&entry.name);
-        Ok(Acquired { state, evicted })
+        self.open(entry, entry.lock(), path)
     }
 
-    /// Opens the snapshot under the held slot lock and publishes it. The
-    /// per-slot lock serializes concurrent (re)opens of the same graph
-    /// without blocking any other graph.
-    fn open_into(
+    /// Opens the snapshot under the held slot lock and publishes it, then
+    /// releases the lock and enforces the budget. The per-slot lock
+    /// serializes concurrent (re)opens of the same graph without blocking
+    /// any other graph.
+    fn open(
         &self,
         entry: &GraphEntry,
-        slot: &mut Slot,
+        mut slot: MutexGuard<'_, Slot>,
         path: Option<PathBuf>,
-    ) -> Result<Arc<ServingState>, SnapshotPipelineError> {
+    ) -> Result<Acquired, SnapshotPipelineError> {
         let path = path.unwrap_or_else(|| slot.path.clone());
         let offline = OfflineState::open(&path, self.threads)?;
         let generation = entry.generation.fetch_add(1, Ordering::Relaxed) + 1;
@@ -221,7 +236,9 @@ impl GraphCatalog {
         slot.state = Some(Arc::clone(&state));
         entry.resident.store(resident, Ordering::Relaxed);
         self.loads.fetch_add(1, Ordering::Relaxed);
-        Ok(state)
+        drop(slot);
+        let evicted = self.enforce_budget(&entry.name);
+        Ok(Acquired { state, evicted, loaded: true })
     }
 
     /// Evicts least-recently-used graphs (never `keep`, never a slot that
@@ -329,6 +346,6 @@ mod tests {
         assert_eq!(c.position("c"), None);
         assert_eq!(c.entries()[0].name(), "a");
         assert_eq!(c.entries()[0].generation(), 0);
-        assert!(c.entries()[0].peek().is_none());
+        assert!(!c.entries()[0].is_loaded());
     }
 }

@@ -407,7 +407,8 @@
 //!   family order, fixed bucket bounds) at `GET /metrics`. Values owned
 //!   elsewhere (cache, catalog, admission, ledger profiles, uptime) are
 //!   read once per scrape into the registry, and `/stats` renders from the
-//!   same handles, so the views agree. Latency histograms share the
+//!   same handles; scrapes are serialized, so one body never mixes two
+//!   reads. Latency histograms share the
 //!   [`spade_telemetry::DURATION_BOUNDS_SECONDS`] bounds (0.5 ms – 10 s),
 //!   so `histogram_quantile` works uniformly across routes and stages.
 //! * **Traces** — every cold `/explore` records a hierarchical span tree

@@ -344,6 +344,11 @@ impl Server {
         }
         drained
     }
+
+    /// Whether shutdown has been requested (exposed for signal wiring).
+    pub fn shutdown_requested(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
+    }
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<(TcpStream, Instant)>) {

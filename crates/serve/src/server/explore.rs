@@ -188,7 +188,7 @@ fn run(
     // (lazy first touch, or a budget eviction). A failed open is 503 — the
     // graph is registered but its snapshot is currently unreadable — and
     // leaves every other graph serving.
-    let Acquired { state, evicted } = shared
+    let Acquired { state, evicted, .. } = shared
         .catalog
         .acquire(entry)
         .map_err(|e| Response::error(503, &format!("graph {:?}: {e}", entry.name())))?;
@@ -403,7 +403,7 @@ pub(super) fn reload(shared: &Shared, index: usize, body: &[u8]) -> Response {
         return Response::error(409, &format!("reload failed, keeping generation: {e}"));
     }
     match shared.catalog.reload(entry, path) {
-        Ok(Acquired { state, mut evicted }) => {
+        Ok(Acquired { state, mut evicted, .. }) => {
             // Old-generation entries of this graph can never be requested
             // again (keys embed the generation); retire its whole cache
             // partition now instead of letting it age out of the byte

@@ -1,7 +1,10 @@
 //! What the daemon reports about itself: the metric registry, the status
-//! views and the structured request log. Values owned outside the registry
-//! are read once per scrape by [`mirror`] into their handles, and every
-//! view renders from those handles, so no two views can disagree.
+//! views and the structured request log. `/metrics` and `/stats` read each
+//! value owned outside the registry once per scrape, in [`mirror`], into
+//! its handle and render from the handles; the scrape lock keeps
+//! concurrent scrapes from interleaving those stores, so one body never
+//! mixes two reads. `/graphs` and `/debug/queries` read only what they
+//! print.
 
 use super::{Response, ServingState, Shared};
 use crate::catalog::GraphEntry;
@@ -12,7 +15,7 @@ use spade_telemetry::ledger::{Ledger, ProfileSnapshot};
 use spade_telemetry::{
     Counter, Gauge, Histogram, Registry, DURATION_BOUNDS_SECONDS, FINE_DURATION_BOUNDS_SECONDS,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The online pipeline stages recorded as top-level spans by
@@ -32,6 +35,8 @@ const STAGES: [&str; 6] = [
 /// are `pub(super)`; the private ones are written only in this module.
 pub(super) struct Metrics {
     registry: Registry,
+    /// Held from one scrape's [`mirror`] until its view has rendered.
+    scrape: Mutex<()>,
     pub(super) requests_total: Counter,
     pub(super) explore_total: Counter,
     pub(super) explore_cached_total: Counter,
@@ -194,6 +199,7 @@ impl Metrics {
                 &FINE_DURATION_BOUNDS_SECONDS,
             ),
             registry: r,
+            scrape: Mutex::new(()),
         }
     }
 
@@ -285,8 +291,10 @@ pub(super) struct GraphMetrics {
     latency_ewma_us: Gauge,
 }
 
-/// What one [`mirror`] read that the registry does not hold.
-struct Scrape {
+/// What one [`mirror`] read that the registry does not hold, and the
+/// scrape lock, held while the view renders.
+struct Scrape<'a> {
+    _serial: MutexGuard<'a, ()>,
     /// The default graph's state, when loaded.
     default_state: Option<Arc<ServingState>>,
     cache_entries: usize,
@@ -297,16 +305,17 @@ struct Scrape {
 /// The one place a scrape reads values owned outside the registry: cache
 /// statistics, catalog counters, per-graph state, admission, the ledger's
 /// cost profiles and uptime, each read once and written into its handle.
-fn mirror(shared: &Shared) -> Scrape {
+fn mirror(shared: &Shared) -> Scrape<'_> {
     let m = &shared.metrics;
-    let cache = shared.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats();
+    let serial = m.scrape.lock().unwrap_or_else(PoisonError::into_inner);
+    let cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner).stats();
     m.cache_hits_total.mirror(cache.hits);
     m.cache_misses_total.mirror(cache.misses);
     m.cache_evictions_total.mirror(cache.evictions);
     m.cache_bytes.set(cache.bytes as u64);
     m.graph_loads_total.mirror(shared.catalog.loads_total());
     m.graph_evictions_total.mirror(shared.catalog.evictions_total());
-    m.graph_memory_budget_bytes.set(shared.config.graph_memory_budget);
+    m.graph_memory_budget_bytes.set(shared.catalog.budget_bytes());
     // One read per graph; the catalog totals and the default graph's
     // unlabeled snapshot gauges derive from the same reads.
     let (mut loaded, mut resident, mut default_state) = (0, 0, None);
@@ -350,19 +359,25 @@ fn mirror(shared: &Shared) -> Scrape {
     }
     let uptime = shared.started.elapsed();
     m.uptime_seconds.set(uptime.as_secs());
-    Scrape { default_state, cache_entries: cache.entries, uptime, profiles }
+    Scrape { _serial: serial, default_state, cache_entries: cache.entries, uptime, profiles }
 }
 
-/// The per-graph entries of `/graphs` and `/stats`, from the handles the
-/// last [`mirror`] wrote; `/graphs` adds each snapshot path.
-fn write_graphs(w: &mut JsonWriter, shared: &Shared, with_path: bool) {
+/// The per-graph entries of `/graphs` and `/stats`: one `(loaded,
+/// generation, resident_bytes)` per catalog entry, in entry order;
+/// `/graphs` adds each snapshot path.
+fn write_graphs(
+    w: &mut JsonWriter,
+    shared: &Shared,
+    values: impl Iterator<Item = (bool, u64, u64)>,
+    with_path: bool,
+) {
     w.key("graphs").begin_array();
-    for (entry, gm) in shared.catalog.entries().iter().zip(&shared.graph_metrics) {
+    for (entry, (loaded, generation, resident)) in shared.catalog.entries().iter().zip(values) {
         w.begin_object();
         w.key("name").string(entry.name());
-        w.key("loaded").bool(gm.loaded.get() != 0);
-        w.key("generation").uint(gm.generation.get());
-        w.key("resident_bytes").uint(gm.resident_bytes.get());
+        w.key("loaded").bool(loaded);
+        w.key("generation").uint(generation);
+        w.key("resident_bytes").uint(resident);
         if with_path {
             w.key("path").string(&entry.path().display().to_string());
         }
@@ -404,11 +419,12 @@ pub(super) fn healthz(shared: &Shared) -> Response {
 
 /// `GET /graphs`: the registered catalog, one object per graph.
 pub(super) fn graphs_index(shared: &Shared) -> Response {
-    mirror(shared);
+    let entries = shared.catalog.entries().iter();
+    let values = entries.map(|e| (e.is_loaded(), e.generation(), e.resident_bytes()));
     let mut w = JsonWriter::compact();
     w.begin_object();
     w.key("default").string(default_entry(shared).name());
-    write_graphs(&mut w, shared, true);
+    write_graphs(&mut w, shared, values, true);
     w.end_object();
     Response::json(200, w.finish())
 }
@@ -417,15 +433,14 @@ pub(super) fn graphs_index(shared: &Shared) -> Response {
 /// per-graph cost profiles, and the estimate-vs-actual scorecard grading
 /// [`crate::admission::estimate_cost`] against measured work.
 pub(super) fn debug_queries(shared: &Shared) -> Response {
-    let scrape = mirror(shared);
     let mut w = JsonWriter::compact();
     w.begin_object();
     w.key("capacity").usize(shared.ledger.capacity());
     w.key("recorded_total").uint(shared.ledger.recorded_total());
-    w.key("admission_capacity").uint(shared.metrics.admission_capacity.get());
+    w.key("admission_capacity").uint(shared.admission.capacity());
     write_scorecard(&mut w, &shared.ledger);
     w.key("overall").raw(&shared.ledger.overall_snapshot().to_json());
-    write_cost_profiles(&mut w, &scrape.profiles);
+    write_cost_profiles(&mut w, &shared.ledger.profile_snapshots());
     w.key("entries").begin_array();
     for record in shared.ledger.tail(shared.ledger.capacity()) {
         w.raw(&record.to_json());
@@ -467,7 +482,10 @@ pub(super) fn stats(shared: &Shared) -> Response {
     w.key("loads_total").uint(m.graph_loads_total.get());
     w.key("evictions_total").uint(m.graph_evictions_total.get());
     w.end_object();
-    write_graphs(&mut w, shared, false);
+    let values = shared.graph_metrics.iter();
+    let values =
+        values.map(|g| (g.loaded.get() != 0, g.generation.get(), g.resident_bytes.get()));
+    write_graphs(&mut w, shared, values, false);
     w.key("cache").begin_object();
     w.key("hits").uint(m.cache_hits_total.get());
     w.key("misses").uint(m.cache_misses_total.get());
@@ -511,7 +529,7 @@ pub(super) fn stats(shared: &Shared) -> Response {
 }
 
 pub(super) fn metrics(shared: &Shared) -> Response {
-    mirror(shared);
+    let _scrape = mirror(shared);
     let body = shared.metrics.registry.render();
     Response { content_type: "text/plain; version=0.0.4", ..Response::json(200, body) }
 }
