@@ -15,7 +15,7 @@
 //!   indexes, mirroring the access paths Spade needs (per-property `(s,o)`
 //!   tables, type extents, outgoing edges), built incrementally or in bulk;
 //! * [`ntriples`] — a zero-copy N-Triples line parser and a writer;
-//! * [`ingest`] — the parallel two-phase ingestion pipeline (chunked parse +
+//! * [`ingest`](mod@ingest) — the parallel two-phase ingestion pipeline (chunked parse +
 //!   local intern, deterministic merge), with the serial baseline preserved;
 //! * [`ontology`] — RDFS saturation (subClassOf, subPropertyOf, domain,
 //!   range): semi-naive parallel evaluation, plus the fixpoint baseline;

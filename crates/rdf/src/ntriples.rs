@@ -14,7 +14,7 @@
 //! escape sequences decode into an owned spill buffer (`Cow::Owned`);
 //! everything else, including every IRI, blank-node label, language tag,
 //! and datatype, is a plain `&str` slice. The parallel ingestion pipeline
-//! ([`crate::ingest`]) feeds these straight into the str-keyed dictionary,
+//! ([`crate::ingest`](mod@crate::ingest)) feeds these straight into the str-keyed dictionary,
 //! so a term occurrence costs one scratch-buffer encode + hash, never an
 //! allocation. [`parse_ntriples`] is the convenience wrapper that runs that
 //! pipeline over a whole document.

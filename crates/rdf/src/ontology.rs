@@ -4,10 +4,10 @@
 //! together with the triples explicitly present in G are the graph's
 //! semantics. All the implicit triples can be materialized via saturation,
 //! iteratively deriving new ones from G and the rules; we consider ontologies
-//! for which this process is finite as in [23], and apply it prior to our
+//! for which this process is finite as in \[23\], and apply it prior to our
 //! analysis."
 //!
-//! We implement the four core RDFS entailment rules used in [23]
+//! We implement the four core RDFS entailment rules used in \[23\]
 //! (Goasdoué et al., EDBT 2013):
 //!
 //! 1. `(s rdf:type C), (C rdfs:subClassOf D) ⊢ (s rdf:type D)`

@@ -87,8 +87,6 @@ pub struct Acquired {
     /// Names of graphs evicted to make room (the server retires their
     /// result-cache partitions).
     pub evicted: Vec<String>,
-    /// Whether this call performed a (re)open rather than a slot hit.
-    pub loaded: bool,
 }
 
 /// The catalog. The entry set is fixed at startup (sorted by name);
@@ -171,11 +169,6 @@ impl GraphCatalog {
         self.entries.iter().map(|e| e.resident_bytes()).sum()
     }
 
-    /// How many graphs are currently loaded.
-    pub fn loaded_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_loaded()).count()
-    }
-
     /// Snapshot (re)opens performed so far.
     pub fn loads_total(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
@@ -195,11 +188,7 @@ impl GraphCatalog {
         entry.last_used.store(self.tick(), Ordering::Relaxed);
         let slot = entry.lock();
         if let Some(state) = &slot.state {
-            return Ok(Acquired {
-                state: Arc::clone(state),
-                evicted: Vec::new(),
-                loaded: false,
-            });
+            return Ok(Acquired { state: Arc::clone(state), evicted: Vec::new() });
         }
         self.open(entry, slot, None)
     }
@@ -238,7 +227,7 @@ impl GraphCatalog {
         self.loads.fetch_add(1, Ordering::Relaxed);
         drop(slot);
         let evicted = self.enforce_budget(&entry.name);
-        Ok(Acquired { state, evicted, loaded: true })
+        Ok(Acquired { state, evicted })
     }
 
     /// Evicts least-recently-used graphs (never `keep`, never a slot that

@@ -186,54 +186,68 @@
 //! `slow_log` sub-object with its threshold and capacity),
 //! `cost_profiles` (one observed per-graph cost/latency profile per
 //! registered graph — see `GET /debug/queries`), and `scorecard` (the
-//! estimate-vs-actual q-error summary).
+//! estimate-vs-actual q-error summary). The keys that read a metric
+//! family are in the `/stats` column of the family table below.
 //!
 //! ## `GET /metrics`
 //!
 //! Prometheus text exposition (`text/plain; version=0.0.4`) rendered from
-//! the [`spade_telemetry::Registry`]. Counters:
-//! `spade_serve_requests_total`, `spade_serve_explore_total`,
-//! `spade_serve_explore_cached_total`, `spade_serve_reload_total`,
-//! `spade_serve_connections_total`, `spade_serve_rejected_busy_total`,
-//! `spade_serve_http_errors_total`, `spade_serve_responses_4xx_total`,
-//! `spade_serve_responses_5xx_total`, `spade_serve_shed_total`,
-//! `spade_serve_timeouts_total`, `spade_serve_panics_total`,
-//! `spade_serve_graph_loads_total`, `spade_serve_graph_evictions_total`,
-//! `spade_serve_cache_{hits,misses,evictions}_total`, and the per-graph
-//! `spade_serve_graph_explore_total{graph="…"}` and
-//! `spade_serve_slo_breach_total{graph="…"}` (requests that actually ran —
-//! not cache hits or sheds — and finished over `--latency-slo-ms`; a
-//! burn-rate numerator). (The
-//! `spade_serve_cancel_latency_ms_total` counter was **removed** — the
-//! `cancel_latency_seconds` histogram's `_sum`/`_count` carry strictly
-//! more information; dashboards should divide those instead.)
-//! Gauges: `spade_serve_in_flight`, `spade_serve_queue_depth`,
-//! `spade_serve_admission_capacity`, `spade_serve_admission_inflight_cost`,
-//! `spade_serve_cache_bytes`, `spade_serve_snapshot_generation`,
-//! `spade_serve_snapshot_triples` (both describing the default graph),
-//! `spade_serve_graphs_loaded`, `spade_serve_graph_resident_bytes_total`,
-//! `spade_serve_graph_memory_budget_bytes`,
-//! `spade_serve_uptime_seconds`, and per graph
-//! `spade_serve_graph_generation{graph="…"}`,
-//! `spade_serve_graph_resident_bytes{graph="…"}`,
-//! `spade_serve_graph_loaded{graph="…"}`, plus the ledger-fed cost
-//! profile series `spade_serve_graph_cost_ewma{graph="…"}`,
-//! `spade_serve_graph_latency_ewma_us{graph="…"}`,
-//! `spade_serve_graph_cost_units{graph="…",quantile="0.5"|"0.95"|"0.99"}`,
-//! and
-//! `spade_serve_graph_latency_us{graph="…",quantile="0.5"|"0.95"|"0.99"}`
-//! (observed actual cost in work units and wall latency in microseconds,
-//! from the streaming per-graph quantile sketches — label sets are
-//! registered in sorted graph order with ascending quantiles, so the
-//! exposition is deterministic).
-//! Histograms (cumulative `_bucket{le=…}` / `_sum` / `_count` series):
-//! `spade_serve_request_seconds{route="explore_cold"|"explore_warm"|"reload"}`,
-//! `spade_serve_stage_seconds{stage=…}` (one series per online pipeline
-//! stage), `spade_serve_queue_wait_seconds`, and
-//! `spade_serve_cancel_latency_seconds` (the latter two on the
-//! sub-millisecond [`spade_telemetry::FINE_DURATION_BOUNDS_SECONDS`]
-//! bounds, 10 µs – 1 s: queue waits and cancellation latencies on a
-//! healthy server sit far below the request-latency bucket floor).
+//! the [`spade_telemetry::Registry`]. Every family the daemon registers is
+//! in the table below, in registration order, which is also the order
+//! families render in. Per-graph series render in sorted graph order, with
+//! ascending quantiles, so the exposition is deterministic. The unlabeled
+//! `spade_serve_snapshot_*` gauges describe the default graph. A histogram
+//! renders cumulative `_bucket{le=…}`, `_sum` and `_count` series; queue
+//! wait and cancel latency use the sub-millisecond
+//! [`spade_telemetry::FINE_DURATION_BOUNDS_SECONDS`] (10 µs – 1 s), the
+//! other histograms [`spade_telemetry::DURATION_BOUNDS_SECONDS`]. The
+//! `/stats` column names the keys of `GET /stats` that read the same
+//! value. The table is generated from the family rows in
+//! `server/status.rs`, and a unit test fails when the two differ.
+//!
+//! | family | type | labels | help | `/stats` |
+//! |---|---|---|---|---|
+//! | `spade_serve_requests_total` | counter |  | Requests routed | `server.requests_total` |
+//! | `spade_serve_explore_total` | counter |  | Explore requests | `server.explore_total` |
+//! | `spade_serve_explore_cached_total` | counter |  | Explore requests answered from cache | `server.explore_cached_total` |
+//! | `spade_serve_reload_total` | counter |  | Successful reloads | `server.reload_total` |
+//! | `spade_serve_http_errors_total` | counter |  | Malformed or over-limit requests | `server.http_errors_total` |
+//! | `spade_serve_responses_4xx_total` | counter |  | Responses with a 4xx status | `server.responses_4xx` |
+//! | `spade_serve_responses_5xx_total` | counter |  | Responses with a 5xx status | `server.responses_5xx` |
+//! | `spade_serve_connections_total` | counter |  | Accepted connections | `server.connections_total` |
+//! | `spade_serve_rejected_busy_total` | counter |  | Connections answered 503 at the accept queue | `server.rejected_busy_total` |
+//! | `spade_serve_shed_total` | counter |  | Explore requests shed by admission control | `server.shed_total` |
+//! | `spade_serve_timeouts_total` | counter |  | Explore requests cancelled at their deadline | `server.timeouts_total` |
+//! | `spade_serve_panics_total` | counter |  | Requests answered 500 after a caught panic | `server.panics_total` |
+//! | `spade_serve_graph_loads_total` | counter |  | Snapshot (re)opens performed by the graph catalog | `catalog.loads_total`, `server.graph_loads_total` |
+//! | `spade_serve_graph_evictions_total` | counter |  | Graph states evicted by the graph memory budget | `catalog.evictions_total`, `server.graph_evictions_total` |
+//! | `spade_serve_cache_hits_total` | counter |  | Result-cache hits | `cache.hits` |
+//! | `spade_serve_cache_misses_total` | counter |  | Result-cache misses | `cache.misses` |
+//! | `spade_serve_cache_evictions_total` | counter |  | Result-cache evictions | `cache.evictions` |
+//! | `spade_serve_in_flight` | gauge |  | Requests currently executing | `server.in_flight` |
+//! | `spade_serve_queue_depth` | gauge |  | Connections accepted but not yet picked up by a worker | `server.queue_depth` |
+//! | `spade_serve_admission_capacity` | gauge |  | Admission-control capacity in work units (0 = unlimited) | `server.admission_capacity` |
+//! | `spade_serve_admission_inflight_cost` | gauge |  | Estimated work units currently admitted | `server.admission_inflight_cost` |
+//! | `spade_serve_cache_bytes` | gauge |  | Result-cache bytes in use | `cache.bytes` |
+//! | `spade_serve_snapshot_generation` | gauge |  | Current snapshot generation | `snapshot.generation` |
+//! | `spade_serve_snapshot_triples` | gauge |  | Triples served | `snapshot.triples` |
+//! | `spade_serve_graphs_loaded` | gauge |  | Registered graphs currently holding a loaded state | `catalog.loaded` |
+//! | `spade_serve_graph_resident_bytes_total` | gauge |  | Sum of loaded graph states' resident-byte estimates | `catalog.resident_bytes` |
+//! | `spade_serve_graph_memory_budget_bytes` | gauge |  | Configured graph memory budget in bytes (0 = unlimited) | `catalog.budget_bytes` |
+//! | `spade_serve_uptime_seconds` | gauge |  | Whole seconds since the server started |  |
+//! | `spade_serve_request_seconds` | histogram | route | Request handling latency by route |  |
+//! | `spade_serve_stage_seconds` | histogram | stage | Per-pipeline-stage duration across cold explores |  |
+//! | `spade_serve_queue_wait_seconds` | histogram |  | Time connections waited between accept and worker pickup |  |
+//! | `spade_serve_cancel_latency_seconds` | histogram |  | Time past the deadline before cooperative cancellation unwound |  |
+//! | `spade_serve_graph_explore_total` | counter | graph | Explore requests routed to this graph |  |
+//! | `spade_serve_slo_breach_total` | counter | graph | Cold explores that exceeded the latency SLO |  |
+//! | `spade_serve_graph_generation` | gauge | graph | Last published generation of this graph (0 = never loaded) | `graphs[].generation` |
+//! | `spade_serve_graph_resident_bytes` | gauge | graph | Resident-byte estimate of this graph's loaded state (0 = cold) | `graphs[].resident_bytes` |
+//! | `spade_serve_graph_loaded` | gauge | graph | Whether this graph currently holds a loaded state | `graphs[].loaded` |
+//! | `spade_serve_graph_cost_units` | gauge | graph, quantile | Measured per-request cost (cells + facts) quantile sketch |  |
+//! | `spade_serve_graph_latency_us` | gauge | graph, quantile | Cold-explore latency quantile sketch in microseconds |  |
+//! | `spade_serve_graph_cost_ewma` | gauge | graph | EWMA of measured per-request cost (cells + facts) |  |
+//! | `spade_serve_graph_latency_ewma_us` | gauge | graph | EWMA of cold-explore latency in microseconds |  |
 //!
 //! ## `GET /debug/slow`
 //!
@@ -284,7 +298,9 @@
 //! (default 256) records. `key_hash` is the FNV-1a hash of the request's
 //! canonical key — requests with equal hashes asked for the same
 //! exploration. `cache` is `hit` / `miss` / `bypass` (profile or timings
-//! bypassed the cache); `class` is `ok` / `timeout` / `shed` / `error`.
+//! bypassed the cache); `class` is `ok` / `timeout` / `shed`. A panicked
+//! explore unwinds before it is recorded, so it leaves no ledger record;
+//! `spade_serve_panics_total` counts it.
 //! `actual_cost = cells + facts`, summed from the cube-engine shard spans
 //! of the request's trace — a deterministic work measure (plan- and
 //! thread-invariant), which is what makes the **scorecard** meaningful:
@@ -431,7 +447,9 @@
 //!   `"cause"` key (`panic`, `timeout`, `shed`) on 500/503/504 responses.
 //!   The `"graph"` key appears on graph-scoped requests (`/graphs/{name}/…`
 //!   and the legacy `/explore` + `/reload`, which resolve to the default
-//!   graph); catalog-wide routes omit it.
+//!   graph); catalog-wide routes and names outside the catalog omit it.
+//!   `"generation"` belongs to the graph the line names, or to the
+//!   default graph when it names none.
 //! * **Ledger** — every completed `/explore` appends one compact record
 //!   (estimate, measured cost, cache outcome, per-stage micros) to the
 //!   [`spade_telemetry::Ledger`] ring; `GET /debug/queries` serves the

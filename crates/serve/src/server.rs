@@ -6,14 +6,14 @@
 mod explore;
 mod status;
 
-use self::status::{log_request, GraphMetrics, Metrics};
+use self::status::{log_line, GraphMetrics, Metrics};
 use crate::admission::AdmissionController;
 use crate::cache::ResultCache;
 use crate::catalog::{graph_name_of, GraphCatalog};
 use crate::http::{self, Conn, HttpError, Limits, Request};
 use spade_core::json::JsonWriter;
 use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
-use spade_telemetry::{Ledger, SlowLog};
+use spade_telemetry::{Ledger, Registry, SlowLog};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -170,10 +170,13 @@ struct Shared {
     /// routes target `entries()[default_index]`.
     catalog: GraphCatalog,
     default_index: usize,
+    /// Every metric family, behind the scrape lock: one scrape holds it
+    /// from its `mirror` until its view has rendered.
+    registry: Mutex<Registry>,
+    metrics: Metrics,
     /// Per-graph metric handles, parallel to `catalog.entries()`.
     graph_metrics: Vec<GraphMetrics>,
     cache: Mutex<ResultCache>,
-    metrics: Metrics,
     /// Request analytics ledger: record ring + per-graph cost profiles +
     /// estimate-vs-actual scorecard (`GET /debug/queries`).
     ledger: Ledger,
@@ -260,9 +263,11 @@ impl Server {
             config.admission_capacity
         };
         drop(eager);
-        let metrics = Metrics::new();
-        let graph_metrics: Vec<GraphMetrics> =
-            catalog.entries().iter().map(|e| metrics.for_graph(e.name())).collect();
+        let registry = Registry::new();
+        let metrics = Metrics::register(&registry, &[]);
+        let for_graph = |name: &str| GraphMetrics::register(&registry, &[name]);
+        let graph_metrics: Vec<_> =
+            catalog.entries().iter().map(|e| for_graph(e.name())).collect();
         let listener = TcpListener::bind(&config.addr).map_err(ServeError::Bind)?;
         let addr = listener.local_addr().map_err(ServeError::Bind)?;
         listener.set_nonblocking(true).map_err(ServeError::Bind)?;
@@ -276,9 +281,10 @@ impl Server {
             engine: Spade::new(base),
             catalog,
             default_index,
+            registry: Mutex::new(registry),
+            metrics,
             graph_metrics,
             cache: Mutex::new(ResultCache::new(config.cache_bytes)),
-            metrics,
             ledger: Ledger::new(config.ledger_capacity, &catalog_names),
             slow: SlowLog::new(config.slow_ms, config.slow_capacity),
             request_ids: AtomicU64::new(0),
@@ -343,11 +349,6 @@ impl Server {
             }
         }
         drained
-    }
-
-    /// Whether shutdown has been requested (exposed for signal wiring).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -481,7 +482,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             _ => {}
         }
         if shared.config.log_json {
-            log_request(shared, &request, request_id, &response, panicked, started.elapsed());
+            let line = log_line(shared, &request, request_id, &response, panicked, started);
+            eprintln!("{line}");
         }
 
         // Finish the in-flight response, but do not start another request
@@ -521,7 +523,7 @@ struct Response {
     close: bool,
     /// The graph generation this response was computed against, when the
     /// route pinned one (explore/reload); the structured log falls back to
-    /// the default graph's generation otherwise.
+    /// the generation of the graph the route names otherwise.
     generation: Option<u64>,
 }
 

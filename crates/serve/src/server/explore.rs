@@ -3,7 +3,7 @@
 //! completed explore is recorded (route histogram, slow log, ledger, SLO
 //! breach, `auto` capacity retarget).
 
-use super::status::unix_ms;
+use super::status::{unix_ms, EXPLORE_COLD, EXPLORE_WARM, RELOAD};
 use super::{Response, Shared};
 use crate::catalog::Acquired;
 use spade_core::json::{self, Json, JsonWriter};
@@ -188,7 +188,7 @@ fn run(
     // (lazy first touch, or a budget eviction). A failed open is 503 — the
     // graph is registered but its snapshot is currently unreadable — and
     // leaves every other graph serving.
-    let Acquired { state, evicted, .. } = shared
+    let Acquired { state, evicted } = shared
         .catalog
         .acquire(entry)
         .map_err(|e| Response::error(503, &format!("graph {:?}: {e}", entry.name())))?;
@@ -304,12 +304,11 @@ fn finish(
     match (outcome.cache, outcome.class) {
         (CacheOutcome::Hit, _) => {
             m.explore_cached_total.inc();
-            m.request_seconds_explore_warm.observe_duration(elapsed);
+            m.request_seconds[EXPLORE_WARM].observe_duration(elapsed);
         }
-        (_, ResponseClass::Ok) => m.request_seconds_explore_cold.observe_duration(elapsed),
+        (_, ResponseClass::Ok) => m.request_seconds[EXPLORE_COLD].observe_duration(elapsed),
         (_, ResponseClass::Shed) => m.shed_total.inc(),
         (_, ResponseClass::Timeout) => m.timeouts_total.inc(),
-        (_, ResponseClass::Error) => {}
     }
     let cold = outcome.cache != CacheOutcome::Hit;
     let graph = shared.catalog.entries()[index].name();
@@ -403,7 +402,7 @@ pub(super) fn reload(shared: &Shared, index: usize, body: &[u8]) -> Response {
         return Response::error(409, &format!("reload failed, keeping generation: {e}"));
     }
     match shared.catalog.reload(entry, path) {
-        Ok(Acquired { state, mut evicted, .. }) => {
+        Ok(Acquired { state, mut evicted }) => {
             // Old-generation entries of this graph can never be requested
             // again (keys embed the generation); retire its whole cache
             // partition now instead of letting it age out of the byte
@@ -411,7 +410,7 @@ pub(super) fn reload(shared: &Shared, index: usize, body: &[u8]) -> Response {
             evicted.push(entry.name().to_owned());
             retire_cache_partitions(shared, &evicted);
             shared.metrics.reload_total.inc();
-            shared.metrics.request_seconds_reload.observe_duration(started.elapsed());
+            shared.metrics.request_seconds[RELOAD].observe_duration(started.elapsed());
             let mut w = JsonWriter::compact();
             w.begin_object();
             w.key("status").string("reloaded");

@@ -799,7 +799,7 @@ pub struct SnapshotMeta {
 }
 
 /// A validated snapshot: one aligned image (owned buffer or read-only
-/// mapping — see [`SnapshotImage`]'s two faces behind [`OpenMode`]) plus
+/// mapping — see `SnapshotImage`'s two faces behind [`OpenMode`]) plus
 /// the section table. All accessors are **zero-copy views** into that
 /// image; call [`Snapshot::load`] to reconstitute the in-memory offline
 /// state.

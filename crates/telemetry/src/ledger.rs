@@ -60,8 +60,6 @@ pub enum ResponseClass {
     Timeout,
     /// 503: shed by admission control before evaluation.
     Shed,
-    /// Any other failure after routing (panic isolation, faults).
-    Error,
 }
 
 impl ResponseClass {
@@ -70,7 +68,6 @@ impl ResponseClass {
             ResponseClass::Ok => "ok",
             ResponseClass::Timeout => "timeout",
             ResponseClass::Shed => "shed",
-            ResponseClass::Error => "error",
         }
     }
 }
