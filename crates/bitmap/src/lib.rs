@@ -47,6 +47,14 @@
 //! sorted or unsorted ids, insert, contains, union, intersection (and its
 //! cardinality alone, for support counting), cardinality, and decoding in
 //! increasing order.
+//!
+//! # Public surface
+//!
+//! Every public item has a caller outside this crate, except five test
+//! hooks: [`Bitmap::from_sorted`], [`Bitmap::insert`], [`Bitmap::contains`],
+//! [`Bitmap::is_empty`] and [`Bitmap::is_canonical`]. The property suite
+//! (`tests/prop.rs`) and `spade-cube`'s unit tests check both containers
+//! against a sorted-set model through them.
 
 mod container;
 mod kernels;
@@ -94,7 +102,7 @@ impl Bitmap {
     /// Also available through the `FromIterator` trait; the inherent method
     /// keeps call sites short (`Bitmap::from_iter(..)`).
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = u32>>(values: I) -> Self {
+    pub(crate) fn from_iter<I: IntoIterator<Item = u32>>(values: I) -> Self {
         let mut bm = Self::new();
         for v in values {
             bm.insert(v);

@@ -61,12 +61,12 @@ impl CfsAnalysis {
     }
 
     /// Indexes of dimension-eligible attributes.
-    pub fn dimension_attrs(&self) -> Vec<usize> {
+    pub(crate) fn dimension_attrs(&self) -> Vec<usize> {
         (0..self.attributes.len()).filter(|&i| self.attributes[i].dimension_ok).collect()
     }
 
     /// Indexes of measure-eligible attributes.
-    pub fn measure_attrs(&self) -> Vec<usize> {
+    pub(crate) fn measure_attrs(&self) -> Vec<usize> {
         (0..self.attributes.len()).filter(|&i| self.attributes[i].measure_ok).collect()
     }
 }

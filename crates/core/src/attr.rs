@@ -56,7 +56,7 @@ impl AttributeDef {
     /// The base property a derivation stems from, used by the pruning rule
     /// "does not contain attributes that are derived one from the other"
     /// (e.g. `nationality` and `numOf(nationality)`).
-    pub fn derived_from(&self) -> Option<TermId> {
+    pub(crate) fn derived_from(&self) -> Option<TermId> {
         match self.kind {
             AttrKind::Direct(_) => None,
             AttrKind::Count(p)
@@ -68,21 +68,21 @@ impl AttributeDef {
 
     /// The property whose values this attribute exposes directly (for
     /// direct attributes) — the other side of the derived-from rule.
-    pub fn base_property(&self) -> Option<TermId> {
+    pub(crate) fn base_property(&self) -> Option<TermId> {
         match self.kind {
             AttrKind::Direct(p) => Some(p),
             _ => None,
         }
     }
 
-    /// `true` for the four derivation kinds.
-    pub fn is_derived(&self) -> bool {
-        !matches!(self.kind, AttrKind::Direct(_))
-    }
-
     /// The attribute's string values for `node` (dimension use). Numeric
     /// values are rendered through their lexical form; missing → empty.
-    pub fn string_values(&self, graph: &Graph, node: TermId, kw_min_len: usize) -> Vec<String> {
+    pub(crate) fn string_values(
+        &self,
+        graph: &Graph,
+        node: TermId,
+        kw_min_len: usize,
+    ) -> Vec<String> {
         match &self.kind {
             AttrKind::Direct(p) => {
                 graph.objects(node, *p).map(|o| graph.dict.display(o)).collect()
@@ -131,7 +131,7 @@ impl AttributeDef {
 
     /// The attribute's numeric values for `node` (measure use); empty when
     /// the attribute has no numeric interpretation for this fact.
-    pub fn numeric_values(&self, graph: &Graph, node: TermId) -> Vec<f64> {
+    pub(crate) fn numeric_values(&self, graph: &Graph, node: TermId) -> Vec<f64> {
         match &self.kind {
             AttrKind::Direct(p) => graph
                 .objects(node, *p)
@@ -193,7 +193,6 @@ mod tests {
         assert_eq!(a.name, "nationality");
         assert_eq!(a.string_values(&g, ceo, 4), vec!["Angola", "Brazil"]);
         assert!(a.numeric_values(&g, ceo).is_empty());
-        assert!(!a.is_derived());
         let age = AttributeDef::new(AttrKind::Direct(id(&g, "age")), &g);
         assert_eq!(age.numeric_values(&g, ceo), vec![47.0]);
     }
@@ -218,7 +217,6 @@ mod tests {
         let ceo = id(&g, "ceo");
         assert_eq!(a.name, "company/area");
         assert_eq!(a.string_values(&g, ceo, 4), vec!["Diamond", "Natural gas"]);
-        assert!(a.is_derived());
     }
 
     #[test]

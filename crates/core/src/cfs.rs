@@ -5,6 +5,9 @@
 //! (user-specified) set of properties, all the RDF nodes having those
 //! outgoing properties; (iii) summary-based: each set of RDF nodes
 //! identified as equivalent by the RDFQuotient summary."
+//!
+//! Strategies (i) and (iii) are built. Property-based selection (ii) needs
+//! user-named properties, and no caller here names any, so it is not.
 
 use crate::config::SpadeConfig;
 use spade_cube::ExecCtx;
@@ -18,8 +21,6 @@ use std::collections::HashSet;
 pub enum CfsStrategy {
     /// One CFS per `rdf:type` class.
     TypeBased,
-    /// One CFS for the nodes having *all* the named outgoing properties.
-    PropertyBased(Vec<String>),
     /// One CFS per weak-summary equivalence class.
     SummaryBased,
 }
@@ -35,13 +36,8 @@ pub struct CandidateFactSet {
 
 impl CandidateFactSet {
     /// `|CFS|`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// `true` when no member.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 }
 
@@ -83,7 +79,6 @@ pub fn select_in(
         cx.check()?;
         let (span, _) = cx.span(match strategy {
             CfsStrategy::TypeBased => "type_based",
-            CfsStrategy::PropertyBased(_) => "property_based",
             CfsStrategy::SummaryBased => "summary_based",
         });
         let candidates: Vec<(String, Vec<TermId>)> = match strategy {
@@ -96,18 +91,6 @@ pub fn select_in(
                         normalized(graph.nodes_of_type(class)),
                     ))
                 })?
-            }
-            CfsStrategy::PropertyBased(names) => {
-                let props: Vec<TermId> = names
-                    .iter()
-                    .filter_map(|n| graph.properties().find(|&p| graph.dict.display(p) == *n))
-                    .collect();
-                if props.len() == names.len() && !props.is_empty() {
-                    let members = normalized(graph.subjects_with_properties(&props));
-                    vec![(format!("props:{}", names.join("+")), members)]
-                } else {
-                    Vec::new()
-                }
             }
             CfsStrategy::SummaryBased => {
                 let summary = weak_summary(graph);
@@ -173,30 +156,6 @@ mod tests {
         assert!(names.contains(&"type:Politician"));
         let ceo = cfs.iter().find(|c| c.name == "type:CEO").unwrap();
         assert_eq!(ceo.len(), 2);
-    }
-
-    #[test]
-    fn property_based_intersects() {
-        let g = ceos_figure1();
-        let cfs = select(
-            &g,
-            &[CfsStrategy::PropertyBased(vec!["netWorth".into(), "nationality".into()])],
-            &small_config(),
-        );
-        assert_eq!(cfs.len(), 1);
-        assert_eq!(cfs[0].len(), 2); // both CEOs
-        assert!(cfs[0].name.starts_with("props:"));
-    }
-
-    #[test]
-    fn unknown_property_yields_nothing() {
-        let g = ceos_figure1();
-        let cfs = select(
-            &g,
-            &[CfsStrategy::PropertyBased(vec!["noSuchProperty".into()])],
-            &small_config(),
-        );
-        assert!(cfs.is_empty());
     }
 
     #[test]

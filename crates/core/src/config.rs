@@ -57,7 +57,11 @@ pub struct SpadeConfig {
     /// Aggregate functions assigned to every measure (the statistics-guided
     /// assignment of Step 2; the default covers the common cases).
     pub agg_fns: Vec<AggFn>,
-    /// Early-stop pruning on/off plus its parameters.
+    /// Early-stop pruning on/off plus its tuning: `confidence`,
+    /// `sample_size` and `batches`. The stored `k` and `h` are not read:
+    /// evaluation prunes for this config's own [`k`](Self::k) and
+    /// [`interestingness`](Self::interestingness), so a request's overrides
+    /// reach the pruning too.
     pub early_stop: Option<EarlyStopConfig>,
     /// Worker threads for the parallel pipeline stages (per-CFS attribute
     /// analysis and per-CFS/per-lattice aggregate evaluation). `0` = one
@@ -94,7 +98,12 @@ impl Default for SpadeConfig {
 
 impl SpadeConfig {
     /// Enables early-stop with the paper's empirically good settings
-    /// (sample size 60, 2 batches) for this config's `k` and `h`.
+    /// (sample size 60, 2 batches). It prunes for the `k` and `h` in force
+    /// when a run evaluates, so calling it before or after setting them, or
+    /// overriding them per request ([`RequestConfig::apply`]), makes no
+    /// difference. The answers are approximate, under the Section 5
+    /// guarantee: an aggregate is pruned only when its score interval
+    /// falls under the k-th best at the chosen confidence.
     ///
     /// Each lattice keeps, per root group, the 60 facts of smallest seeded
     /// hash (a bottom-k sample, projected exactly down the lattice) and
@@ -107,12 +116,12 @@ impl SpadeConfig {
     /// where groups are much larger than the sample; on CFSs whose groups
     /// hold fewer than 60 facts the sample *is* the data and early-stop
     /// only adds work.
+    ///
+    /// `spade-serve` turns this on at startup whenever `--latency-slo-ms`
+    /// is set, and consumes the sample in one batch when the objective is
+    /// under 2 s.
     pub fn with_early_stop(mut self) -> Self {
-        self.early_stop = Some(EarlyStopConfig {
-            k: self.k,
-            h: self.interestingness,
-            ..EarlyStopConfig::default()
-        });
+        self.early_stop = Some(EarlyStopConfig::default());
         self
     }
 
@@ -125,7 +134,7 @@ impl SpadeConfig {
 
 /// Whether `name` passes an allow filter: an empty filter admits everything,
 /// a non-empty one admits names containing at least one of its substrings.
-pub fn filter_matches(filter: &[String], name: &str) -> bool {
+pub(crate) fn filter_matches(filter: &[String], name: &str) -> bool {
     filter.is_empty() || filter.iter().any(|f| name.contains(f.as_str()))
 }
 
@@ -240,19 +249,6 @@ mod tests {
         assert!(c.min_support > 0.0 && c.min_support < 1.0);
         assert!(c.max_lattice_dims >= 1 && c.max_lattice_dims <= 4);
         assert!(c.early_stop.is_none());
-    }
-
-    #[test]
-    fn with_early_stop_propagates_k_and_h() {
-        let c = SpadeConfig {
-            k: 3,
-            interestingness: Interestingness::Skewness,
-            ..Default::default()
-        }
-        .with_early_stop();
-        let es = c.early_stop.unwrap();
-        assert_eq!(es.k, 3);
-        assert_eq!(es.h, Interestingness::Skewness);
     }
 
     #[test]

@@ -28,14 +28,6 @@ pub struct LatticeSpec {
     pub measures: Vec<usize>,
 }
 
-impl LatticeSpec {
-    /// Number of MDAs this lattice contributes before cross-lattice
-    /// deduplication: `2^N · (1 + #measures · #fns)`.
-    pub fn mda_count(&self, fns_per_measure: usize) -> usize {
-        (1usize << self.dims.len()) * (1 + self.measures.len() * fns_per_measure)
-    }
-}
-
 /// Whether two attributes may share a lattice: neither may be derived from
 /// the other's base property ("does not contain attributes that are derived
 /// one from the other").
@@ -187,13 +179,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mda_count_formula() {
-        let l = LatticeSpec { dims: vec![0, 1], measures: vec![2, 3, 4] };
-        // 2² nodes × (count(*) + 3 measures × 2 fns) = 4 × 7 = 28.
-        assert_eq!(l.mda_count(2), 28);
     }
 
     #[test]

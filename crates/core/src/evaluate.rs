@@ -25,7 +25,7 @@
 use crate::analysis::CfsAnalysis;
 use crate::config::SpadeConfig;
 use crate::enumeration::LatticeSpec;
-use spade_cube::earlystop;
+use spade_cube::earlystop::{self, EarlyStopConfig};
 use spade_cube::mvdcube::{mvd_cube_pruned_in, prepare_in, MvdCubeOptions};
 use spade_cube::{CubeResult, CubeSpec, ExecCtx, MdaKind, MeasureSpec};
 use spade_parallel::Cancelled;
@@ -149,9 +149,13 @@ pub fn evaluate_cfs_in(
         let sample_cap = config.early_stop.map(|es| es.sample_size);
         let (lattice, translation) = prepare_in(&spec, &options, sample_cap, &lcx)?;
         let mut pruned_by_es = 0usize;
-        if let Some(es_config) = &config.early_stop {
+        if let Some(tuning) = config.early_stop {
+            // Prune for the effective `k` and `h`, not a copy taken when
+            // early-stop was switched on: a request may override both.
+            let es_config =
+                EarlyStopConfig { k: config.k, h: config.interestingness, ..tuning };
             let samples = translation.samples.as_ref().expect("sampling enabled");
-            let outcome = earlystop::prune_in(&spec, &lattice, samples, es_config, &lcx)?;
+            let outcome = earlystop::prune_in(&spec, &lattice, samples, &es_config, &lcx)?;
             for (mask, flags) in &mut alive {
                 let es_flags = &outcome.alive[mask];
                 for (i, f) in flags.iter_mut().enumerate() {
@@ -231,8 +235,12 @@ mod tests {
             return;
         }
         let eval = evaluate_cfs(&analysis, &lattices, &config);
-        let independent: usize =
-            lattices.iter().map(|l| l.mda_count(config.agg_fns.len())).sum();
+        // Without sharing, a lattice holds 2^N nodes × (count(*) +
+        // #measures × #fns) MDAs.
+        let independent: usize = lattices
+            .iter()
+            .map(|l| (1usize << l.dims.len()) * (1 + l.measures.len() * config.agg_fns.len()))
+            .sum();
         assert!(
             eval.enumerated_aggregates <= independent,
             "sharing cannot increase the aggregate count"

@@ -19,7 +19,6 @@
 //! Neither half aims at the full ECMA-404 weirdness catalogue; both reject
 //! anything malformed loudly ([`JsonParseError`] carries a byte offset).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -27,7 +26,7 @@ use std::fmt::Write as _;
 // ---------------------------------------------------------------------------
 
 /// Escapes `s` into `out` as the *contents* of a JSON string (no quotes).
-pub fn escape_into(s: &str, out: &mut String) {
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -58,13 +57,11 @@ enum Frame {
     Array,
 }
 
-/// A push-style JSON writer with automatic commas and optional pretty
-/// printing (two-space indent). Panics on misuse (value without a key
-/// inside an object, unbalanced `end_*`) — the call sites are all static,
-/// so misuse is a bug, not an input condition.
+/// A push-style compact JSON writer with automatic commas. Panics on misuse
+/// (value without a key inside an object, unbalanced `end_*`) — the call
+/// sites are all static, so misuse is a bug, not an input condition.
 pub struct JsonWriter {
     buf: String,
-    pretty: bool,
     stack: Vec<Frame>,
     /// Items already written in each open container (parallel to `stack`).
     counts: Vec<usize>,
@@ -77,16 +74,10 @@ impl JsonWriter {
     pub fn compact() -> Self {
         JsonWriter {
             buf: String::new(),
-            pretty: false,
             stack: Vec::new(),
             counts: Vec::new(),
             pending_key: false,
         }
-    }
-
-    /// A pretty writer (two-space indent) — on-disk artifacts.
-    pub fn pretty() -> Self {
-        JsonWriter { pretty: true, ..Self::compact() }
     }
 
     fn before_value(&mut self) {
@@ -98,12 +89,6 @@ impl JsonWriter {
                     self.buf.push(',');
                 }
                 *n += 1;
-                if self.pretty {
-                    self.buf.push('\n');
-                    for _ in 0..self.stack.len() {
-                        self.buf.push_str("  ");
-                    }
-                }
             }
             Some(Frame::Object) => {
                 assert!(self.pending_key, "object values need a key first");
@@ -121,15 +106,9 @@ impl JsonWriter {
             self.buf.push(',');
         }
         *n += 1;
-        if self.pretty {
-            self.buf.push('\n');
-            for _ in 0..self.stack.len() {
-                self.buf.push_str("  ");
-            }
-        }
         self.buf.push('"');
         escape_into(k, &mut self.buf);
-        self.buf.push_str(if self.pretty { "\": " } else { "\":" });
+        self.buf.push_str("\":");
         self.pending_key = true;
         self
     }
@@ -146,14 +125,8 @@ impl JsonWriter {
     /// Closes `}`.
     pub fn end_object(&mut self) -> &mut Self {
         assert_eq!(self.stack.pop(), Some(Frame::Object), "unbalanced end_object");
-        let n = self.counts.pop().expect("counts parallel to stack");
+        self.counts.pop().expect("counts parallel to stack");
         assert!(!self.pending_key, "key without a value");
-        if self.pretty && n > 0 {
-            self.buf.push('\n');
-            for _ in 0..self.stack.len() {
-                self.buf.push_str("  ");
-            }
-        }
         self.buf.push('}');
         self
     }
@@ -170,13 +143,7 @@ impl JsonWriter {
     /// Closes `]`.
     pub fn end_array(&mut self) -> &mut Self {
         assert_eq!(self.stack.pop(), Some(Frame::Array), "unbalanced end_array");
-        let n = self.counts.pop().expect("counts parallel to stack");
-        if self.pretty && n > 0 {
-            self.buf.push('\n');
-            for _ in 0..self.stack.len() {
-                self.buf.push_str("  ");
-            }
-        }
+        self.counts.pop().expect("counts parallel to stack");
         self.buf.push(']');
         self
     }
@@ -299,14 +266,6 @@ impl Json {
             Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
                 Some(*n as usize)
             }
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -562,58 +521,6 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonParseError> {
     Ok(v)
 }
 
-/// Renders a parsed value back to compact JSON — object keys in **sorted**
-/// order, so semantically equal documents render identically. This is the
-/// canonicalization the serve layer's cache keys rely on.
-pub fn canonical(value: &Json) -> String {
-    let mut out = String::new();
-    canonical_into(value, &mut out);
-    out
-}
-
-fn canonical_into(value: &Json, out: &mut String) {
-    match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Number(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Json::String(s) => {
-            out.push('"');
-            escape_into(s, out);
-            out.push('"');
-        }
-        Json::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                canonical_into(item, out);
-            }
-            out.push(']');
-        }
-        Json::Object(entries) => {
-            // Sorted + last-duplicate-wins, matching `Json::get`.
-            let mut map: BTreeMap<&str, &Json> = BTreeMap::new();
-            for (k, v) in entries {
-                map.insert(k, v);
-            }
-            out.push('{');
-            for (i, (k, v)) in map.into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(k, out);
-                out.push_str("\":");
-                canonical_into(v, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,15 +534,6 @@ mod tests {
         w.key("c").begin_array().f64(1.5).bool(true).null().end_array();
         w.end_object();
         assert_eq!(w.finish(), r#"{"a":1,"b":"x\"y","c":[1.5,true,null]}"#);
-    }
-
-    #[test]
-    fn writer_pretty_indents() {
-        let mut w = JsonWriter::pretty();
-        w.begin_object();
-        w.key("k").begin_array().uint(1).uint(2).end_array();
-        w.end_object();
-        assert_eq!(w.finish(), "{\n  \"k\": [\n    1,\n    2\n  ]\n}");
     }
 
     #[test]
@@ -655,7 +553,7 @@ mod tests {
         assert_eq!(v.get("s").and_then(Json::as_str), Some("aé\n"));
         let arr = v.get("arr").and_then(Json::as_array).unwrap();
         assert_eq!(arr[1].as_f64(), Some(-25.0));
-        assert_eq!(arr[2].as_bool(), Some(true));
+        assert_eq!(arr[2], Json::Bool(true));
         assert_eq!(v.get("o"), Some(&Json::Object(Vec::new())));
         assert_eq!(v.get("missing"), None);
     }
@@ -696,15 +594,6 @@ mod tests {
     fn parse_accepts_duplicate_keys_last_wins() {
         let v = parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a").and_then(Json::as_usize), Some(2));
-    }
-
-    #[test]
-    fn canonical_sorts_keys() {
-        let v = parse(r#"{"b":1,"a":[{"z":null,"y":2}]}"#).unwrap();
-        assert_eq!(canonical(&v), r#"{"a":[{"y":2,"z":null}],"b":1}"#);
-        // Canonical forms of semantically equal documents agree.
-        let v2 = parse(r#"{ "a" : [ { "y" : 2, "z" : null } ], "b" : 1 }"#).unwrap();
-        assert_eq!(canonical(&v), canonical(&v2));
     }
 
     #[test]

@@ -15,32 +15,51 @@
 //!    meaningless candidates;
 //! 4. Aggregate Evaluation ([`evaluate`]): MVDCube with optional early-stop
 //!    pruning, results shared across overlapping lattices;
-//! 5. Top-k Computation ([`pipeline`]): interestingness scoring through the
+//! 5. Top-k Computation (`pipeline`): interestingness scoring through the
 //!    Aggregate Result Manager.
 //!
 //! [`Spade`] ties everything together; see `examples/quickstart.rs` for the
 //! three-line entry point.
+//!
+//! # Public surface
+//!
+//! Every public item has a caller outside this crate, or is one of these:
+//! - [`sparql`], Section 2's SPARQL 1.1 form of an MDA, called by
+//!   `examples/sparql_export.rs`;
+//! - [`viz`], Section 1's insight views, called by
+//!   `examples/ceo_exploration.rs`;
+//! - the context form of every stage ([`cfs::select_in`],
+//!   [`enumeration::enumerate_in`], [`evaluate::evaluate_cfs_in`],
+//!   [`offline::analyze_in`], …) and the [`Cancelled`], [`CancelReason`]
+//!   and [`SpanCtx`] they name, kept by `spade-cube`'s execution-context
+//!   convention; `tests/stage_cancellation.rs` drives them;
+//! - [`Spade::run_snapshot`] and [`Spade::run_snapshot_bytes`], the
+//!   single-shot snapshot entry points ([`OfflineState::open`] +
+//!   [`Spade::run_on`]); the snapshot and serve suites use them as oracles;
+//! - [`mfs`], whose [`mfs::maximal_frequent_sets`] the MFS property suite
+//!   checks against brute force;
+//! - [`json::quote`], with which the serve loopback suite builds request
+//!   bodies.
 
 pub mod analysis;
-pub mod attr;
+pub(crate) mod attr;
 pub mod cfs;
-pub mod config;
+pub(crate) mod config;
 pub mod enumeration;
 pub mod evaluate;
 pub mod json;
 pub mod mfs;
 pub mod offline;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod sparql;
-pub mod text;
+pub(crate) mod text;
 pub mod viz;
 
-pub use analysis::{AnalyzedAttribute, CfsAnalysis};
+pub use analysis::CfsAnalysis;
 pub use attr::{AttrKind, AttributeDef};
-pub use cfs::{CandidateFactSet, CfsStrategy};
+pub use cfs::CfsStrategy;
 pub use config::{RequestConfig, SpadeConfig};
 pub use enumeration::LatticeSpec;
-pub use offline::{OfflineStats, PropertyStats};
 pub use pipeline::{
     work_counters, DatasetProfile, OfflineState, SnapshotPipelineError, Spade, SpadeReport,
     StepTimings, TopAggregate,
@@ -57,8 +76,4 @@ pub use spade_parallel::{Budget, CancelReason, Cancelled};
 
 /// Per-request tracing (span trees recorded under [`ExecCtx::traced`]) —
 /// re-exported so servers need not depend on `spade-telemetry` directly.
-pub use spade_telemetry::{Span, SpanCtx, Trace};
-
-/// The snapshot store serving this pipeline's offline state (re-exported so
-/// downstream users need not depend on `spade-store` directly).
-pub use spade_store as store;
+pub use spade_telemetry::{SpanCtx, Trace};

@@ -17,11 +17,9 @@ use std::collections::{HashMap, HashSet};
 
 /// Statistics of one property over the whole graph.
 #[derive(Clone, Debug)]
-pub struct PropertyStats {
+pub(crate) struct PropertyStats {
     /// The property.
     pub property: TermId,
-    /// Display name.
-    pub name: String,
     /// Number of `(s, o)` pairs.
     pub triples: usize,
     /// Distinct subjects carrying the property.
@@ -42,25 +40,20 @@ pub struct PropertyStats {
 
 impl PropertyStats {
     /// `true` when some subject carries several values.
-    pub fn is_multi_valued(&self) -> bool {
+    pub(crate) fn is_multi_valued(&self) -> bool {
         self.multi_valued_subjects > 0
     }
 
     /// `true` when the property mostly links to other described nodes —
     /// a path-derivation source.
-    pub fn is_link(&self) -> bool {
+    pub(crate) fn is_link(&self) -> bool {
         self.link_values * 2 > self.triples
     }
 
     /// `true` when the property mostly carries free text — a keyword /
     /// language derivation source.
-    pub fn is_text(&self) -> bool {
+    pub(crate) fn is_text(&self) -> bool {
         self.text_values * 2 > self.triples
-    }
-
-    /// `true` when the property mostly carries numbers.
-    pub fn is_numeric(&self) -> bool {
-        self.numeric_values * 2 > self.triples
     }
 }
 
@@ -68,16 +61,10 @@ impl PropertyStats {
 #[derive(Clone, Debug, Default)]
 pub struct OfflineStats {
     /// Per-property statistics, most frequent first.
-    pub properties: Vec<PropertyStats>,
-    by_id: HashMap<TermId, usize>,
+    pub(crate) properties: Vec<PropertyStats>,
 }
 
 impl OfflineStats {
-    /// Looks a property's statistics up.
-    pub fn get(&self, p: TermId) -> Option<&PropertyStats> {
-        self.by_id.get(&p).map(|&i| &self.properties[i])
-    }
-
     /// Number of (data) properties — Table 2's `#P`.
     pub fn property_count(&self) -> usize {
         self.properties.len()
@@ -146,7 +133,6 @@ pub fn analyze_in(graph: &Graph, cx: &ExecCtx<'_>) -> Result<OfflineStats, Cance
         let multi = subjects.values().filter(|&&c| c > 1).count();
         Ok(PropertyStats {
             property: p,
-            name: graph.dict.display(p),
             triples: pairs.len(),
             subjects: subjects.len(),
             distinct_values: values.len(),
@@ -160,14 +146,11 @@ pub fn analyze_in(graph: &Graph, cx: &ExecCtx<'_>) -> Result<OfflineStats, Cance
     stats
         .properties
         .sort_by(|a, b| b.triples.cmp(&a.triples).then(a.property.cmp(&b.property)));
-    stats.by_id = stats.properties.iter().enumerate().map(|(i, s)| (s.property, i)).collect();
     Ok(stats)
 }
 
 /// Flattens the offline statistics into the snapshot store's fixed-width
-/// records (same order as [`OfflineStats::properties`]). Display names are
-/// *not* stored — they are derived data, rebuilt from the dictionary by
-/// [`from_records`].
+/// records (same order as `OfflineStats::properties`).
 pub fn to_records(stats: &OfflineStats) -> Vec<spade_store::PropertyStatsRecord> {
     stats
         .properties
@@ -186,19 +169,14 @@ pub fn to_records(stats: &OfflineStats) -> Vec<spade_store::PropertyStatsRecord>
         .collect()
 }
 
-/// Reconstitutes [`OfflineStats`] from snapshot records, restoring display
-/// names from `graph`'s dictionary. The inverse of [`to_records`]: a
-/// round trip reproduces the stats of a fresh [`analyze`] bit for bit.
-pub fn from_records(
-    graph: &Graph,
-    records: &[spade_store::PropertyStatsRecord],
-) -> OfflineStats {
-    let mut stats = OfflineStats::default();
-    stats.properties = records
+/// Reconstitutes [`OfflineStats`] from snapshot records. The inverse of
+/// [`to_records`]: a round trip reproduces the stats of a fresh [`analyze`]
+/// bit for bit.
+pub(crate) fn from_records(records: &[spade_store::PropertyStatsRecord]) -> OfflineStats {
+    let properties = records
         .iter()
         .map(|r| PropertyStats {
             property: r.property,
-            name: graph.dict.display(r.property),
             triples: r.triples as usize,
             subjects: r.subjects as usize,
             distinct_values: r.distinct_values as usize,
@@ -209,8 +187,7 @@ pub fn from_records(
             numeric_bounds: r.numeric_bounds,
         })
         .collect();
-    stats.by_id = stats.properties.iter().enumerate().map(|(i, s)| (s.property, i)).collect();
-    stats
+    OfflineStats { properties }
 }
 
 /// How many derivations of each kind were enumerated (Table 2's `#DP`
@@ -324,10 +301,14 @@ mod tests {
         (g, s)
     }
 
+    fn get(s: &OfflineStats, p: TermId) -> &PropertyStats {
+        s.properties.iter().find(|ps| ps.property == p).unwrap()
+    }
+
     #[test]
     fn schema_properties_excluded() {
-        let (_, s) = stats_for_figure1();
-        assert!(s.properties.iter().all(|p| p.name != "type"));
+        let (g, s) = stats_for_figure1();
+        assert!(s.properties.iter().all(|p| g.dict.display(p.property) != "type"));
         assert!(s.property_count() > 5);
     }
 
@@ -335,7 +316,7 @@ mod tests {
     fn nationality_is_multi_valued() {
         let (g, s) = stats_for_figure1();
         let nat = g.dict.id_of(&Term::iri("http://ceos.example.org/nationality")).unwrap();
-        let ps = s.get(nat).unwrap();
+        let ps = get(&s, nat);
         assert_eq!(ps.triples, 5); // Angola + Ghosn's four
         assert_eq!(ps.subjects, 2);
         assert_eq!(ps.multi_valued_subjects, 1);
@@ -347,15 +328,14 @@ mod tests {
     fn company_is_a_link_property() {
         let (g, s) = stats_for_figure1();
         let company = g.dict.id_of(&Term::iri("http://ceos.example.org/company")).unwrap();
-        assert!(s.get(company).unwrap().is_link());
+        assert!(get(&s, company).is_link());
     }
 
     #[test]
     fn net_worth_is_numeric_with_bounds() {
         let (g, s) = stats_for_figure1();
         let nw = g.dict.id_of(&Term::iri("http://ceos.example.org/netWorth")).unwrap();
-        let ps = s.get(nw).unwrap();
-        assert!(ps.is_numeric());
+        let ps = get(&s, nw);
         assert_eq!(ps.numeric_bounds, Some((1.2e8, 2.8e9)));
     }
 
@@ -383,14 +363,13 @@ mod tests {
 
     #[test]
     fn stats_records_roundtrip_exactly() {
-        let (g, s) = stats_for_figure1();
+        let (_, s) = stats_for_figure1();
         let records = to_records(&s);
         assert_eq!(records.len(), s.property_count());
-        let back = from_records(&g, &records);
+        let back = from_records(&records);
         assert_eq!(back.property_count(), s.property_count());
         for (a, b) in s.properties.iter().zip(&back.properties) {
             assert_eq!(a.property, b.property);
-            assert_eq!(a.name, b.name, "display name rebuilt from the dictionary");
             assert_eq!(a.triples, b.triples);
             assert_eq!(a.subjects, b.subjects);
             assert_eq!(a.distinct_values, b.distinct_values);
@@ -399,9 +378,6 @@ mod tests {
             assert_eq!(a.link_values, b.link_values);
             assert_eq!(a.text_values, b.text_values);
             assert_eq!(a.numeric_bounds, b.numeric_bounds);
-        }
-        for p in s.properties.iter().map(|ps| ps.property) {
-            assert_eq!(back.get(p).unwrap().property, s.get(p).unwrap().property);
         }
     }
 

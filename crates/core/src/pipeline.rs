@@ -273,7 +273,7 @@ pub struct OfflineState {
 impl OfflineState {
     /// Loads the state from a snapshot file written by
     /// [`Spade::snapshot_ntriples`] (or `spade_store::write_snapshot`),
-    /// memory-mapping the file by default (see [`OfflineState::open_with`]).
+    /// memory-mapping the file by default (see `OfflineState::open_with`).
     pub fn open(
         path: impl AsRef<Path>,
         threads: usize,
@@ -286,7 +286,7 @@ impl OfflineState {
     /// its pages are released after materialization, so the state's
     /// steady-state memory is the in-memory graph alone — dropping the
     /// state (e.g. catalog eviction) unmaps the file and returns the RSS.
-    pub fn open_with(
+    pub(crate) fn open_with(
         path: impl AsRef<Path>,
         threads: usize,
         mode: OpenMode,
@@ -301,7 +301,7 @@ impl OfflineState {
     }
 
     /// [`OfflineState::open`] over an in-memory snapshot image.
-    pub fn from_snapshot_bytes(
+    pub(crate) fn from_snapshot_bytes(
         bytes: &[u8],
         threads: usize,
     ) -> Result<OfflineState, SnapshotPipelineError> {
@@ -320,12 +320,12 @@ impl OfflineState {
     }
 
     fn from_loaded(loaded: LoadedSnapshot, load_time: Duration) -> OfflineState {
-        let stats = offline::from_records(&loaded.graph, &loaded.stats);
+        let stats = offline::from_records(&loaded.stats);
         OfflineState { graph: loaded.graph, stats, load_time, snapshot: None }
     }
 
     /// Whether the retained snapshot is a live file mapping.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         self.snapshot.as_ref().is_some_and(Snapshot::is_mapped)
     }
 
@@ -352,23 +352,19 @@ impl OfflineState {
     }
 }
 
+/// The CFS selection strategies every run uses (Section 3, Step 1 (i) and
+/// (iii)).
+const STRATEGIES: [CfsStrategy; 2] = [CfsStrategy::TypeBased, CfsStrategy::SummaryBased];
+
 /// The Spade engine.
 pub struct Spade {
     config: SpadeConfig,
-    strategies: Vec<CfsStrategy>,
 }
 
 impl Spade {
-    /// Creates an engine with the default CFS strategies (type-based +
-    /// summary-based; property-based is opt-in since it needs user input).
+    /// Creates an engine.
     pub fn new(config: SpadeConfig) -> Self {
-        Spade { config, strategies: vec![CfsStrategy::TypeBased, CfsStrategy::SummaryBased] }
-    }
-
-    /// Overrides the CFS selection strategies.
-    pub fn with_strategies(mut self, strategies: Vec<CfsStrategy>) -> Self {
-        self.strategies = strategies;
-        self
+        Spade { config }
     }
 
     /// The active configuration.
@@ -517,7 +513,7 @@ impl Spade {
 
         // —— Step 1: CFS selection ——
         let (span, scx) = cx.span("cfs_selection");
-        let cfs_list = select_in(graph, &self.strategies, config, &scx)?;
+        let cfs_list = select_in(graph, &STRATEGIES, config, &scx)?;
         span.attr("cfs", cfs_list.len() as u64);
         report.timings.cfs_selection = span.finish();
         report.profile.cfs_count = cfs_list.len();

@@ -40,17 +40,6 @@ fn iri_of(graph: &Graph, id: TermId) -> String {
     }
 }
 
-/// The SPARQL keyword of an aggregate function.
-pub fn agg_keyword(f: AggFn) -> &'static str {
-    match f {
-        AggFn::Count => "COUNT",
-        AggFn::Sum => "SUM",
-        AggFn::Avg => "AVG",
-        AggFn::Min => "MIN",
-        AggFn::Max => "MAX",
-    }
-}
-
 /// Emits the triple patterns binding `?var` to `attr`'s values of `?cf`.
 fn attr_pattern(graph: &Graph, attr: &AttributeDef, var: &str, out: &mut String) {
     match &attr.kind {
@@ -222,12 +211,5 @@ mod tests {
         let q = mda_to_sparql(&g, Some(ceo), &[], SparqlMeasure::Measure(&m_nw, AggFn::Max));
         assert!(!q.contains("GROUP BY ?d"));
         assert!(q.contains("(MIN(?mv) AS ?cfMin)") || q.contains("(MAX(?mv) AS ?cfMax)"));
-    }
-
-    #[test]
-    fn agg_keywords() {
-        assert_eq!(agg_keyword(AggFn::Sum), "SUM");
-        assert_eq!(agg_keyword(AggFn::Count), "COUNT");
-        assert_eq!(agg_keyword(AggFn::Min), "MIN");
     }
 }

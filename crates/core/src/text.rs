@@ -56,7 +56,7 @@ fn tokens(text: &str, min_len: usize) -> Vec<String> {
 /// E.g. "Sonangol oversees petroleum production" → the company "gain\[s\] the
 /// multi-valued attribute kwInDescription with the values Petroleum and
 /// Production" (Section 3) — plus the other content words.
-pub fn keywords(text: &str, min_len: usize) -> Vec<String> {
+pub(crate) fn keywords(text: &str, min_len: usize) -> Vec<String> {
     let mut out: Vec<String> = tokens(text, min_len)
         .into_iter()
         .filter(|t| {
@@ -74,7 +74,7 @@ pub fn keywords(text: &str, min_len: usize) -> Vec<String> {
 
 /// Detects the language of a text by stopword hit counting. Returns `None`
 /// for texts with no recognizable function words (numbers, names, codes).
-pub fn detect_language(text: &str) -> Option<&'static str> {
+pub(crate) fn detect_language(text: &str) -> Option<&'static str> {
     let toks = tokens(text, 1);
     if toks.is_empty() {
         return None;
@@ -94,7 +94,7 @@ pub fn detect_language(text: &str) -> Option<&'static str> {
 /// derivation: several alphabetic words (Offline Attribute Analysis uses
 /// this to decide "if derivations should be generated for a given
 /// property").
-pub fn is_texty(value: &str) -> bool {
+pub(crate) fn is_texty(value: &str) -> bool {
     tokens(value, 2).len() >= 3
 }
 

@@ -16,7 +16,7 @@ const BAR_WIDTH: usize = 40;
 const MAX_ROWS: usize = 16;
 
 /// Compact human form of a value: `2.8B`, `120.0M`, `47.0`.
-pub fn humanize(v: f64) -> String {
+pub(crate) fn humanize(v: f64) -> String {
     let a = v.abs();
     if a >= 1e9 {
         format!("{:.1}B", v / 1e9)
@@ -39,7 +39,7 @@ pub fn render(agg: &TopAggregate) -> String {
 }
 
 /// One-dimensional: a horizontal bar chart like Figure 1(b)'s histogram.
-pub fn histogram(agg: &TopAggregate) -> String {
+pub(crate) fn histogram(agg: &TopAggregate) -> String {
     let mut out = format!("{}\n", agg.description());
     let max = agg
         .sample_groups
@@ -73,7 +73,7 @@ pub fn histogram(agg: &TopAggregate) -> String {
 
 /// Two-dimensional: a value grid like Figure 1(b)'s heat map, with `·` for
 /// empty combinations and shading characters by magnitude.
-pub fn heat_map(agg: &TopAggregate) -> String {
+pub(crate) fn heat_map(agg: &TopAggregate) -> String {
     // Group labels are "x, y" pairs; rebuild the two axes.
     let mut cells: BTreeMap<(String, String), f64> = BTreeMap::new();
     for (label, value) in &agg.sample_groups {
@@ -128,7 +128,7 @@ fn shade_of(intensity: f64) -> char {
 }
 
 /// Three or more dimensions: a plain table.
-pub fn table(agg: &TopAggregate) -> String {
+pub(crate) fn table(agg: &TopAggregate) -> String {
     let mut out = format!("{}\n", agg.description());
     let _ = writeln!(out, "  {:<44} {:>14}", agg.dims.join(" | "), agg.mda);
     for (label, value) in agg.sample_groups.iter().take(MAX_ROWS) {

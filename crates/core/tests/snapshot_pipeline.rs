@@ -105,7 +105,7 @@ fn snapshot_errors_are_typed() {
     // Serving from a missing file is a store error.
     assert!(matches!(
         spade.run_snapshot(&path),
-        Err(SnapshotPipelineError::Store(spade_core::store::SnapshotError::Io(_)))
+        Err(SnapshotPipelineError::Store(spade_store::SnapshotError::Io(_)))
     ));
     // Serving from garbage bytes is a store error too.
     assert!(matches!(

@@ -10,7 +10,7 @@
 //!
 //! Pruning costs in proportion to the *sample*, never to the data. The
 //! root's per-group bottom-k samples from Data Translation are projected
-//! down the MMST ([`SampleSet::project`]): each node's group sample is
+//! down the MMST (`SampleSet::project`): each node's group sample is
 //! exactly the bottom-k of the whole group, a multi-valued fact counting
 //! once — the sampling mirror of MVDCube's bitmap propagation ("each node in
 //! the MMST receives its own sample", Section 5.3). A sample is consumed in

@@ -14,7 +14,7 @@ use crate::translate::strides_for;
 /// [`CellStorePolicy::Auto`]. 2^16 cells keeps a dense region under a few
 /// megabytes for every cell payload the engine stores while covering all
 /// practically chunked lattices (chunk extents are small by construction).
-pub const DENSE_CAPACITY_LIMIT: u64 = 1 << 16;
+const DENSE_CAPACITY_LIMIT: u64 = 1 << 16;
 
 /// Hard ceiling for [`CellStorePolicy::ForceDense`]; beyond this the engine
 /// falls back to sparse storage rather than risk an enormous allocation.
@@ -23,8 +23,8 @@ const FORCE_DENSE_CEILING: u64 = 1 << 26;
 /// How per-region cell storage is chosen.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CellStorePolicy {
-    /// Dense when the region capacity is at most [`DENSE_CAPACITY_LIMIT`],
-    /// sparse otherwise (the precomputed density threshold).
+    /// Dense when the region capacity is at most 2^16 cells, sparse
+    /// otherwise (the precomputed density threshold).
     #[default]
     Auto,
     /// Dense wherever feasible (capacity-capped); for tests/benchmarks.

@@ -81,7 +81,7 @@ pub(crate) mod geometry;
 pub(crate) mod shard;
 pub(crate) mod store;
 
-pub use geometry::{CellStorePolicy, DENSE_CAPACITY_LIMIT};
+pub use geometry::CellStorePolicy;
 
 use crate::exec::ExecCtx;
 use crate::lattice::Lattice;

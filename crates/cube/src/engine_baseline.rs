@@ -206,7 +206,7 @@ impl<'a, 'b> Engine<'a, 'b> {
 
 /// Runs the original nested-HashMap engine over a translation (MVDCube
 /// algebra only). Baseline for benchmarks and property tests.
-pub fn run_engine_baseline(
+pub(crate) fn run_engine_baseline(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     translation: &Translation,

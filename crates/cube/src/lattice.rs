@@ -46,12 +46,12 @@ impl Lattice {
     }
 
     /// Number of dimensions `N`.
-    pub fn n_dims(&self) -> usize {
+    pub(crate) fn n_dims(&self) -> usize {
         self.domains.len()
     }
 
     /// The root node mask (all dimensions).
-    pub fn root_mask(&self) -> u32 {
+    pub(crate) fn root_mask(&self) -> u32 {
         (1u32 << self.n_dims()) - 1
     }
 
@@ -63,18 +63,18 @@ impl Lattice {
     }
 
     /// Number of partition chunks along each dimension.
-    pub fn n_chunks(&self) -> Vec<u32> {
+    pub(crate) fn n_chunks(&self) -> Vec<u32> {
         self.domains.iter().zip(&self.chunks).map(|(&d, &c)| d.div_ceil(c)).collect()
     }
 
     /// Ascending dimension indexes of a mask.
-    pub fn dims_of(&self, mask: u32) -> Vec<usize> {
+    pub(crate) fn dims_of(&self, mask: u32) -> Vec<usize> {
         (0..self.n_dims()).filter(|i| mask & (1 << i) != 0).collect()
     }
 
     /// Memory (in cells) to compute node `mask` from the parent that drops
     /// dimension `dropped` — the ArrayCube formula above.
-    pub fn memory_from(&self, mask: u32, dropped: usize) -> u128 {
+    pub(crate) fn memory_from(&self, mask: u32, dropped: usize) -> u128 {
         debug_assert_eq!(mask & (1 << dropped), 0, "dropped dim must be outside the node");
         let mut mem: u128 = 1;
         for i in self.dims_of(mask) {
@@ -84,13 +84,13 @@ impl Lattice {
     }
 
     /// Memory of the root: one partition's worth of cells, `Π c_i`.
-    pub fn root_memory(&self) -> u128 {
+    pub(crate) fn root_memory(&self) -> u128 {
         self.chunks.iter().map(|&c| c as u128).product()
     }
 
     /// Builds the MMST: each non-root node picks the parent minimizing its
     /// memory charge (ties broken toward the smallest dropped dimension).
-    pub fn mmst(&self) -> Mmst {
+    pub(crate) fn mmst(&self) -> Mmst {
         let root = self.root_mask();
         let mut parent = HashMap::new();
         let mut children: HashMap<u32, Vec<u32>> = HashMap::new();
@@ -122,18 +122,11 @@ impl Lattice {
     pub fn max_correct_nodes(&self, multi_valued: &[usize]) -> u64 {
         1u64 << (self.n_dims() - multi_valued.len())
     }
-
-    /// Whether node `mask` retains *all* multi-valued dimensions — the
-    /// Theorem 1 characterization of nodes a one-pass parent-based
-    /// computation can get right.
-    pub fn retains_all_multi_valued(&self, mask: u32, multi_valued: &[usize]) -> bool {
-        multi_valued.iter().all(|&i| mask & (1 << i) != 0)
-    }
 }
 
 /// The Minimum Memory Spanning Tree over the lattice.
 #[derive(Clone, Debug)]
-pub struct Mmst {
+pub(crate) struct Mmst {
     /// Root mask (all dimensions).
     pub root: u32,
     /// `child mask → (parent mask, dropped dimension)`.
@@ -146,17 +139,12 @@ pub struct Mmst {
 
 impl Mmst {
     /// Children of a node in the tree.
-    pub fn children_of(&self, mask: u32) -> &[u32] {
+    pub(crate) fn children_of(&self, mask: u32) -> &[u32] {
         self.children.get(&mask).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Total memory (cells) across all nodes — what ArrayCube minimizes.
-    pub fn total_memory(&self) -> u128 {
-        self.memory.values().sum()
-    }
-
     /// Masks in top-down (parents before children) order.
-    pub fn topological(&self) -> Vec<u32> {
+    pub(crate) fn topological(&self) -> Vec<u32> {
         let mut order = Vec::with_capacity(self.memory.len());
         let mut stack = vec![self.root];
         while let Some(mask) = stack.pop() {
@@ -249,7 +237,7 @@ mod tests {
         // which holds exactly one cell, hence the +1.
         for (n, d, c) in [(2usize, 10u32, 3u32), (3, 8, 2), (4, 5, 2)] {
             let l = Lattice::new(vec![d + 1; n], vec![c; n]); // +1 = null slot
-            let total = l.mmst().total_memory();
+            let total: u128 = l.mmst().memory.values().sum();
             let bound = (c as u128).pow(n as u32) + ((d + 1 + c) as u128).pow(n as u32 - 1) + 1;
             assert!(total <= bound, "N={n} d={d} c={c}: {total} > {bound}");
         }
@@ -274,12 +262,14 @@ mod tests {
         assert_eq!(l.max_correct_nodes(&[0, 1, 2]), 1);
         // One multi-valued dim → half the lattice.
         assert_eq!(l.max_correct_nodes(&[1]), 4);
-        assert!(l.retains_all_multi_valued(0b111, &[1]));
-        assert!(l.retains_all_multi_valued(0b011, &[1]));
-        assert!(!l.retains_all_multi_valued(0b101, &[1]));
+        // Theorem 1's characterization: a node is safe iff it retains every
+        // multi-valued dimension (here dimension 1).
+        let retains = |mask: u32| mask & (1 << 1) != 0;
+        assert!(retains(0b111));
+        assert!(retains(0b011));
+        assert!(!retains(0b101));
         // The count of retaining nodes equals 2^{N-K}.
-        let retaining =
-            l.nodes().iter().filter(|&&m| l.retains_all_multi_valued(m, &[1])).count() as u64;
+        let retaining = l.nodes().iter().filter(|&&m| retains(m)).count() as u64;
         assert_eq!(retaining, l.max_correct_nodes(&[1]));
     }
 

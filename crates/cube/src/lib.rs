@@ -2,7 +2,7 @@
 //!
 //! This crate contains the algorithmic heart of the paper:
 //!
-//! * [`lattice`] — the `2^N`-node dimension lattice and the Minimum Memory
+//! * `lattice` — the `2^N`-node dimension lattice and the Minimum Memory
 //!   Spanning Tree (MMST) of ArrayCube \[49\], with the classical memory
 //!   formula (Section 4.1);
 //! * [`translate`] — Data Translation: laying the CFS out as a partitioned
@@ -14,11 +14,11 @@
 //!   fact-set bitmaps (array and bitset containers, `spade-bitmap`) down
 //!   the MMST and computing measures from per-fact pre-aggregates at flush
 //!   time;
-//! * [`arraycube`] — the classical ArrayCube baseline, a small
+//! * `arraycube` — the classical ArrayCube baseline, a small
 //!   self-contained evaluator that computes each lattice node from its MMST
 //!   parent's *aggregated values* and is therefore subject to the errors
 //!   characterized by Lemma 1 / Theorem 1 (never timed);
-//! * [`pgcube`] — a PostgreSQL-12-style one-pass `GROUP BY CUBE`
+//! * `pgcube` — a PostgreSQL-12-style one-pass `GROUP BY CUBE`
 //!   (grouping-sets via symmetric rollup-chain decomposition over the
 //!   flattened join result), in its `count(*)` (PGCube\*) and
 //!   `count(distinct)` (PGCube^d) variants (Section 6, baselines);
@@ -30,7 +30,7 @@
 //!   ranked by interestingness (Section 3, Steps 4–5);
 //! * [`earlystop`] — the early-stop pruning loop over the stratified samples
 //!   (Section 5), wired into MVDCube;
-//! * [`compare`] — error measurement between a correct and a baseline result
+//! * `compare` — error measurement between a correct and a baseline result
 //!   (Experiments 2–3: #wrong aggregates, error-ratio distributions).
 //!
 //! # Execution context
@@ -51,30 +51,38 @@
 //! reach every fan-out; calling a plain form there would silently drop
 //! both. Code with no context to pass (experiment binaries, benchmarks,
 //! examples, tests) calls plain forms.
+//!
+//! # Public surface
+//!
+//! Every public item has a caller outside this crate, except the plain
+//! and context forms of a stage that only tests call (such as
+//! [`translate::translate`]), kept by the convention above, and two hooks
+//! of this crate's own suites: [`CellStorePolicy`] (`tests/store_prop.rs`
+//! forces dense and sparse cell stores and checks they agree) and
+//! [`NodeResult::rows`] (`tests/row_order.rs` reads the stored row order).
 
 pub mod arm;
-pub mod arraycube;
-pub mod compare;
+pub(crate) mod arraycube;
+pub(crate) mod compare;
 pub mod earlystop;
 mod engine;
-pub mod engine_baseline;
-pub mod exec;
-pub mod lattice;
+pub(crate) mod engine_baseline;
+pub(crate) mod exec;
+pub(crate) mod lattice;
 pub mod mvdcube;
-pub mod pgcube;
+pub(crate) mod pgcube;
 pub mod result;
-pub mod spec;
+pub(crate) mod spec;
 pub mod translate;
 
 pub use arraycube::array_cube;
 pub use compare::{compare_results, ComparisonReport};
-pub use earlystop::{EarlyStopConfig, EarlyStopOutcome};
-pub use engine::{CellStorePolicy, DENSE_CAPACITY_LIMIT};
+pub use earlystop::EarlyStopConfig;
+pub use engine::CellStorePolicy;
 pub use engine_baseline::mvd_cube_baseline;
 pub use exec::ExecCtx;
-pub use lattice::{Lattice, Mmst};
+pub use lattice::Lattice;
 pub use mvdcube::{mvd_cube, mvd_cube_with_earlystop, MvdCubeOptions};
 pub use pgcube::{pg_cube, PgCubeVariant};
-pub use result::{CubeResult, NodeResult, NULL_CODE_SENTINEL};
-pub use spade_parallel::{Budget, CancelReason, Cancelled};
+pub use result::{CubeResult, NodeResult};
 pub use spec::{CubeSpec, Mda, MdaKind, MeasureSpec};

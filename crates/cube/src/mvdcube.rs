@@ -26,7 +26,7 @@ pub struct MvdCubeOptions {
     pub chunk_size: Option<u32>,
     /// Seed of the (optional) early-stop sample: each group's sample is its
     /// `sample_size` facts of smallest `splitmix64(seed ^ fact id)`
-    /// ([`crate::translate::fact_priority`]), so one seed fixes the sample at
+    /// (`fact_priority` in `translate`), so one seed fixes the sample at
     /// every thread count, and the same facts are preferred in every lattice
     /// evaluated under it.
     pub seed: u64,
@@ -64,7 +64,11 @@ impl Default for MvdCubeOptions {
 /// whole array fits in memory and the flush bookkeeping would dominate)
 /// while large ones are split into ≤ 4 chunks per dimension, matching the
 /// paper's memory-bounded operation.
-pub fn chunk_sizes(domains: &[u32], options: &MvdCubeOptions, n_facts: usize) -> Vec<u32> {
+pub(crate) fn chunk_sizes(
+    domains: &[u32],
+    options: &MvdCubeOptions,
+    n_facts: usize,
+) -> Vec<u32> {
     domains
         .iter()
         .map(|&d| {

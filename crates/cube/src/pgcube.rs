@@ -119,7 +119,7 @@ fn flatten(spec: &CubeSpec<'_>) -> Vec<FlatRow> {
 /// de Bruijn–Tengbergen–Kruyswijk construction. Every subset appears in
 /// exactly one chain; consecutive chain elements differ by one added bit;
 /// the number of chains is `C(n, ⌊n/2⌋)` (minimal, by Dilworth's theorem).
-pub fn symmetric_chains(n: usize) -> Vec<Vec<u32>> {
+pub(crate) fn symmetric_chains(n: usize) -> Vec<Vec<u32>> {
     assert!(n <= 20, "chain decomposition limited to 20 dimensions");
     let mut chains: Vec<Vec<u32>> = vec![vec![0]];
     for bit in 0..n {

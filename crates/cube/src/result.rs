@@ -45,7 +45,7 @@
 //! lattice correctly") — but they are *not* part of the user-facing
 //! aggregate result: per Section 2, a CF missing a dimension "does not
 //! contribute to the result". Whether a row is visible is decided once, when
-//! it is appended, and scoring ([`NodeResult::visible_rows`]) skips the
+//! it is appended, and scoring (`NodeResult::visible_rows`) skips the
 //! rest.
 
 use std::collections::HashMap;
@@ -59,12 +59,9 @@ use std::collections::HashMap;
 /// it sorts where the slot it stands for does.
 pub const NULL_CODE: u32 = u32::MAX;
 
-/// Display form of [`NULL_CODE`].
-pub const NULL_CODE_SENTINEL: &str = "null";
-
 /// One group as the evaluators that do not run the engine produce it:
 /// `(key, per-MDA values)`, the input of [`NodeResult::from_groups`].
-pub type Group = (Vec<u32>, Vec<Option<f64>>);
+pub(crate) type Group = (Vec<u32>, Vec<Option<f64>>);
 
 /// The result of one lattice node, as columns (see the module docs).
 ///
@@ -230,7 +227,7 @@ impl NodeResult {
 
     /// The values of the user-facing groups in ascending key order — the
     /// rows scoring reads.
-    pub fn visible_rows(&self) -> impl Iterator<Item = &[Option<f64>]> {
+    pub(crate) fn visible_rows(&self) -> impl Iterator<Item = &[Option<f64>]> {
         self.rows().filter(|&(_, visible, _)| visible).map(|(_, _, values)| values)
     }
 

@@ -79,7 +79,7 @@ impl<'a> CubeSpec<'a> {
     }
 
     /// Number of dimensions `N`.
-    pub fn n_dims(&self) -> usize {
+    pub(crate) fn n_dims(&self) -> usize {
         self.dims.len()
     }
 

@@ -16,10 +16,10 @@
 //!
 //! When early-stop is active, the same pass keeps Section 5.3's stratified
 //! sample as one **bottom-k sketch** per root group: its `k` facts of
-//! smallest [`fact_priority`], a seeded hash of the fact id. A fact has one
+//! smallest `fact_priority`, a seeded hash of the fact id. A fact has one
 //! priority wherever it is met, so sketches merge — the bottom-k of a union
 //! of groups is the bottom-k of their sketches' union, a multi-valued fact
-//! counting once — and [`SampleSet::project`] derives any lattice node's
+//! counting once — and `SampleSet::project` derives any lattice node's
 //! sample exactly, in O(k) per group.
 //!
 //! # Parallel structure
@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 /// The sampling priority of a fact: 32 bits of the splitmix64 finalizer of
 /// `seed ^ fact` over the fact id, so no two facts tie. A group's sample is
 /// its `k` facts of smallest priority: a function of `(seed, fact set)` alone.
-pub fn fact_priority(seed: u64, fact: u32) -> u64 {
+pub(crate) fn fact_priority(seed: u64, fact: u32) -> u64 {
     let mut z = (seed ^ fact as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -80,7 +80,7 @@ pub struct Partition {
 }
 
 /// The stratified sample of one lattice node (early-stop input):
-/// translation collects the root's, [`SampleSet::project`] derives the rest.
+/// translation collects the root's, `SampleSet::project` derives the rest.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SampleSet {
     /// Per group, in cell order: `(sampled fact ids in priority order, group
@@ -91,7 +91,7 @@ pub struct SampleSet {
     pub groups: BTreeMap<u64, (Vec<u32>, u64)>,
     /// The per-group sample size `k`.
     pub capacity: usize,
-    /// Seed of [`fact_priority`].
+    /// Seed of `fact_priority`.
     pub seed: u64,
 }
 
@@ -100,7 +100,7 @@ impl SampleSet {
     /// groups merge as bottom-k sketches, so via the MMST parent or straight
     /// from the root each group gets the bottom-k of all its facts. Groups
     /// with a null coordinate are kept for descendants dropping that axis.
-    pub fn project(&self, lattice: &Lattice, to: u32) -> SampleSet {
+    pub(crate) fn project(&self, lattice: &Lattice, to: u32) -> SampleSet {
         let axes = node_axes(lattice, to);
         let priority = |fact: &u32| fact_priority(self.seed, *fact);
         let mut groups: BTreeMap<u64, (Vec<u32>, u64)> = BTreeMap::new();
@@ -143,7 +143,7 @@ pub struct Translation {
 }
 
 /// Row-major strides for the given domain sizes.
-pub fn strides_for(domains: &[u32]) -> Vec<u64> {
+pub(crate) fn strides_for(domains: &[u32]) -> Vec<u64> {
     let mut strides = vec![1u64; domains.len()];
     for i in (0..domains.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * domains[i + 1] as u64;
@@ -167,7 +167,7 @@ const FACT_CHUNK: usize = 8192;
 /// plain form of [`translate_in`]).
 ///
 /// `sample_capacity` enables bottom-k sampling with the given per-group
-/// size under [`fact_priority`]`(seed, ·)`.
+/// size under `fact_priority(seed, ·)`.
 pub fn translate(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,

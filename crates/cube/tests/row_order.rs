@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use spade_cube::arm::{top_k_of_result, AggregateId};
-use spade_cube::engine_baseline::mvd_cube_baseline;
+use spade_cube::mvd_cube_baseline;
 use spade_cube::mvdcube::{mvd_cube, MvdCubeOptions};
 use spade_cube::result::NULL_CODE;
 use spade_cube::{CubeResult, CubeSpec, MeasureSpec, NodeResult};

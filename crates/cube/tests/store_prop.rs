@@ -5,7 +5,7 @@
 //! granularity, and every thread count.
 
 use proptest::prelude::*;
-use spade_cube::engine_baseline::mvd_cube_baseline;
+use spade_cube::mvd_cube_baseline;
 use spade_cube::mvdcube::{mvd_cube, MvdCubeOptions};
 use spade_cube::{CellStorePolicy, CubeResult, CubeSpec, MeasureSpec};
 use spade_storage::{CategoricalColumn, FactId, NumericColumnBuilder};

@@ -82,7 +82,7 @@ impl Budget {
     }
 
     /// A budget that expires at `deadline`.
-    pub fn until(deadline: Instant) -> Budget {
+    pub(crate) fn until(deadline: Instant) -> Budget {
         Budget {
             deadline: Some(deadline),
             cancelled: AtomicBool::new(false),
@@ -102,7 +102,7 @@ impl Budget {
 
     /// Whether the budget is cancelled or past its deadline (does not
     /// count as a check).
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
             || self.deadline.is_some_and(|d| Instant::now() >= d)
     }

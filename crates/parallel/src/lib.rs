@@ -15,8 +15,16 @@
 //! Work is split by *data size*, never by thread count, so every thread
 //! count produces the same chunk boundaries and therefore the same merged
 //! output.
+//!
+//! # Public surface
+//!
+//! Every public item has a caller outside this crate, except three test
+//! hooks: [`Budget::cancel`] and [`Budget::checks`] (the cancellation suites
+//! cancel a budget by hand and count its polls) and [`fault::set_spec`]
+//! (the chaos suite arms fault injection in process, as `SPADE_FAULT` does
+//! for a daemon).
 
-pub mod budget;
+pub(crate) mod budget;
 pub mod fault;
 
 pub use budget::{Budget, CancelReason, Cancelled};

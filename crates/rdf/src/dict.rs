@@ -8,15 +8,15 @@
 //! # Two-phase str-keyed interning
 //!
 //! The id map is keyed by a canonical *string encoding* of each term (a tag
-//! byte plus the term's text; see [`encode_term_ref`]) rather than by owned
-//! [`Term`] values. The hot path — interning a borrowed [`TermRef`] straight
+//! byte plus the term's text; see `encode_term_ref`) rather than by owned
+//! [`Term`] values. The hot path — interning a borrowed `TermRef` straight
 //! out of the N-Triples parser — therefore allocates **nothing** on a hit:
 //! the key is built in a reusable scratch buffer and looked up by `&str`.
 //! Only the first occurrence of a term materializes an owned `Term` (for id
 //! → term decoding) and a boxed key.
 //!
 //! Parallel ingestion runs one such dictionary per input chunk, then merges
-//! them with [`Dictionary::intern_entry`] in chunk order: because a term
+//! them with `Dictionary::intern_entry` in chunk order: because a term
 //! first seen in chunk *k* gets its global id after all terms of chunks
 //! `< k` and in chunk-local first-seen order, the merged id assignment is
 //! bit-identical to a serial first-seen scan — for every thread count.
@@ -74,7 +74,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`]-keyed maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
@@ -109,7 +109,7 @@ impl std::fmt::Display for TermId {
 /// kind (and literal flavor), and for tagged/typed literals the tag/datatype
 /// is length-prefixed (decimal byte count + `;`) before the lexical form —
 /// no separator byte to collide with, whatever bytes the fields contain.
-pub fn encode_term_ref(term: &TermRef<'_>, out: &mut String) {
+pub(crate) fn encode_term_ref(term: &TermRef<'_>, out: &mut String) {
     out.clear();
     match term {
         TermRef::Iri(s) => {
@@ -175,7 +175,7 @@ fn push_len(out: &mut String, len: usize) {
 /// back into an owned [`Term`]. Returns `None` on malformed input — the
 /// encoding is injective *and* fully reversible, which is what lets the
 /// snapshot store serialize the dictionary as nothing but its key blob.
-pub fn decode_term(key: &str) -> Option<Term> {
+pub(crate) fn decode_term(key: &str) -> Option<Term> {
     let (&tag, _) = key.as_bytes().split_first()?;
     let rest = key.get(1..)?; // None when the first byte opens a multi-byte char
     match tag {
@@ -266,7 +266,7 @@ impl std::fmt::Debug for Dictionary {
 
 impl Dictionary {
     /// Creates an empty dictionary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -301,7 +301,7 @@ impl Dictionary {
 
     /// Interns a borrowed term, returning its (possibly pre-existing) id.
     /// Allocation-free on a hit; materializes the owned term on a miss.
-    pub fn intern_ref(&mut self, term: &TermRef<'_>) -> TermId {
+    pub(crate) fn intern_ref(&mut self, term: &TermRef<'_>) -> TermId {
         let mut scratch = std::mem::take(&mut self.scratch);
         encode_term_ref(term, &mut scratch);
         self.ensure_ids();
@@ -342,7 +342,7 @@ impl Dictionary {
     /// merge path of parallel ingestion, which reuses the chunk-local boxed
     /// keys instead of re-encoding. `key` **must** equal
     /// [`encode_term_ref`]`(&term.as_ref(), ..)`.
-    pub fn intern_entry(&mut self, key: Box<str>, term: Term) -> TermId {
+    pub(crate) fn intern_entry(&mut self, key: Box<str>, term: Term) -> TermId {
         self.ensure_ids();
         let ids = self.ids.get_mut().expect("initialized above");
         match ids.get(&*key) {
@@ -471,7 +471,7 @@ impl Dictionary {
 }
 
 /// The fragment / last path segment of an IRI — used for display only.
-pub fn local_name(iri: &str) -> &str {
+pub(crate) fn local_name(iri: &str) -> &str {
     let tail = iri.rsplit(['#', '/']).next().unwrap_or(iri);
     if tail.is_empty() {
         iri

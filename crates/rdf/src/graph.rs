@@ -183,7 +183,7 @@ impl Graph {
     /// to [`Graph::insert_ids`] per triple, but index updates are grouped —
     /// one map probe per *distinct* key instead of several per triple —
     /// which is what makes the saturation merge allocation-lean.
-    pub fn insert_batch(&mut self, batch: &[Triple]) -> usize {
+    pub(crate) fn insert_batch(&mut self, batch: &[Triple]) -> usize {
         self.seen_set_mut();
         // Field-level re-borrow, so `triples` stays pushable in the loop.
         let seen = self.seen.get_mut().expect("initialized above");
@@ -272,32 +272,9 @@ impl Graph {
         nodes
     }
 
-    /// The types of node `s`.
-    pub fn types_of(&self, s: TermId) -> Vec<TermId> {
-        self.objects(s, self.rdf_type).collect()
-    }
-
     /// All distinct subjects.
     pub fn subjects(&self) -> impl Iterator<Item = TermId> + '_ {
         self.outgoing.keys().copied()
-    }
-
-    /// The distinct subjects having *all* the given outgoing properties —
-    /// property-based CFS selection (Section 3, Step 1 (ii)).
-    pub fn subjects_with_properties(&self, props: &[TermId]) -> Vec<TermId> {
-        let Some((first, rest)) = props.split_first() else {
-            return Vec::new();
-        };
-        let mut nodes: FxHashSet<TermId> =
-            self.property_pairs(*first).iter().map(|(s, _)| *s).collect();
-        for p in rest {
-            let with_p: FxHashSet<TermId> =
-                self.property_pairs(*p).iter().map(|(s, _)| *s).collect();
-            nodes.retain(|s| with_p.contains(s));
-        }
-        let mut out: Vec<TermId> = nodes.into_iter().collect();
-        out.sort_unstable();
-        out
     }
 
     /// Number of distinct subjects.
@@ -451,7 +428,7 @@ mod tests {
         let ceo = g.dict.id_of(&t("CEO")).unwrap();
         assert_eq!(g.nodes_of_type(ceo).len(), 2);
         let n2 = g.dict.id_of(&t("n2")).unwrap();
-        assert_eq!(g.types_of(n2).len(), 2);
+        assert_eq!(g.objects(n2, g.rdf_type_id()).count(), 2);
         assert_eq!(g.classes().count(), 2);
     }
 
@@ -465,27 +442,6 @@ mod tests {
         let ceo = g.dict.id_of(&t("CEO")).unwrap();
         assert_eq!(g.nodes_of_type(ceo), vec![g.dict.id_of(&t("n1")).unwrap()]);
         assert_eq!(g.rdf_type_id(), g.dict.id_of(&Term::iri(vocab::RDF_TYPE)).unwrap());
-    }
-
-    #[test]
-    fn subjects_with_properties_intersects() {
-        let mut g = Graph::new();
-        g.insert(t("a"), t("p"), Term::lit("1"));
-        g.insert(t("a"), t("q"), Term::lit("2"));
-        g.insert(t("b"), t("p"), Term::lit("3"));
-        let p = g.dict.id_of(&t("p")).unwrap();
-        let q = g.dict.id_of(&t("q")).unwrap();
-        let a = g.dict.id_of(&t("a")).unwrap();
-        let b = g.dict.id_of(&t("b")).unwrap();
-        assert_eq!(g.subjects_with_properties(&[p, q]), vec![a]);
-        let mut both = g.subjects_with_properties(&[p]);
-        both.sort_unstable();
-        assert_eq!(both, {
-            let mut v = vec![a, b];
-            v.sort_unstable();
-            v
-        });
-        assert!(g.subjects_with_properties(&[]).is_empty());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::term::{Term, TermRef};
 use crate::vocab;
 
 /// Default parse-chunk size in bytes (snapped forward to a line boundary).
-pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
+pub(crate) const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
 
 /// Parses an N-Triples document with the parallel zero-copy pipeline.
 /// `threads = 0` uses all cores; every thread count produces a bit-identical

@@ -49,7 +49,9 @@ pub fn parse_ntriples(input: &str) -> Result<Graph, NtParseError> {
 
 /// Parses one (already trimmed, non-empty, non-comment) N-Triples line into
 /// three borrowed terms.
-pub fn parse_line_ref(line: &str) -> Result<(TermRef<'_>, TermRef<'_>, TermRef<'_>), String> {
+pub(crate) fn parse_line_ref(
+    line: &str,
+) -> Result<(TermRef<'_>, TermRef<'_>, TermRef<'_>), String> {
     let mut cursor = Cursor { bytes: line.as_bytes(), line, pos: 0 };
     let s = cursor.parse_term()?;
     cursor.skip_ws();
@@ -315,7 +317,6 @@ pub fn write_term(term: &Term, out: &mut String) {
 mod tests {
     use super::*;
     use crate::term::Literal;
-    use crate::vocab;
 
     #[test]
     fn parses_basic_triples() {
@@ -379,7 +380,7 @@ _:b0 <http://x/label> "blank"@en .
         g.insert(Term::iri("http://x/a"), Term::iri("http://x/p"), Term::int(7));
         g.insert(
             Term::iri("http://x/a"),
-            Term::iri(vocab::RDFS_LABEL),
+            Term::iri("http://www.w3.org/2000/01/rdf-schema#label"),
             Term::Literal(Literal::lang_tagged("sept", "fr")),
         );
         let nt = write_ntriples(&g);

@@ -16,7 +16,7 @@ pub struct Literal {
 
 impl Literal {
     /// Plain string literal.
-    pub fn plain(lexical: impl Into<String>) -> Self {
+    pub(crate) fn plain(lexical: impl Into<String>) -> Self {
         Literal { lexical: lexical.into(), lang: None, datatype: None }
     }
 
@@ -31,12 +31,12 @@ impl Literal {
     }
 
     /// Integer literal with `xsd:integer` datatype.
-    pub fn integer(v: i64) -> Self {
+    pub(crate) fn integer(v: i64) -> Self {
         Literal::typed(v.to_string(), crate::vocab::XSD_INTEGER)
     }
 
     /// Decimal literal with `xsd:double` datatype.
-    pub fn double(v: f64) -> Self {
+    pub(crate) fn double(v: f64) -> Self {
         Literal::typed(format!("{v}"), crate::vocab::XSD_DOUBLE)
     }
 }
@@ -92,7 +92,7 @@ impl Term {
     }
 
     /// The IRI string, if this term is one.
-    pub fn as_iri(&self) -> Option<&str> {
+    pub(crate) fn as_iri(&self) -> Option<&str> {
         match self {
             Term::Iri(s) => Some(s),
             _ => None,
@@ -143,7 +143,7 @@ impl fmt::Display for Term {
 /// escape-bearing ones decode into an owned spill string. Language tags and
 /// datatype IRIs never contain escapes, so they always borrow.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LiteralRef<'a> {
+pub(crate) struct LiteralRef<'a> {
     /// The (unescaped) lexical form.
     pub lexical: Cow<'a, str>,
     /// Language tag, mutually exclusive with `datatype`.
@@ -154,7 +154,7 @@ pub struct LiteralRef<'a> {
 
 impl LiteralRef<'_> {
     /// Materializes an owned [`Literal`].
-    pub fn to_literal(&self) -> Literal {
+    pub(crate) fn to_literal(&self) -> Literal {
         Literal {
             lexical: self.lexical.clone().into_owned(),
             lang: self.lang.map(str::to_owned),
@@ -165,7 +165,7 @@ impl LiteralRef<'_> {
 
 /// A borrowed RDF term — slices into a parse buffer, no per-term `String`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TermRef<'a> {
+pub(crate) enum TermRef<'a> {
     /// IRI reference.
     Iri(&'a str),
     /// Blank node label.
@@ -177,23 +177,18 @@ pub enum TermRef<'a> {
 impl TermRef<'_> {
     /// Materializes an owned [`Term`] (allocates; done once per *distinct*
     /// term by the dictionary, not once per occurrence).
-    pub fn to_term(&self) -> Term {
+    pub(crate) fn to_term(&self) -> Term {
         match self {
             TermRef::Iri(s) => Term::Iri((*s).to_owned()),
             TermRef::Blank(s) => Term::Blank((*s).to_owned()),
             TermRef::Literal(l) => Term::Literal(l.to_literal()),
         }
     }
-
-    /// `true` for IRIs and blank nodes.
-    pub fn is_resource(&self) -> bool {
-        !matches!(self, TermRef::Literal(_))
-    }
 }
 
 impl Term {
     /// The borrowed view of this term.
-    pub fn as_ref(&self) -> TermRef<'_> {
+    pub(crate) fn as_ref(&self) -> TermRef<'_> {
         match self {
             Term::Iri(s) => TermRef::Iri(s),
             Term::Blank(s) => TermRef::Blank(s),
@@ -221,13 +216,6 @@ pub enum ValueKind {
     Boolean,
     /// Everything else: free text.
     String,
-}
-
-impl ValueKind {
-    /// Numeric kinds can serve as measures.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, ValueKind::Integer | ValueKind::Decimal)
-    }
 }
 
 fn literal_kind(l: &Literal) -> ValueKind {
@@ -329,14 +317,5 @@ mod tests {
         assert!(is_iso_date("2021-06-20T10:00:00Z"));
         assert!(!is_iso_date("20210620"));
         assert!(!is_iso_date("not-a-date"));
-    }
-
-    #[test]
-    fn numeric_kinds_are_measure_candidates() {
-        assert!(ValueKind::Integer.is_numeric());
-        assert!(ValueKind::Decimal.is_numeric());
-        assert!(!ValueKind::String.is_numeric());
-        assert!(!ValueKind::Resource.is_numeric());
-        assert!(!ValueKind::Date.is_numeric());
     }
 }

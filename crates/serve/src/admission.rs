@@ -55,37 +55,37 @@ pub fn estimate_cost(state: &OfflineState, base: &SpadeConfig, request: &Request
 /// a resize never disturbs already-admitted work (permits release exactly
 /// what they took).
 #[derive(Debug)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     capacity: AtomicU64,
     inflight: AtomicU64,
 }
 
 impl AdmissionController {
     /// A controller shedding above `capacity` work units (0 = never shed).
-    pub fn new(capacity: u64) -> AdmissionController {
+    pub(crate) fn new(capacity: u64) -> AdmissionController {
         AdmissionController { capacity: AtomicU64::new(capacity), inflight: AtomicU64::new(0) }
     }
 
     /// The current capacity (0 = unlimited).
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity.load(Ordering::Relaxed)
     }
 
     /// Retargets the capacity (the `auto` adaptation loop). Takes effect
     /// for the next admission decision; in-flight permits are untouched.
-    pub fn set_capacity(&self, capacity: u64) {
+    pub(crate) fn set_capacity(&self, capacity: u64) {
         self.capacity.store(capacity, Ordering::Relaxed);
     }
 
     /// Cost currently admitted and not yet released.
-    pub fn inflight(&self) -> u64 {
+    pub(crate) fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Relaxed)
     }
 
     /// Tries to admit `cost` units; `None` means shed. The returned permit
     /// releases the units when dropped, so every exit path (success, panic
     /// caught at the route boundary, cancellation) gives the capacity back.
-    pub fn try_admit(&self, cost: u64) -> Option<AdmissionPermit<'_>> {
+    pub(crate) fn try_admit(&self, cost: u64) -> Option<AdmissionPermit<'_>> {
         let capacity = self.capacity();
         if capacity == 0 {
             self.inflight.fetch_add(cost, Ordering::Relaxed);
@@ -106,16 +106,9 @@ impl AdmissionController {
 
 /// RAII receipt for admitted work; dropping it releases the cost.
 #[derive(Debug)]
-pub struct AdmissionPermit<'a> {
+pub(crate) struct AdmissionPermit<'a> {
     controller: &'a AdmissionController,
     cost: u64,
-}
-
-impl AdmissionPermit<'_> {
-    /// The cost this permit holds.
-    pub fn cost(&self) -> u64 {
-        self.cost
-    }
 }
 
 impl Drop for AdmissionPermit<'_> {

@@ -22,7 +22,7 @@ const ENTRY_OVERHEAD: usize = 64;
 
 /// Counters exposed via `/stats` and `/metrics`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Lookups that returned a body.
     pub hits: u64,
     /// Lookups that found nothing.
@@ -160,7 +160,7 @@ impl ResultCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,

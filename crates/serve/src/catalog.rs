@@ -2,7 +2,7 @@
 //! per-graph generations and byte-budgeted LRU eviction of cold graphs.
 //!
 //! One daemon serves N snapshots. Each registered graph owns a slot that
-//! is empty until the first request touches it ([`GraphCatalog::acquire`]
+//! is empty until the first request touches it (`GraphCatalog::acquire`
 //! opens the snapshot on demand — memory-mapped, so the open itself is
 //! near-free and the materialized state is the only resident cost). A
 //! byte budget (`--graph-memory-budget`) caps the sum of the loaded
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One registered graph: its routing name, its snapshot path, and the
 /// currently-loaded state (if any).
-pub struct GraphEntry {
+pub(crate) struct GraphEntry {
     name: String,
     slot: Mutex<Slot>,
     /// Monotone generation: bumped by every (re)open, so cache keys from
@@ -44,32 +44,32 @@ struct Slot {
 
 impl GraphEntry {
     /// The routing name (`/graphs/{name}/…`).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The last published generation (0 before the first load).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
 
     /// The resident-byte estimate of the loaded state (0 when cold).
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
     }
 
     /// Whether a state is currently loaded.
-    pub fn is_loaded(&self) -> bool {
+    pub(crate) fn is_loaded(&self) -> bool {
         self.peek().is_some()
     }
 
     /// The loaded state without forcing a load (`None` when cold).
-    pub fn peek(&self) -> Option<Arc<ServingState>> {
+    pub(crate) fn peek(&self) -> Option<Arc<ServingState>> {
         self.lock().state.as_ref().map(Arc::clone)
     }
 
     /// The snapshot path the next (re)open will read.
-    pub fn path(&self) -> PathBuf {
+    pub(crate) fn path(&self) -> PathBuf {
         self.lock().path.clone()
     }
 
@@ -80,7 +80,7 @@ impl GraphEntry {
 
 /// What an [`GraphCatalog::acquire`] or [`GraphCatalog::reload`] handed
 /// back: the pinned state plus what the budget enforcement did about it.
-pub struct Acquired {
+pub(crate) struct Acquired {
     /// The serving state, pinned for this request regardless of any
     /// concurrent eviction or reload.
     pub state: Arc<ServingState>,
@@ -91,7 +91,7 @@ pub struct Acquired {
 
 /// The catalog. The entry set is fixed at startup (sorted by name);
 /// states come and go under it.
-pub struct GraphCatalog {
+pub(crate) struct GraphCatalog {
     entries: Vec<Arc<GraphEntry>>,
     /// Byte budget over the sum of resident estimates; 0 = unlimited.
     budget: u64,
@@ -106,7 +106,7 @@ impl GraphCatalog {
     /// Builds a catalog over `graphs` (name → snapshot path). Names must
     /// be unique, non-empty, and URL-safe (`[A-Za-z0-9_.-]`); violations
     /// are a configuration error, not a panic.
-    pub fn new(
+    pub(crate) fn new(
         graphs: Vec<(String, PathBuf)>,
         budget: u64,
         threads: usize,
@@ -144,38 +144,38 @@ impl GraphCatalog {
     }
 
     /// The registered graphs, sorted by name.
-    pub fn entries(&self) -> &[Arc<GraphEntry>] {
+    pub(crate) fn entries(&self) -> &[Arc<GraphEntry>] {
         &self.entries
     }
 
     /// Index of `name` in [`GraphCatalog::entries`].
-    pub fn position(&self, name: &str) -> Option<usize> {
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
         self.entries.binary_search_by(|e| e.name.as_str().cmp(name)).ok()
     }
 
     /// The registered graph names in entry (sorted) order — the fixed name
     /// set consumers like the request ledger key their per-graph state by.
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         self.entries.iter().map(|e| e.name.clone()).collect()
     }
 
     /// The configured byte budget (0 = unlimited).
-    pub fn budget_bytes(&self) -> u64 {
+    pub(crate) fn budget_bytes(&self) -> u64 {
         self.budget
     }
 
     /// Sum of the loaded states' resident estimates.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.resident_bytes()).sum()
     }
 
     /// Snapshot (re)opens performed so far.
-    pub fn loads_total(&self) -> u64 {
+    pub(crate) fn loads_total(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
     }
 
     /// Graph states evicted by the budget so far.
-    pub fn evictions_total(&self) -> u64 {
+    pub(crate) fn evictions_total(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
@@ -184,7 +184,10 @@ impl GraphCatalog {
     /// because the budget evicted it. A (re)open publishes a bumped
     /// generation and then enforces the budget against the *other*
     /// graphs.
-    pub fn acquire(&self, entry: &GraphEntry) -> Result<Acquired, SnapshotPipelineError> {
+    pub(crate) fn acquire(
+        &self,
+        entry: &GraphEntry,
+    ) -> Result<Acquired, SnapshotPipelineError> {
         entry.last_used.store(self.tick(), Ordering::Relaxed);
         let slot = entry.lock();
         if let Some(state) = &slot.state {
@@ -197,7 +200,7 @@ impl GraphCatalog {
     /// current path when `None`), publishing a bumped generation. The old
     /// state keeps serving in-flight requests that pinned it; on failure
     /// it stays published untouched.
-    pub fn reload(
+    pub(crate) fn reload(
         &self,
         entry: &GraphEntry,
         path: Option<PathBuf>,
@@ -265,7 +268,7 @@ impl GraphCatalog {
 
 /// Graph names route as a path segment, so keep them to one URL-safe
 /// token: letters, digits, `_`, `.`, `-`.
-pub fn valid_graph_name(name: &str) -> bool {
+pub(crate) fn valid_graph_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 128
         && name.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))

@@ -35,7 +35,7 @@ impl Response {
     }
 }
 
-/// How [`Client::send`] reacts to 503 responses (accept-queue overflow or
+/// How `Client::send` reacts to 503 responses (accept-queue overflow or
 /// admission shed). The server's `Retry-After` hint, when present, replaces
 /// the exponential backoff for that attempt; either way the delay is
 /// jittered into `[0.5, 1.0]×` so a herd of shed clients does not return in
@@ -63,7 +63,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Never retry — tests asserting raw 503 behaviour use this.
-    pub fn none() -> RetryPolicy {
+    pub(crate) fn none() -> RetryPolicy {
         RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
     }
 }
@@ -133,7 +133,12 @@ impl Client {
     /// [`RetryPolicy`]. I/O errors are not retried beyond the keep-alive
     /// reconnect — a shed is an explicit, safe-to-repeat answer; a broken
     /// pipe mid-POST is not.
-    pub fn send(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
+    pub(crate) fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> io::Result<Response> {
         let policy = self.retry.clone();
         let mut slept = Duration::ZERO;
         for attempt in 0.. {

@@ -6,7 +6,7 @@
 //! byte-level framing; routing and handlers live in [`crate::server`].
 //!
 //! Robustness over features: every limit is explicit ([`Limits`]), every
-//! malformed input is a typed [`HttpError`] the server maps to a 4xx
+//! malformed input is a typed `HttpError` the server maps to a 4xx
 //! response, and anything outside the subset (`Transfer-Encoding`, absolute
 //! URIs, HTTP/2 preface, …) is rejected loudly rather than half-handled.
 
@@ -25,7 +25,7 @@ pub struct Limits {
     /// measured from its first byte. The worker's 500 ms read-timeout poll
     /// tick only bounds *idle* gaps; without this cap a client trickling
     /// one byte every few hundred milliseconds would pin a worker forever
-    /// (slow-loris). Exceeding it is [`HttpError::ReadTimeout`] → 408.
+    /// (slow-loris). Exceeding it is `HttpError::ReadTimeout` → 408.
     pub read_deadline: Duration,
 }
 
@@ -41,7 +41,7 @@ impl Default for Limits {
 
 /// One parsed request.
 #[derive(Clone, Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// `GET`, `POST`, … (upper-case as sent).
     pub method: String,
     /// The request target, e.g. `/explore` (query strings are kept as-is).
@@ -54,7 +54,7 @@ pub struct Request {
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The peer closed the connection before sending any byte — the normal
     /// end of a keep-alive session, not an error to report.
     Closed,
@@ -90,7 +90,7 @@ impl std::error::Error for HttpError {}
 
 /// A connection able to read consecutive requests (keep-alive): bytes read
 /// past one request's end are carried over to the next.
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     carry: Vec<u8>,
     /// When the first byte of the in-progress request arrived. Survives the
@@ -102,17 +102,17 @@ pub struct Conn {
 
 impl Conn {
     /// Wraps an accepted stream.
-    pub fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn { stream, carry: Vec::new(), request_started: None }
     }
 
     /// The underlying stream (for writing responses).
-    pub fn stream(&mut self) -> &mut TcpStream {
+    pub(crate) fn stream(&mut self) -> &mut TcpStream {
         &mut self.stream
     }
 
     /// Reads and parses the next request.
-    pub fn read_request(&mut self, limits: &Limits) -> Result<Request, HttpError> {
+    pub(crate) fn read_request(&mut self, limits: &Limits) -> Result<Request, HttpError> {
         // —— head: everything up to the first CRLFCRLF ——
         let head_end = loop {
             if let Some(end) = find_head_end(&self.carry) {
@@ -239,7 +239,7 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
 }
 
 /// The reason phrase of the status codes the server emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -259,7 +259,7 @@ pub fn reason(status: u16) -> &'static str {
 /// Writes one response. `extra_headers` must not include the framing
 /// headers this function owns (`Content-Length`, `Content-Type`,
 /// `Connection`).
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,

@@ -25,7 +25,7 @@
 //!   oversubscribe the configured core budget,
 //! * results are **bit-identical** across thread budgets and concurrency
 //!   (the pipeline's determinism guarantee), which makes the byte-budgeted
-//!   LRU **result cache** ([`cache`]) exact: a hit returns the very bytes
+//!   LRU **result cache** (`cache`) exact: a hit returns the very bytes
 //!   a fresh evaluation would produce,
 //! * one daemon serves a whole **graph catalog** ([`catalog`]): each
 //!   registered snapshot opens lazily (memory-mapped) on first touch, and
@@ -335,7 +335,7 @@
 //! never takes the daemon down:
 //!
 //! * **Slow client (slow-loris)** — a request whose bytes take longer than
-//!   [`Limits::read_deadline`] (default 10 s) to arrive is answered `408`
+//!   [`http::Limits::read_deadline`] (default 10 s) to arrive is answered `408`
 //!   and the connection closed, so a trickling peer can pin a worker for at
 //!   most the deadline. Idle keep-alive gaps *between* requests are bounded
 //!   separately by `ServeConfig::idle_timeout`. Counted in
@@ -386,12 +386,15 @@
 //!   `spade_serve_slo_breach_total{graph="…"}` and is flagged
 //!   `"slo_breach": true` in its ledger record; the counter is the
 //!   numerator for burn-rate alerts (denominator:
-//!   `spade_serve_explore_total`). When no `--request-timeout` is given,
-//!   the SLO also derives the evaluation's early-stop budget at startup:
-//!   pruning gets more aggressive (single-batch confirmation) below a 2 s
-//!   SLO, standard two-batch confirmation above. The derivation is
-//!   **static** — per-request adaptation would break the byte-identical
-//!   response guarantee.
+//!   `spade_serve_explore_total`). Any SLO also turns early-stop on at
+//!   startup, whether or not `--request-timeout` is given: every explore
+//!   then prunes for its own request's `k` and `h`, consuming the sample
+//!   in one batch when the SLO is under 2 s and in the standard two
+//!   batches otherwise. The answers are approximate, under the Section 5
+//!   guarantee: an aggregate is pruned only when its score interval falls
+//!   under the k-th best at 95 % confidence. The switch is **static** —
+//!   per-request adaptation would break the byte-identical response
+//!   guarantee.
 //! * **`--admission-capacity auto`** sizes capacity from observation
 //!   instead of a guess. The capacity is seeded at startup with the
 //!   static estimate of one default request, then after each profiled
@@ -470,18 +473,28 @@
 //!
 //! See [`server::ServeConfig`] for every knob. The daemon exits `0` after
 //! a clean drain on SIGTERM/SIGINT.
+//!
+//! # Public surface
+//!
+//! Every public item has a caller outside this crate (`main.rs`, the pinned
+//! benchmark), or is one of these:
+//! - [`client::RetryPolicy`] with [`client::Client::with_retry`]: every
+//!   [`client::Client`] retries 503s with jittered backoff by default. The
+//!   benchmark opts out with [`client::Client::no_retry`], and
+//!   `tests/chaos.rs` tests the recovery; without the policy, `no_retry`
+//!   would be a method that does nothing.
+//! - [`server::Server::start`], the single-snapshot server, and the one-shot
+//!   [`client::get`] and [`client::post`]: the loopback, catalog, ledger and
+//!   chaos suites drive the daemon through them.
+//! - [`http`], because it names [`http::Limits`], the type of
+//!   [`server::ServeConfig::limits`].
 
 pub mod admission;
-pub mod cache;
+pub(crate) mod cache;
 pub mod catalog;
 pub mod client;
 pub mod http;
 pub mod server;
 pub mod signal;
 
-pub use admission::{AdmissionController, AdmissionPermit};
-pub use cache::{CacheStats, ResultCache};
-pub use catalog::{scan_snapshot_dir, GraphCatalog, GraphEntry};
-pub use client::{Client, Response as ClientResponse, RetryPolicy};
-pub use http::Limits;
-pub use server::{ServeConfig, ServeError, Server, ServingState};
+pub use cache::ResultCache;

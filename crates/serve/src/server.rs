@@ -67,11 +67,14 @@ pub struct ServeConfig {
     /// `workers × EWMA(estimated cost) × clamp(SLO / EWMA(latency), 1, 128)`
     /// — see the crate docs ("Adaptive admission & SLOs").
     pub admission_auto: bool,
-    /// Latency SLO driving the `auto` capacity loop, the
-    /// `spade_serve_slo_breach_total{graph=…}` burn-rate counters, and the
-    /// early-stop budget (an SLO under 2 s tightens early-stop to a single
-    /// batch). `None` = no SLO: `auto` assumes 1 s, nothing counts as a
-    /// breach, early-stop stays as configured.
+    /// Latency SLO driving the `auto` capacity loop and the
+    /// `spade_serve_slo_breach_total{graph=…}` burn-rate counters. Any SLO
+    /// also turns early-stop on ([`SpadeConfig::with_early_stop`]) when the
+    /// base config has it off: each explore prunes for its own request's
+    /// `k` and `h`, in one batch when the SLO is under 2 s, so answers are
+    /// approximate under the Section 5 guarantee. `None` = no SLO: `auto`
+    /// assumes 1 s, nothing counts as a breach, early-stop stays as
+    /// configured.
     pub latency_slo: Option<Duration>,
     /// How many completed-request records the analytics ledger ring
     /// retains for `GET /debug/queries` (profiles and the scorecard are
@@ -150,7 +153,7 @@ impl std::error::Error for ServeError {}
 /// and keep using their generation even while a reload swaps in the next —
 /// that is the whole hot-reload story: zero locks held during evaluation,
 /// zero dropped in-flight requests.
-pub struct ServingState {
+pub(crate) struct ServingState {
     /// The loaded offline state (graph + statistics).
     pub offline: OfflineState,
     /// Monotonic reload counter, part of every cache key.

@@ -14,11 +14,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
 }
 
-/// Resets the flag (tests only; real daemons shut down once).
-pub fn reset() {
-    SHUTDOWN_REQUESTED.store(false, Ordering::SeqCst);
-}
-
 #[cfg(unix)]
 mod imp {
     use super::SHUTDOWN_REQUESTED;
@@ -38,7 +33,7 @@ mod imp {
         SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
     }
 
-    pub fn install() {
+    pub(crate) fn install() {
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);
@@ -48,7 +43,7 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    pub fn install() {}
+    pub(crate) fn install() {}
 }
 
 /// Installs the SIGINT/SIGTERM handlers (idempotent).
@@ -71,7 +66,7 @@ mod tests {
             raise(15);
         }
         assert!(shutdown_requested());
-        reset();
+        SHUTDOWN_REQUESTED.store(false, Ordering::SeqCst);
         assert!(!shutdown_requested());
     }
 }

@@ -7,7 +7,7 @@
 //! serial `Spade::run_snapshot` path computes for the same snapshot — the
 //! server adds concurrency, never changes answers.
 
-use spade_core::{Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_serve::client::{self, Client};
 use spade_serve::http::Limits;
 use spade_serve::server::{ServeConfig, ServeError, Server};
@@ -153,6 +153,39 @@ fn request_overrides_and_cache_hits_are_exact() {
     let doc = spade_core::json::parse(&stats.text()).expect("stats JSON");
     let hits = doc.get("cache").and_then(|c| c.get("hits")).and_then(|v| v.as_usize());
     assert!(hits >= Some(2), "stats counted the hits: {hits:?}");
+
+    assert!(server.shutdown(Duration::from_secs(10)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A latency objective turns early-stop on at startup; it must still
+/// prune for each request's own `k` and `h`, so a served answer equals
+/// early-stop built in process for that request.
+#[test]
+fn latency_slo_early_stop_answers_the_request() {
+    let dir = temp_dir("slo_early_stop");
+    let path = write_snapshot(&dir, "corpus.spade", 100, 11);
+    let request = RequestConfig {
+        k: Some(20),
+        interestingness: RequestConfig::interestingness_from_name("skewness"),
+        ..Default::default()
+    };
+    let state = OfflineState::open(&path, 1).expect("snapshot opens");
+    let expected = Spade::new(request.apply(&base_config()).with_early_stop())
+        .run_on(&state, &RequestConfig::default())
+        .to_json(false);
+
+    let config = ServeConfig { latency_slo: Some(Duration::from_secs(5)), ..serve_config(0) };
+    let server = Server::start(config, base_config(), &path).expect("server starts");
+    let response = client::post(
+        server.local_addr(),
+        "/explore",
+        br#"{"k": 20, "interestingness": "skewness"}"#,
+    )
+    .expect("explore");
+    assert_eq!(response.status, 200);
+    assert_eq!(response.text(), expected, "served bytes equal the in-process oracle");
+    assert!(expected.contains("\"top\":[{"), "oracle has top aggregates: {expected}");
 
     assert!(server.shutdown(Duration::from_secs(10)));
     std::fs::remove_dir_all(&dir).ok();

@@ -78,7 +78,7 @@ pub struct ScoreInterval {
 
 impl ScoreInterval {
     /// A width-zero interval.
-    pub fn exact(value: f64) -> Self {
+    pub(crate) fn exact(value: f64) -> Self {
         ScoreInterval { estimate: value, lower: value, upper: value }
     }
 }

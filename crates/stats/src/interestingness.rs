@@ -57,7 +57,7 @@ impl Interestingness {
 
     /// The *signed* raw statistic (used internally by the CI machinery,
     /// which builds an interval around the signed value before folding).
-    pub fn raw(self, values: &[f64]) -> f64 {
+    pub(crate) fn raw(self, values: &[f64]) -> f64 {
         let m = RunningMoments::from_slice(values);
         match self {
             Interestingness::Variance => m.variance_unbiased(),
@@ -73,7 +73,7 @@ impl Interestingness {
     ///   `∂I/∂y_s = (3/G)((y_s−ȳ)² − m₂)·m₂^{−3/2} + m₃·(−3/2)m₂^{−5/2}·(2/G)(y_s−ȳ)`
     /// * kurtosis `J = m₄·m₂^{−2} − 3`:
     ///   `∂J/∂y_s = (4/G)((y_s−ȳ)³ − m₃)·m₂^{−2} + m₄·(−2)m₂^{−3}·(2/G)(y_s−ȳ)`
-    pub fn gradient(self, values: &[f64]) -> Vec<f64> {
+    pub(crate) fn gradient(self, values: &[f64]) -> Vec<f64> {
         let g = values.len() as f64;
         if values.len() < 2 {
             return vec![0.0; values.len()];

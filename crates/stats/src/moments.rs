@@ -18,7 +18,7 @@ pub struct RunningMoments {
     max: f64,
 }
 
-/// `Default` equals [`RunningMoments::new`]: an *empty* accumulator with
+/// `Default` equals `RunningMoments::new`: an *empty* accumulator with
 /// `min = +∞` / `max = −∞` sentinels (a derived all-zero default would
 /// silently corrupt `min()` for positive-valued data).
 impl Default for RunningMoments {
@@ -29,7 +29,7 @@ impl Default for RunningMoments {
 
 impl RunningMoments {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunningMoments {
             n: 0,
             mean: 0.0,
@@ -60,7 +60,7 @@ impl RunningMoments {
     }
 
     /// Adds every value of a slice.
-    pub fn extend(&mut self, xs: &[f64]) {
+    pub(crate) fn extend(&mut self, xs: &[f64]) {
         for &x in xs {
             self.push(x);
         }
@@ -84,17 +84,17 @@ impl RunningMoments {
     }
 
     /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest observation (`−inf` when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 
     /// Unbiased sample variance `1/(n−1) Σ (x−x̄)²` — the paper's Eq. (1).
-    pub fn variance_unbiased(&self) -> f64 {
+    pub(crate) fn variance_unbiased(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -130,7 +130,7 @@ impl RunningMoments {
     }
 
     /// Moment-ratio skewness `m₃ / m₂^{3/2}` (0 for degenerate data).
-    pub fn skewness(&self) -> f64 {
+    pub(crate) fn skewness(&self) -> f64 {
         let m2 = self.variance_population();
         if self.n < 3 || m2 <= f64::EPSILON {
             0.0
@@ -140,7 +140,7 @@ impl RunningMoments {
     }
 
     /// Excess kurtosis `m₄ / m₂² − 3` (0 for degenerate data).
-    pub fn kurtosis_excess(&self) -> f64 {
+    pub(crate) fn kurtosis_excess(&self) -> f64 {
         let m2 = self.variance_population();
         if self.n < 4 || m2 <= f64::EPSILON {
             0.0

@@ -80,7 +80,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// The two-sided critical value `z` such that `P(|Z| ≤ z) = confidence`,
 /// i.e. the `(confidence+1)/2` quantile used by Theorem 2.
-pub fn two_sided_z(confidence: f64) -> f64 {
+pub(crate) fn two_sided_z(confidence: f64) -> f64 {
     assert!(
         confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0,1), got {confidence}"

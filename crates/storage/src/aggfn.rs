@@ -1,10 +1,6 @@
-//! The aggregate function set `Ω = {count, min, max, sum, avg}` (Section 2)
-//! and its evaluation over bitmap-selected facts with pre-aggregated
-//! measures — MVDCube's `⊗` measure computation (Section 4.3 (b)).
-
-use crate::fact_table::FactId;
-use crate::preagg::PreAggregated;
-use spade_bitmap::Bitmap;
+//! The aggregate function set `Ω = {count, min, max, sum, avg}` (Section 2).
+//! The cube engines evaluate it over per-fact pre-aggregates
+//! ([`PreAggregated`](crate::PreAggregated)), each fact contributing once.
 
 /// An aggregate function from the paper's `Ω`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,52 +24,8 @@ impl AggFn {
     /// All five functions.
     pub const ALL: [AggFn; 5] = [AggFn::Count, AggFn::Min, AggFn::Max, AggFn::Sum, AggFn::Avg];
 
-    /// Evaluates the function over the facts in `cell` using `measure`'s
-    /// per-fact pre-aggregates. Returns `None` when no fact in the cell
-    /// carries the measure ("CFs may miss … measures, and thus they do not
-    /// contribute to the result", Section 2).
-    ///
-    /// Per-fact semantics (each fact contributes exactly once):
-    /// * `count` — Σ per-fact value counts;
-    /// * `sum`   — Σ per-fact sums;
-    /// * `min`/`max` — extreme of per-fact extremes;
-    /// * `avg`   — Σ sums / Σ counts.
-    pub fn combine(self, cell: &Bitmap, measure: &PreAggregated) -> Option<f64> {
-        let mut count: u64 = 0;
-        let mut sum = 0.0f64;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for fact in cell.iter() {
-            let fact = FactId(fact);
-            let c = measure.count(fact);
-            if c == 0 {
-                continue;
-            }
-            count += c as u64;
-            sum += measure.sum(fact);
-            lo = lo.min(measure.min(fact).unwrap());
-            hi = hi.max(measure.max(fact).unwrap());
-        }
-        if count == 0 {
-            return None;
-        }
-        Some(match self {
-            AggFn::Count => count as f64,
-            AggFn::Sum => sum,
-            AggFn::Min => lo,
-            AggFn::Max => hi,
-            AggFn::Avg => sum / count as f64,
-        })
-    }
-
-    /// Number of distinct facts in the cell — `count(*)` on the CFS itself
-    /// (e.g. "Number of CEOs", Example 3).
-    pub fn count_facts(cell: &Bitmap) -> f64 {
-        cell.cardinality() as f64
-    }
-
     /// SQL-ish label for display.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AggFn::Count => "count",
             AggFn::Min => "min",
@@ -87,61 +39,5 @@ impl AggFn {
 impl std::fmt::Display for AggFn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::preagg::NumericColumn;
-
-    /// Dos Santos (fact 0, netWorth 2.8B) and Ghosn (fact 1, netWorth 120M):
-    /// Variation 1's correct semantics — each contributes exactly once.
-    fn net_worth() -> PreAggregated {
-        NumericColumn::from_rows("netWorth", &[vec![2.8e9], vec![1.2e8], vec![]]).preaggregate()
-    }
-
-    #[test]
-    fn variation1_sum_counts_each_fact_once() {
-        let cell = Bitmap::from_iter([0u32, 1]);
-        let sum = AggFn::Sum.combine(&cell, &net_worth()).unwrap();
-        assert_eq!(sum, 2.8e9 + 1.2e8);
-    }
-
-    #[test]
-    fn variation2_avg_divides_by_fact_contributions() {
-        // avg age of Dos Santos (47) and Ghosn (66) = 56.5, not sum/5.
-        let age = NumericColumn::from_rows("age", &[vec![47.0], vec![66.0]]).preaggregate();
-        let cell = Bitmap::from_iter([0u32, 1]);
-        assert_eq!(AggFn::Avg.combine(&cell, &age), Some(56.5));
-    }
-
-    #[test]
-    fn missing_measures_do_not_contribute() {
-        let cell = Bitmap::from_iter([2u32]);
-        for f in AggFn::ALL {
-            assert_eq!(f.combine(&cell, &net_worth()), None, "{f}");
-        }
-        // A mixed cell ignores the missing fact but keeps the others.
-        let mixed = Bitmap::from_iter([1u32, 2]);
-        assert_eq!(AggFn::Sum.combine(&mixed, &net_worth()), Some(1.2e8));
-        assert_eq!(AggFn::Count.combine(&mixed, &net_worth()), Some(1.0));
-    }
-
-    #[test]
-    fn multi_valued_measure_counts_values() {
-        let m = NumericColumn::from_rows("score", &[vec![1.0, 2.0], vec![10.0]]).preaggregate();
-        let cell = Bitmap::from_iter([0u32, 1]);
-        assert_eq!(AggFn::Count.combine(&cell, &m), Some(3.0));
-        assert_eq!(AggFn::Sum.combine(&cell, &m), Some(13.0));
-        assert_eq!(AggFn::Min.combine(&cell, &m), Some(1.0));
-        assert_eq!(AggFn::Max.combine(&cell, &m), Some(10.0));
-        assert!((AggFn::Avg.combine(&cell, &m).unwrap() - 13.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn count_facts_is_bitmap_cardinality() {
-        let cell = Bitmap::from_iter([4u32, 9, 9, 100]);
-        assert_eq!(AggFn::count_facts(&cell), 3.0);
     }
 }

@@ -122,11 +122,6 @@ impl CategoricalColumn {
     pub fn is_multi_valued(&self) -> bool {
         self.multi_valued_facts() > 0
     }
-
-    /// Total number of `(fact, value)` pairs.
-    pub fn pair_count(&self) -> usize {
-        self.values.len()
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +169,6 @@ mod tests {
         assert_eq!(col.support(), 2);
         assert_eq!(col.multi_valued_facts(), 2);
         assert!(col.is_multi_valued());
-        assert_eq!(col.pair_count(), 5);
         assert_eq!(col.n_facts(), 3);
     }
 

@@ -10,7 +10,7 @@ pub struct FactId(pub u32);
 impl FactId {
     /// The raw index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -36,7 +36,7 @@ impl FactTable {
     }
 
     /// Adds one node; returns its fact id (existing or fresh).
-    pub fn add(&mut self, node: TermId) -> FactId {
+    pub(crate) fn add(&mut self, node: TermId) -> FactId {
         if let Some(&id) = self.index.get(&node) {
             return id;
         }
@@ -44,16 +44,6 @@ impl FactTable {
         self.nodes.push(node);
         self.index.insert(node, id);
         id
-    }
-
-    /// The fact id of `node`, if it belongs to the CFS.
-    pub fn fact_of(&self, node: TermId) -> Option<FactId> {
-        self.index.get(&node).copied()
-    }
-
-    /// The graph node of `fact`.
-    pub fn node_of(&self, fact: FactId) -> TermId {
-        self.nodes[fact.index()]
     }
 
     /// Number of facts `|CFS|`.
@@ -80,10 +70,11 @@ mod tests {
     fn dense_ids_in_insertion_order() {
         let t = FactTable::new([TermId(10), TermId(5), TermId(99)]);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.fact_of(TermId(10)), Some(FactId(0)));
-        assert_eq!(t.fact_of(TermId(5)), Some(FactId(1)));
-        assert_eq!(t.node_of(FactId(2)), TermId(99));
-        assert_eq!(t.fact_of(TermId(1)), None);
+        let pairs: Vec<_> = t.iter().collect();
+        assert_eq!(
+            pairs,
+            [(FactId(0), TermId(10)), (FactId(1), TermId(5)), (FactId(2), TermId(99))]
+        );
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //! * [`NumericColumn`] / [`PreAggregated`] — a multi-valued numeric measure
 //!   attribute and its per-fact pre-aggregation;
 //! * [`AggFn`] — the aggregate function set `Ω = {count, min, max, sum, avg}`.
+//!
+//! # Public surface
+//!
+//! Every public item has a caller outside this crate, except:
+//! - [`FactTable::is_empty`], which pairs with the public [`FactTable::len`]
+//!   (clippy's `len_without_is_empty`, denied in CI);
+//! - four test hooks read by the unit tests of `spade-datagen` and
+//!   `spade-cube`: [`CategoricalColumn::support`],
+//!   [`CategoricalColumn::multi_valued_facts`], [`PreAggregated::support`]
+//!   and [`PreAggregated::avg`].
 
 mod aggfn;
 mod column;

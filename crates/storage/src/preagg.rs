@@ -8,8 +8,8 @@
 //! with these per-fact aggregates, not with raw triples.
 //!
 //! The paper's single-float optimization for provably single-valued numeric
-//! properties is captured by [`PreAggregated::is_single_valued`] +
-//! [`PreAggregated::float_slots`] (min = max = sum when every count ≤ 1).
+//! properties is captured by [`PreAggregated::is_single_valued`] (min = max
+//! = sum when every count ≤ 1).
 
 use crate::fact_table::FactId;
 
@@ -73,19 +73,14 @@ impl NumericColumn {
         b.build(rows.len())
     }
 
-    /// Attribute name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The raw values of `fact`.
-    pub fn values_of(&self, fact: FactId) -> &[f64] {
+    pub(crate) fn values_of(&self, fact: FactId) -> &[f64] {
         let i = fact.index();
         &self.values[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of facts covered.
-    pub fn n_facts(&self) -> usize {
+    pub(crate) fn n_facts(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -251,16 +246,6 @@ impl PreAggregated {
     pub fn is_single_valued(&self) -> bool {
         self.single_valued
     }
-
-    /// Float slots needed per fact under the paper's memory model: 1 for
-    /// single-valued properties, 3 (sum/min/max) otherwise.
-    pub fn float_slots(&self) -> usize {
-        if self.is_single_valued() {
-            1
-        } else {
-            3
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +276,6 @@ mod tests {
         assert_eq!(agg.max(FactId(0)), Some(5.0));
         assert_eq!(agg.avg(FactId(0)), Some(3.0));
         assert!(!agg.is_single_valued());
-        assert_eq!(agg.float_slots(), 3);
     }
 
     #[test]
@@ -299,7 +283,6 @@ mod tests {
         let col = NumericColumn::from_rows("age", &[vec![47.0], vec![66.0], vec![]]);
         let agg = col.preaggregate();
         assert!(agg.is_single_valued());
-        assert_eq!(agg.float_slots(), 1);
     }
 
     /// The cached bounds against a scan of the raw values.
@@ -327,7 +310,8 @@ mod tests {
         let non_finite_dropped = b.build(3);
         assert_eq!(non_finite_dropped.preaggregate().global_bounds(), Some((-7.5, 3.0)));
         for col in [&multi_valued, &no_facts, &all_missing, &non_finite_dropped] {
-            assert_eq!(col.preaggregate().global_bounds(), scanned(col), "{}", col.name());
+            let agg = col.preaggregate();
+            assert_eq!(agg.global_bounds(), scanned(col), "{}", agg.name());
         }
         assert_eq!(all_missing.preaggregate().global_bounds(), None);
         assert_eq!(no_facts.preaggregate().global_bounds(), None);

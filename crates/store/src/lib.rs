@@ -107,6 +107,11 @@
 //! counts) afterwards. All failures are typed [`SnapshotError`]s — a
 //! corrupted or truncated file can never panic the loader, in either open
 //! mode.
+//!
+//! Two items are public only for the corruption suite
+//! (`tests/corruption.rs`), which forges images that must fail each check
+//! in turn: [`VERSION`] and [`update_checksum`] (re-seal a patched image so
+//! a later check, not the checksum, rejects it).
 
 use spade_rdf::dict::{FxHashMap, FxHashSet};
 use spade_rdf::{Dictionary, Graph, TermId, Triple};
@@ -114,7 +119,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// The 8-byte file magic.
-pub const MAGIC: [u8; 8] = *b"SPADESNP";
+pub(crate) const MAGIC: [u8; 8] = *b"SPADESNP";
 
 /// The current format version.
 pub const VERSION: u32 = 1;
@@ -154,7 +159,7 @@ pub enum SnapshotError {
         /// Bytes actually present.
         actual: u64,
     },
-    /// The magic bytes are not [`MAGIC`] — not a snapshot file.
+    /// The magic bytes are not `MAGIC` — not a snapshot file.
     BadMagic,
     /// The file was written on a platform of the opposite endianness.
     BadEndianness,
@@ -787,7 +792,7 @@ pub fn write_snapshot(
 
 /// The metadata section of a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnapshotMeta {
+pub(crate) struct SnapshotMeta {
     /// Interned terms.
     pub n_terms: u64,
     /// Stored (deduplicated, saturated) triples.
@@ -806,8 +811,8 @@ pub struct SnapshotMeta {
 pub struct Snapshot {
     image: SnapshotImage,
     sections: Vec<(u32, usize, usize)>, // kind, offset, len
-    /// One-time UTF-8 validation of `DICT_BLOB`, so [`Snapshot::term_text`]
-    /// stays O(slice) per call instead of revalidating the whole blob.
+    /// One-time UTF-8 validation of `DICT_BLOB`, so later reads of the
+    /// blob do not revalidate it.
     blob_utf8: std::sync::OnceLock<Result<(), String>>,
 }
 
@@ -988,7 +993,7 @@ impl Snapshot {
     }
 
     /// The metadata section.
-    pub fn meta(&self) -> Result<SnapshotMeta, SnapshotError> {
+    pub(crate) fn meta(&self) -> Result<SnapshotMeta, SnapshotError> {
         let words = self.section_u64s(SEC_META, "META")?;
         if words.len() != META_WORDS {
             return Err(malformed(format!("META holds {} words, expected 4", words.len())));
@@ -1002,13 +1007,13 @@ impl Snapshot {
     }
 
     /// The per-term end offsets into the dictionary blob (zero-copy view).
-    pub fn dict_ends(&self) -> Result<&[u64], SnapshotError> {
+    pub(crate) fn dict_ends(&self) -> Result<&[u64], SnapshotError> {
         self.section_u64s(SEC_DICT_ENDS, "DICT_ENDS")
     }
 
     /// The canonical term-encoding blob (zero-copy view; UTF-8 validated
     /// once, then served straight from the buffer).
-    pub fn dict_blob(&self) -> Result<&str, SnapshotError> {
+    pub(crate) fn dict_blob(&self) -> Result<&str, SnapshotError> {
         let bytes = self.section(SEC_DICT_BLOB, "DICT_BLOB")?;
         let checked = self
             .blob_utf8
@@ -1022,19 +1027,8 @@ impl Snapshot {
         }
     }
 
-    /// The canonical encoding of term `i`, borrowed by offset out of the
-    /// buffer — no allocation, no decode.
-    pub fn term_text(&self, i: usize) -> Result<&str, SnapshotError> {
-        let ends = self.dict_ends()?;
-        let end = *ends.get(i).ok_or_else(|| malformed(format!("term {i} out of range")))?;
-        let start = if i == 0 { 0 } else { ends[i - 1] };
-        self.dict_blob()?
-            .get(start as usize..end as usize)
-            .ok_or_else(|| malformed(format!("term {i}: bad offsets [{start}, {end})")))
-    }
-
     /// The raw triple column — `3 × n_triples` ids, reinterpreted in place.
-    pub fn triples_raw(&self) -> Result<&[u32], SnapshotError> {
+    pub(crate) fn triples_raw(&self) -> Result<&[u32], SnapshotError> {
         self.section_u32s(SEC_TRIPLES, "TRIPLES")
     }
 
@@ -1302,20 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn term_text_borrows_by_offset() {
-        let g = sample_graph();
-        let bytes = snapshot_bytes(&g, &[]);
-        let snap = Snapshot::from_bytes(&bytes, 1).unwrap();
-        // Term 0 is always rdf:type (interned at graph construction).
-        assert_eq!(
-            snap.term_text(0).unwrap(),
-            format!("I{}", vocab::RDF_TYPE),
-            "canonical encoding of rdf:type"
-        );
-        assert!(snap.term_text(g.dict.len()).is_err());
-    }
-
-    #[test]
     fn open_modes_serve_identical_views() {
         let g = sample_graph();
         let stats = sample_stats(&g);
@@ -1338,9 +1318,7 @@ mod tests {
         }
         assert_eq!(mapped.meta().unwrap(), read.meta().unwrap());
         assert_eq!(mapped.triples_raw().unwrap(), read.triples_raw().unwrap());
-        for i in 0..g.dict.len() {
-            assert_eq!(mapped.term_text(i).unwrap(), read.term_text(i).unwrap());
-        }
+        assert_eq!(mapped.dict_blob().unwrap(), read.dict_blob().unwrap());
         let a = mapped.load(1).expect("mapped load");
         let b = read.load(1).expect("read load");
         assert_eq!(a.graph.triples(), b.graph.triples());

@@ -9,21 +9,16 @@
 //! equivalence class tend to have many common properties, making them
 //! interesting candidates to be analyzed together."
 //!
-//! Two quotient summaries are provided, both over *data* properties (type
-//! triples are set aside, as in RDFQuotient):
-//!
-//! * [`characteristic_sets`] — nodes are equivalent iff they have exactly
-//!   the same set of outgoing data properties (the classic characteristic-
-//!   set quotient; the strongest grouping);
-//! * [`weak_summary`] — RDFQuotient's *weak* equivalence: properties are
-//!   clustered into source cliques (two properties related when they
-//!   co-occur on some subject, transitively), and nodes are equivalent iff
-//!   their properties fall in the same clique. This is the summary Spade's
-//!   summary-based CFS selection consumes by default.
+//! [`weak_summary`] builds RDFQuotient's *weak* equivalence over *data*
+//! properties (type triples are set aside, as in RDFQuotient): properties
+//! are clustered into source cliques (two properties related when they
+//! co-occur on some subject, transitively), and nodes are equivalent iff
+//! their properties fall in the same clique. Spade's summary-based CFS
+//! selection consumes it.
 
 mod union_find;
 
-pub use union_find::UnionFind;
+pub(crate) use union_find::UnionFind;
 
 use spade_rdf::{Graph, TermId};
 use std::collections::HashMap;
@@ -44,25 +39,9 @@ pub struct EquivalenceClass {
 pub struct Summary {
     /// The equivalence classes, largest first.
     pub classes: Vec<EquivalenceClass>,
-    class_of: HashMap<TermId, usize>,
 }
 
 impl Summary {
-    /// The class a node belongs to, if it has any outgoing data property.
-    pub fn class_of(&self, node: TermId) -> Option<&EquivalenceClass> {
-        self.class_of.get(&node).map(|&i| &self.classes[i])
-    }
-
-    /// Number of classes (the summary's node count).
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// `true` when the summarized graph had no data triples.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
     fn finish(mut groups: Vec<(Vec<TermId>, Vec<TermId>)>) -> Summary {
         // Largest classes first: those are the interesting CFS candidates.
         groups.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.0.cmp(&b.0)));
@@ -72,9 +51,6 @@ impl Summary {
             properties.dedup();
             members.sort_unstable();
             members.dedup();
-            for &m in &members {
-                summary.class_of.insert(m, id);
-            }
             summary.classes.push(EquivalenceClass { id, properties, members });
         }
         summary
@@ -96,16 +72,6 @@ fn subject_property_sets(graph: &Graph) -> HashMap<TermId, Vec<TermId>> {
         }
     }
     sets
-}
-
-/// The characteristic-set quotient: equivalence = identical property sets.
-pub fn characteristic_sets(graph: &Graph) -> Summary {
-    let sets = subject_property_sets(graph);
-    let mut groups: HashMap<Vec<TermId>, Vec<TermId>> = HashMap::new();
-    for (node, props) in sets {
-        groups.entry(props).or_default().push(node);
-    }
-    Summary::finish(groups.into_iter().collect())
 }
 
 /// RDFQuotient's weak summary: source-clique quotient.
@@ -165,28 +131,16 @@ mod tests {
     }
 
     #[test]
-    fn characteristic_sets_partition_by_shape() {
-        let g = two_shape_graph();
-        let summary = characteristic_sets(&g);
-        assert_eq!(summary.len(), 2);
-        assert_eq!(summary.classes[0].members.len(), 3);
-        assert_eq!(summary.classes[1].members.len(), 2);
-        assert_eq!(summary.classes[0].properties.len(), 2);
-    }
-
-    #[test]
     fn weak_summary_merges_overlapping_shapes() {
-        // n1 has {name}, n2 has {name, netWorth}, n3 has {netWorth}:
-        // characteristic sets puts them in 3 classes, weak equivalence in 1.
+        // n1 has {name}, n2 has {name, netWorth}, n3 has {netWorth}: three
+        // distinct property sets, one weak equivalence class.
         let mut g = Graph::new();
         g.insert(iri("n1"), iri("name"), Term::lit("a"));
         g.insert(iri("n2"), iri("name"), Term::lit("b"));
         g.insert(iri("n2"), iri("netWorth"), Term::int(1));
         g.insert(iri("n3"), iri("netWorth"), Term::int(2));
-        let cs = characteristic_sets(&g);
-        assert_eq!(cs.len(), 3);
         let weak = weak_summary(&g);
-        assert_eq!(weak.len(), 1);
+        assert_eq!(weak.classes.len(), 1);
         assert_eq!(weak.classes[0].members.len(), 3);
         assert_eq!(weak.classes[0].properties.len(), 2);
     }
@@ -195,7 +149,7 @@ mod tests {
     fn weak_summary_keeps_disconnected_cliques_apart() {
         let g = two_shape_graph();
         let summary = weak_summary(&g);
-        assert_eq!(summary.len(), 2);
+        assert_eq!(summary.classes.len(), 2);
     }
 
     #[test]
@@ -204,30 +158,16 @@ mod tests {
         g.insert(iri("n1"), Term::iri(spade_rdf::vocab::RDF_TYPE), iri("CEO"));
         g.insert(iri("n1"), iri("name"), Term::lit("a"));
         g.insert(iri("n2"), iri("name"), Term::lit("b"));
-        let summary = characteristic_sets(&g);
+        let summary = weak_summary(&g);
         // The extra type triple must not split n1 from n2.
-        assert_eq!(summary.len(), 1);
+        assert_eq!(summary.classes.len(), 1);
         assert_eq!(summary.classes[0].members.len(), 2);
-    }
-
-    #[test]
-    fn class_lookup_roundtrips() {
-        let g = two_shape_graph();
-        let n1 = g.dict.id_of(&iri("n1")).unwrap();
-        let c1 = g.dict.id_of(&iri("c1")).unwrap();
-        let summary = characteristic_sets(&g);
-        let class_n1 = summary.class_of(n1).unwrap();
-        assert!(class_n1.members.contains(&n1));
-        assert_ne!(summary.class_of(c1).unwrap().id, class_n1.id);
-        // Objects that are never subjects have no class.
-        let lit = g.dict.id_of(&Term::lit("Automotive")).unwrap();
-        assert!(summary.class_of(lit).is_none());
     }
 
     #[test]
     fn classes_sorted_largest_first() {
         let g = two_shape_graph();
-        let summary = characteristic_sets(&g);
+        let summary = weak_summary(&g);
         for w in summary.classes.windows(2) {
             assert!(w[0].members.len() >= w[1].members.len());
         }

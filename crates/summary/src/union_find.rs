@@ -3,19 +3,19 @@
 
 /// A union-find over dense `usize` elements.
 #[derive(Clone, Debug)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
     /// Creates `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind { parent: (0..n).collect(), size: vec![1; n] }
     }
 
     /// The canonical representative of `x`'s set.
-    pub fn find(&mut self, mut x: usize) -> usize {
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             // Path halving.
             self.parent[x] = self.parent[self.parent[x]];
@@ -25,7 +25,7 @@ impl UnionFind {
     }
 
     /// Merges the sets of `a` and `b`; returns `true` if they were distinct.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -37,42 +37,26 @@ impl UnionFind {
         self.size[ra] += self.size[rb];
         true
     }
-
-    /// `true` when `a` and `b` are in the same set.
-    pub fn same(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// `true` when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of distinct sets.
-    pub fn set_count(&mut self) -> usize {
-        (0..self.len()).filter(|&i| self.find(i) == i).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn set_count(uf: &mut UnionFind) -> usize {
+        (0..uf.parent.len()).filter(|&i| uf.find(i) == i).count()
+    }
+
     #[test]
     fn singletons_then_unions() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
+        assert_eq!(set_count(&mut uf), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.set_count(), 3);
-        assert!(uf.same(0, 1));
-        assert!(!uf.same(0, 2));
+        assert_eq!(set_count(&mut uf), 3);
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
     }
 
     #[test]
@@ -83,15 +67,14 @@ mod tests {
         uf.union(3, 4);
         uf.union(2, 3);
         for i in 0..5 {
-            assert!(uf.same(0, i), "element {i}");
+            assert_eq!(uf.find(0), uf.find(i), "element {i}");
         }
-        assert!(!uf.same(0, 5));
+        assert_ne!(uf.find(0), uf.find(5));
     }
 
     #[test]
     fn empty_is_fine() {
         let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.set_count(), 0);
+        assert_eq!(set_count(&mut uf), 0);
     }
 }

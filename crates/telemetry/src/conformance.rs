@@ -386,8 +386,8 @@ mod tests {
     #[test]
     fn registry_output_passes() {
         let r = Registry::new();
-        r.counter("reqs_total", "requests").add(3);
-        r.gauge("inflight", "in flight").set(1);
+        r.counter_with("reqs_total", "requests", &[]).add(3);
+        r.gauge_with("inflight", "in flight", &[]).set(1);
         let h = r.histogram_with(
             "latency_seconds",
             "latency",
@@ -406,7 +406,7 @@ mod tests {
         r.gauge_with("cost", "cost", &[("graph", "a"), ("quantile", "0.5")]).set(1);
         r.gauge_with("cost", "cost", &[("graph", "a"), ("quantile", "0.95")]).set(2);
         r.gauge_with("cost", "cost", &[("graph", "b"), ("quantile", "0.5")]).set(3);
-        r.counter("reqs_total", "requests").inc();
+        r.counter_with("reqs_total", "requests", &[]).inc();
         let (summary, details) = check_detailed(&r.render()).expect("conformant");
         assert_eq!(summary.series, 4);
         let cost = details.iter().find(|d| d.name == "cost").expect("cost family");

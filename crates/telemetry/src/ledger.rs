@@ -42,7 +42,7 @@ pub enum CacheOutcome {
 }
 
 impl CacheOutcome {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Miss => "miss",
@@ -63,7 +63,7 @@ pub enum ResponseClass {
 }
 
 impl ResponseClass {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ResponseClass::Ok => "ok",
             ResponseClass::Timeout => "timeout",
@@ -143,7 +143,7 @@ impl LedgerRecord {
 /// nearest-rank over the partial buffer. Pure `f64` arithmetic — the
 /// estimate is a deterministic function of the observation *sequence*.
 #[derive(Clone, Debug)]
-pub struct P2 {
+pub(crate) struct P2 {
     q: f64,
     n: u64,
     heights: [f64; 5],
@@ -153,7 +153,7 @@ pub struct P2 {
 }
 
 impl P2 {
-    pub fn new(quantile: f64) -> Self {
+    pub(crate) fn new(quantile: f64) -> Self {
         let q = quantile.clamp(0.0, 1.0);
         P2 {
             q,
@@ -165,12 +165,7 @@ impl P2 {
         }
     }
 
-    /// Number of observations seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn observe(&mut self, x: f64) {
+    pub(crate) fn observe(&mut self, x: f64) {
         if self.n < 5 {
             self.heights[self.n as usize] = x;
             self.n += 1;
@@ -228,7 +223,7 @@ impl P2 {
     }
 
     /// Current quantile estimate; 0 before any observation.
-    pub fn estimate(&self) -> f64 {
+    pub(crate) fn estimate(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }

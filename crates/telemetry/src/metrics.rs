@@ -31,7 +31,7 @@ pub struct Counter(Arc<AtomicU64>);
 impl Counter {
     /// A counter not attached to any registry (all updates are kept but
     /// never rendered). Useful for disabled-telemetry configurations.
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Counter(Arc::new(AtomicU64::new(0)))
     }
 
@@ -43,7 +43,7 @@ impl Counter {
 
     /// Adds `v`.
     #[inline]
-    pub fn add(&self, v: u64) {
+    pub(crate) fn add(&self, v: u64) {
         self.0.fetch_add(v, Ordering::Relaxed);
     }
 
@@ -67,7 +67,7 @@ pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// A gauge not attached to any registry.
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Gauge(Arc::new(AtomicU64::new(0)))
     }
 
@@ -125,14 +125,9 @@ impl Histogram {
         }))
     }
 
-    /// A histogram not attached to any registry.
-    pub fn detached(bounds: &[f64]) -> Self {
-        Self::with_bounds(bounds)
-    }
-
     /// Records one observation.
     #[inline]
-    pub fn observe(&self, v: f64) {
+    pub(crate) fn observe(&self, v: f64) {
         let idx = self.0.bounds.partition_point(|b| *b < v);
         self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
         let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
@@ -154,16 +149,6 @@ impl Histogram {
     #[inline]
     pub fn observe_duration(&self, d: Duration) {
         self.observe(d.as_secs_f64());
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
     }
 }
 
@@ -235,11 +220,6 @@ impl Registry {
         }
     }
 
-    /// Registers an unlabeled counter.
-    pub fn counter(&self, name: &'static str, help: &'static str) -> Counter {
-        self.counter_with(name, help, &[])
-    }
-
     /// Registers a counter series under `name` with the given labels.
     pub fn counter_with(
         &self,
@@ -252,11 +232,6 @@ impl Registry {
         c
     }
 
-    /// Registers an unlabeled gauge.
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
     /// Registers a gauge series under `name` with the given labels.
     pub fn gauge_with(
         &self,
@@ -267,16 +242,6 @@ impl Registry {
         let g = Gauge::detached();
         self.register(name, help, Kind::Gauge, labels, SeriesValue::Scalar(g.0.clone()));
         g
-    }
-
-    /// Registers an unlabeled histogram with the given finite upper bounds.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        bounds: &[f64],
-    ) -> Histogram {
-        self.histogram_with(name, help, &[], bounds)
     }
 
     /// Registers a histogram series under `name` with the given labels.
@@ -392,7 +357,7 @@ mod tests {
     #[test]
     fn unlabeled_counter_renders_bare_name_value_line() {
         let r = Registry::new();
-        let c = r.counter("spade_serve_explore_total", "explore requests");
+        let c = r.counter_with("spade_serve_explore_total", "explore requests", &[]);
         c.add(16);
         let text = r.render();
         assert!(text.contains("spade_serve_explore_total 16\n"), "{text}");
@@ -415,7 +380,7 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_inf_equals_count() {
         let r = Registry::new();
-        let h = r.histogram("lat", "latency", &[0.1, 1.0]);
+        let h = r.histogram_with("lat", "latency", &[], &[0.1, 1.0]);
         h.observe(0.05);
         h.observe(0.5);
         h.observe(0.5);
@@ -425,13 +390,14 @@ mod tests {
         assert!(text.contains("lat_bucket{le=\"1\"} 3\n"), "{text}");
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 4\n"), "{text}");
         assert!(text.contains("lat_count 4\n"), "{text}");
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 6.05).abs() < 1e-9);
+        let sum: f64 =
+            text.lines().find_map(|l| l.strip_prefix("lat_sum ")).unwrap().parse().unwrap();
+        assert!((sum - 6.05).abs() < 1e-9);
     }
 
     #[test]
     fn boundary_observation_lands_in_le_bucket() {
-        let h = Histogram::detached(&[1.0]);
+        let h = Histogram::with_bounds(&[1.0]);
         h.observe(1.0);
         assert_eq!(h.0.buckets[0].load(Ordering::Relaxed), 1);
     }
@@ -440,9 +406,9 @@ mod tests {
     fn render_is_deterministic() {
         let build = || {
             let r = Registry::new();
-            r.counter("a_total", "a");
-            r.gauge("b", "b");
-            r.histogram("c_seconds", "c", &DURATION_BOUNDS_SECONDS);
+            r.counter_with("a_total", "a", &[]);
+            r.gauge_with("b", "b", &[]);
+            r.histogram_with("c_seconds", "c", &[], &DURATION_BOUNDS_SECONDS);
             r.render()
         };
         assert_eq!(build(), build());

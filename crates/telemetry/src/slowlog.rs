@@ -77,7 +77,7 @@ impl SlowLog {
     }
 
     /// The logged entries, slowest first (ties by ascending id).
-    pub fn snapshot(&self) -> Vec<SlowEntry> {
+    pub(crate) fn snapshot(&self) -> Vec<SlowEntry> {
         let mut entries = self.entries.lock().unwrap().clone();
         entries.sort_by_key(|e| (u64::MAX - e.duration_ms, e.id));
         entries

@@ -5,7 +5,7 @@
 //! budget) and opens child spans:
 //!
 //! ```
-//! use spade_telemetry::span::Trace;
+//! use spade_telemetry::Trace;
 //!
 //! let trace = Trace::new();
 //! let ctx = trace.root();

@@ -32,30 +32,28 @@
 //! | module | contents |
 //! |---|---|
 //! | [`rdf`] | triple store, dictionary, N-Triples I/O, RDFS saturation |
-//! | [`summary`] | RDFQuotient-style structural summaries |
 //! | [`storage`] | CFS tables, attribute columns, pre-aggregated measures |
-//! | [`bitmap`] | Roaring-style bitmaps, array and bitset containers (cube cells, tidsets, samples) |
-//! | [`stats`] | interestingness functions, Delta-Method CIs, sampling |
 //! | [`cube`] | MVDCube, ArrayCube and PGCube baselines, lattices/MMST, ARM |
 //! | [`core`] | the Spade pipeline: derivations, CFS selection, enumeration, evaluation, top-k |
-//! | [`store`] | zero-copy single-file snapshots of the offline state |
 //! | [`datagen`] | synthetic benchmark and simulated real-world graphs |
+//!
+//! The pipeline also rests on `spade-bitmap` (cube cells, samples),
+//! `spade-stats` (interestingness functions, Delta-Method CIs),
+//! `spade-summary` (RDFQuotient-style summaries) and `spade-store`
+//! (zero-copy snapshots). Nothing that uses this crate reaches them through
+//! it, so they are not re-exported here; depend on them directly.
 
-pub use spade_bitmap as bitmap;
 pub use spade_core as core;
 pub use spade_cube as cube;
 pub use spade_datagen as datagen;
 pub use spade_rdf as rdf;
-pub use spade_stats as stats;
 pub use spade_storage as storage;
-pub use spade_store as store;
-pub use spade_summary as summary;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use spade_core::{Spade, SpadeConfig, SpadeReport, TopAggregate};
-    pub use spade_cube::{mvd_cube, CubeSpec, MeasureSpec, MvdCubeOptions};
-    pub use spade_rdf::{parse_ntriples, Graph, Term};
+    pub use spade_core::{Spade, SpadeConfig, TopAggregate};
+    pub use spade_cube::{CubeSpec, MeasureSpec, MvdCubeOptions};
+    pub use spade_rdf::{parse_ntriples, Term};
     pub use spade_stats::Interestingness;
     pub use spade_storage::AggFn;
 }
