@@ -157,11 +157,16 @@ mod tests {
         let mut g = Graph::new();
         g.insert(iri("n1"), Term::iri(spade_rdf::vocab::RDF_TYPE), iri("CEO"));
         g.insert(iri("n1"), iri("name"), Term::lit("a"));
-        g.insert(iri("n2"), iri("name"), Term::lit("b"));
+        g.insert(iri("n2"), Term::iri(spade_rdf::vocab::RDF_TYPE), iri("CEO"));
+        g.insert(iri("n2"), iri("netWorth"), Term::lit("1"));
         let summary = weak_summary(&g);
-        // The extra type triple must not split n1 from n2.
-        assert_eq!(summary.classes.len(), 1);
-        assert_eq!(summary.classes[0].members.len(), 2);
+        // Counted as a property, the shared type would join name and
+        // netWorth into one clique and merge n1 with n2.
+        assert_eq!(summary.classes.len(), 2);
+        for class in &summary.classes {
+            assert_eq!(class.properties.len(), 1);
+            assert_eq!(class.members.len(), 1);
+        }
     }
 
     #[test]
