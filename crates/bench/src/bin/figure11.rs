@@ -13,7 +13,7 @@
 //! (`--scale` here multiplies the base 50k facts.)
 
 use spade_bench::{ms, HarnessArgs};
-use spade_core::{Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_datagen::{synthetic, SyntheticConfig};
 
 fn main() {
@@ -39,14 +39,14 @@ fn main() {
                     multi_valued_prob: 0.0,
                     seed: args.seed,
                 };
-                let mut graph = synthetic::generate_graph(&cfg);
+                let state = OfflineState::from_graph(synthetic::generate_graph(&cfg), 0);
                 let config = SpadeConfig {
                     min_cfs_size: 100,
                     min_support: 0.5,
                     max_distinct_values: 110,
                     ..Default::default()
                 };
-                let report = Spade::new(config).run(&mut graph);
+                let report = Spade::new(config).run_on(&state, &RequestConfig::default());
                 let t = report.timings;
                 println!(
                     "{:<12} {:>8} {:>10} {:>8} {:>10} {:>8} {:>10}",

@@ -11,17 +11,17 @@
 //! Run: `cargo run -p spade-bench --release --bin figure6_8 [-- --scale N]`
 
 use spade_bench::{experiment_config, HarnessArgs};
-use spade_core::{Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_datagen::{realistic, RealisticConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
     let cfg = RealisticConfig { scale: args.scale, seed: args.seed };
 
-    for (name, mut graph) in [("CEOs", realistic::ceos(&cfg)), ("NASA", realistic::nasa(&cfg))]
-    {
+    for (name, graph) in [("CEOs", realistic::ceos(&cfg)), ("NASA", realistic::nasa(&cfg))] {
         let config = SpadeConfig { k: 8, ..experiment_config() };
-        let report = Spade::new(config).run(&mut graph);
+        let state = OfflineState::from_graph(graph, 0);
+        let report = Spade::new(config).run_on(&state, &RequestConfig::default());
 
         println!("=== Figure 6 — top interesting aggregates on {name} ===");
         for (rank, t) in report.top.iter().enumerate() {
@@ -34,9 +34,9 @@ fn main() {
     }
 
     // Figure 8: uninteresting aggregates — near-uniform results rank last.
-    let mut graph = realistic::ceos(&cfg);
+    let state = OfflineState::from_graph(realistic::ceos(&cfg), 0);
     let config = SpadeConfig { k: usize::MAX, ..experiment_config() };
-    let report = Spade::new(config).run(&mut graph);
+    let report = Spade::new(config).run_on(&state, &RequestConfig::default());
     println!("=== Figure 8 — least interesting (near-uniform) aggregates on CEOs ===");
     for t in report.top.iter().rev().take(5) {
         println!("    [score {:>12.6}] {}", t.score, t.description());

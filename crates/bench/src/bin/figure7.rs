@@ -9,12 +9,13 @@
 //!
 //! Run: `cargo run -p spade-bench --release --bin figure7 [-- --scale N]`
 
-use spade_bench::{experiment_config, regen_graph, HarnessArgs};
-use spade_core::{Spade, SpadeConfig};
+use spade_bench::{experiment_config, HarnessArgs};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_datagen::{realistic, RealisticConfig};
 
-fn scores(graph: &mut spade_rdf::Graph, config: SpadeConfig) -> Vec<f64> {
-    let report = Spade::new(SpadeConfig { k: usize::MAX, ..config }).run(graph);
+fn scores(state: &OfflineState, config: SpadeConfig) -> Vec<f64> {
+    let report = Spade::new(SpadeConfig { k: usize::MAX, ..config })
+        .run_on(state, &RequestConfig::default());
     let mut s: Vec<f64> = report.top.iter().map(|t| t.score).collect();
     s.sort_by(f64::total_cmp);
     s
@@ -40,10 +41,9 @@ fn main() {
 
     for dataset in realistic::all(&cfg) {
         let name = dataset.name;
-        let mut g_wd = dataset.graph;
-        let mut g_wod = regen_graph(name, &cfg);
-        let wod = scores(&mut g_wod, experiment_config().without_derivations());
-        let wd = scores(&mut g_wd, experiment_config());
+        let state = OfflineState::from_graph(dataset.graph, 0);
+        let wod = scores(&state, experiment_config().without_derivations());
+        let wd = scores(&state, experiment_config());
         println!(
             "{:<10} {:>6} {:>12.4} {:>12.4} | {:>6} {:>12.4} {:>12.4}",
             name,

@@ -3,8 +3,8 @@
 //!
 //! Run: `cargo run -p spade-bench --release --bin table2 [-- --scale N]`
 
-use spade_bench::{experiment_config, regen_graph, HarnessArgs};
-use spade_core::Spade;
+use spade_bench::{experiment_config, HarnessArgs};
+use spade_core::{OfflineState, RequestConfig, Spade};
 use spade_datagen::{realistic, RealisticConfig};
 
 fn main() {
@@ -19,12 +19,12 @@ fn main() {
     spade_bench::rule(92);
 
     for dataset in realistic::all(&cfg) {
-        // Without derivations.
-        let mut g1 = dataset.graph;
-        let wod_report = Spade::new(experiment_config().without_derivations()).run(&mut g1);
-        // With derivations (fresh copy of the graph: saturation mutates).
-        let mut g2 = regen_graph(dataset.name, &cfg);
-        let wd_report = Spade::new(experiment_config()).run(&mut g2);
+        // Derivations are enumerated per run, so one state serves both.
+        let state = OfflineState::from_graph(dataset.graph, 0);
+        let request = RequestConfig::default();
+        let wod_report =
+            Spade::new(experiment_config().without_derivations()).run_on(&state, &request);
+        let wd_report = Spade::new(experiment_config()).run_on(&state, &request);
 
         let d = wd_report.profile.derivations;
         println!(

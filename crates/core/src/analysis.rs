@@ -165,6 +165,7 @@ mod tests {
     use crate::cfs::{select, CfsStrategy};
     use crate::offline;
     use spade_datagen::ceos_figure1;
+    use spade_rdf::Term;
 
     fn analyzed_ceos() -> CfsAnalysis {
         let g = ceos_figure1();
@@ -258,6 +259,101 @@ mod tests {
         let a = analyze_cfs(&g, ceo_cfs, &derived, &config);
         assert!(!attr(&a, "nationality").dimension_ok);
         assert!(attr(&a, "company/area").dimension_ok);
+    }
+
+    /// A property name and the value, if any, that fact `i` carries.
+    type Column<'a> = (&'a str, &'a dyn Fn(usize) -> Option<Term>);
+
+    /// Analyzes a CFS of ten facts of one type carrying `columns`.
+    fn ten_facts(columns: &[Column<'_>], config: &SpadeConfig) -> CfsAnalysis {
+        let mut g = Graph::new();
+        for i in 0..10 {
+            let node = Term::iri(format!("http://x/n{i}"));
+            g.insert(
+                node.clone(),
+                Term::iri(spade_rdf::vocab::RDF_TYPE),
+                Term::iri("http://x/T"),
+            );
+            for (property, values) in columns {
+                if let Some(v) = values(i) {
+                    g.insert(node.clone(), Term::iri(format!("http://x/{property}")), v);
+                }
+            }
+        }
+        let cfs_list = select(
+            &g,
+            &[CfsStrategy::TypeBased],
+            &SpadeConfig { min_cfs_size: 1, ..Default::default() },
+        );
+        assert_eq!(cfs_list[0].members.len(), 10);
+        analyze_cfs(&g, &cfs_list[0], &[], config)
+    }
+
+    /// The same label on the first `k` facts, none on the rest.
+    fn on_first(k: usize) -> impl Fn(usize) -> Option<Term> {
+        move |i| (i < k).then(|| Term::lit("x"))
+    }
+
+    /// Fact `i`'s value is `v{i % distinct}`: every fact carries one.
+    fn cycling(distinct: usize) -> impl Fn(usize) -> Option<Term> {
+        move |i| Some(Term::lit(format!("v{}", i % distinct)))
+    }
+
+    /// "Dimensions and measures must be frequent": a dimension needs
+    /// `ceil(min_support · |CFS|)` supporting facts — 3 of 10 at 0.25.
+    #[test]
+    fn dimension_support_on_the_threshold_is_enough() {
+        let config = SpadeConfig { min_support: 0.25, ..Default::default() };
+        let a = ten_facts(&[("three", &on_first(3)), ("two", &on_first(2))], &config);
+        assert!(attr(&a, "three").dimension_ok, "support 3 = ceil(0.25 · 10)");
+        assert!(!attr(&a, "two").dimension_ok, "support 2 is one short");
+    }
+
+    /// The support threshold rounds up: at 0.21 of 10 facts it is 3, so a
+    /// support of 2 (the rounded-down 2.1) is not frequent.
+    #[test]
+    fn support_threshold_rounds_up() {
+        let config = SpadeConfig { min_support: 0.21, ..Default::default() };
+        let a = ten_facts(&[("three", &on_first(3)), ("two", &on_first(2))], &config);
+        assert!(attr(&a, "three").dimension_ok);
+        assert!(!attr(&a, "two").dimension_ok, "ceil(2.1) = 3 facts, not 2");
+    }
+
+    /// The frequency rule holds for measures over their numeric support:
+    /// 3 numeric facts of 10 at 0.25 make a measure, 2 do not.
+    #[test]
+    fn measure_support_on_the_threshold_is_enough() {
+        let config = SpadeConfig { min_support: 0.25, ..Default::default() };
+        let three = |i: usize| (i < 3).then(|| Term::int(i as i64));
+        let two = |i: usize| (i < 2).then(|| Term::int(i as i64));
+        let a = ten_facts(&[("three", &three), ("two", &two)], &config);
+        assert!(attr(&a, "three").measure_ok, "numeric support 3 = ceil(0.25 · 10)");
+        assert!(!attr(&a, "two").measure_ok, "numeric support 2 is one short");
+    }
+
+    /// The absolute distinct-value cap admits a dimension with exactly
+    /// `max_distinct_values` values, and not one more.
+    #[test]
+    fn dimension_with_max_distinct_values_qualifies() {
+        let config = SpadeConfig {
+            max_distinct_values: 3,
+            max_distinct_ratio: 1.0,
+            ..Default::default()
+        };
+        let a = ten_facts(&[("three", &cycling(3)), ("four", &cycling(4))], &config);
+        assert!(attr(&a, "three").dimension_ok, "3 distinct values = the cap");
+        assert!(!attr(&a, "four").dimension_ok, "4 distinct values exceed it");
+    }
+
+    /// "Dimensions should not have too many distinct values when compared
+    /// to the number of facts": `max_distinct_ratio · |CFS|` values are
+    /// allowed — 5 of 10 facts at 0.5 — and one more is not.
+    #[test]
+    fn dimension_on_the_distinct_ratio_cap_qualifies() {
+        let config = SpadeConfig { max_distinct_ratio: 0.5, ..Default::default() };
+        let a = ten_facts(&[("five", &cycling(5)), ("six", &cycling(6))], &config);
+        assert!(attr(&a, "five").dimension_ok, "5 distinct values = 0.5 · 10");
+        assert!(!attr(&a, "six").dimension_ok, "6 distinct values exceed the ratio cap");
     }
 
     #[test]

@@ -57,12 +57,12 @@ pub struct SpadeConfig {
     /// Aggregate functions assigned to every measure (the statistics-guided
     /// assignment of Step 2; the default covers the common cases).
     pub agg_fns: Vec<AggFn>,
-    /// Early-stop pruning on/off plus its tuning: `confidence`,
-    /// `sample_size` and `batches`. The stored `k` and `h` are not read:
-    /// evaluation prunes for this config's own [`k`](Self::k) and
-    /// [`interestingness`](Self::interestingness), so a request's overrides
-    /// reach the pruning too.
-    pub early_stop: Option<EarlyStopConfig>,
+    /// Early-stop pruning: `None` = off, `Some(batches)` = on, consuming
+    /// the sample in that many batches. Evaluation prunes for this config's
+    /// own [`k`](Self::k) and [`interestingness`](Self::interestingness),
+    /// so a request's overrides reach the pruning too; the confidence and
+    /// sample size are the paper's, [`EarlyStopConfig::default`]'s.
+    pub early_stop: Option<usize>,
     /// Worker threads for the parallel pipeline stages (per-CFS attribute
     /// analysis and per-CFS/per-lattice aggregate evaluation). `0` = one
     /// worker per available core; `1` = fully serial. The pipeline splits
@@ -121,7 +121,7 @@ impl SpadeConfig {
     /// is set, and consumes the sample in one batch when the objective is
     /// under 2 s.
     pub fn with_early_stop(mut self) -> Self {
-        self.early_stop = Some(EarlyStopConfig::default());
+        self.early_stop = Some(EarlyStopConfig::default().batches);
         self
     }
 

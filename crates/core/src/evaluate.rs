@@ -137,6 +137,15 @@ pub fn evaluate_cfs_in(
         work.push((spec, alive));
     }
 
+    // Early-stop prunes for the effective `k` and `h`: a request may
+    // override both.
+    let es_config = config.early_stop.map(|batches| EarlyStopConfig {
+        k: config.k,
+        h: config.interestingness,
+        batches,
+        ..EarlyStopConfig::default()
+    });
+
     // —— parallel per-lattice evaluation ——
     // Translation, early-stop pruning (each lattice draws from its own
     // seeded sample), and the cube run are independent per lattice.
@@ -146,16 +155,12 @@ pub fn evaluate_cfs_in(
     let outcomes = spade_parallel::try_map(indexed, outer, |(idx, (spec, mut alive))| {
         cx.check()?;
         let (lattice_span, lcx) = inner.span_at("lattice", idx as u64);
-        let sample_cap = config.early_stop.map(|es| es.sample_size);
+        let sample_cap = es_config.map(|es| es.sample_size);
         let (lattice, translation) = prepare_in(&spec, &options, sample_cap, &lcx)?;
         let mut pruned_by_es = 0usize;
-        if let Some(tuning) = config.early_stop {
-            // Prune for the effective `k` and `h`, not a copy taken when
-            // early-stop was switched on: a request may override both.
-            let es_config =
-                EarlyStopConfig { k: config.k, h: config.interestingness, ..tuning };
+        if let Some(es_config) = &es_config {
             let samples = translation.samples.as_ref().expect("sampling enabled");
-            let outcome = earlystop::prune_in(&spec, &lattice, samples, &es_config, &lcx)?;
+            let outcome = earlystop::prune_in(&spec, &lattice, samples, es_config, &lcx)?;
             for (mask, flags) in &mut alive {
                 let es_flags = &outcome.alive[mask];
                 for (i, f) in flags.iter_mut().enumerate() {

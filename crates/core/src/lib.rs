@@ -5,8 +5,8 @@
 //! attribute analysis, derived-property enumeration, pre-aggregation — and
 //! an **online** phase with five steps:
 //!
-//! 1. Candidate Fact Set Selection ([`cfs`]): type-based, property-based,
-//!    and summary-based strategies;
+//! 1. Candidate Fact Set Selection ([`cfs`]): type-based and summary-based
+//!    strategies;
 //! 2. Online Attribute Analysis ([`analysis`]): per-CFS statistics over
 //!    direct and derived attributes, materialized as dimension/measure
 //!    columns;
@@ -18,8 +18,10 @@
 //! 5. Top-k Computation (`pipeline`): interestingness scoring through the
 //!    Aggregate Result Manager.
 //!
-//! [`Spade`] ties everything together; see `examples/quickstart.rs` for the
-//! three-line entry point.
+//! [`OfflineState`] holds the offline phase's output, built once per graph
+//! ([`OfflineState::from_graph`] or [`OfflineState::open`] on a snapshot);
+//! [`Spade::run_on`] runs the online steps on it, once per request. See
+//! `examples/quickstart.rs` for the two calls.
 //!
 //! # Public surface
 //!
@@ -31,13 +33,11 @@
 //! - the context form of every stage ([`cfs::select_in`],
 //!   [`enumeration::enumerate_in`], [`evaluate::evaluate_cfs_in`],
 //!   [`offline::analyze_in`], …) and the [`Cancelled`], [`CancelReason`]
-//!   and [`SpanCtx`] they name, kept by `spade-cube`'s execution-context
-//!   convention; `tests/stage_cancellation.rs` drives them;
-//! - [`Spade::run_snapshot`] and [`Spade::run_snapshot_bytes`], the
-//!   single-shot snapshot entry points ([`OfflineState::open`] +
-//!   [`Spade::run_on`]); the snapshot and serve suites use them as oracles;
-//! - [`mfs`], whose [`mfs::maximal_frequent_sets`] the MFS property suite
-//!   checks against brute force;
+//!   and [`SpanCtx`] they name: each is its stage's one body (see
+//!   `spade-cube`'s "Execution context"), and `tests/stage_cancellation.rs`
+//!   drives them;
+//! - [`mfs`], whose [`mfs::maximal_frequent_sets_in`] the MFS property
+//!   suite checks against brute force;
 //! - [`json::quote`], with which the serve loopback suite builds request
 //!   bodies.
 

@@ -23,19 +23,6 @@ pub struct Item {
     pub tidset: Bitmap,
 }
 
-/// Mines the maximal frequent attribute sets (serial plain form of
-/// [`maximal_frequent_sets_in`]).
-pub fn maximal_frequent_sets(
-    items: &[Item],
-    min_count: u64,
-    max_size: usize,
-    compatible: impl Fn(usize, usize) -> bool + Sync,
-) -> Vec<Vec<usize>> {
-    ExecCtx::unbounded(1, |cx| {
-        maximal_frequent_sets_in(items, min_count, max_size, compatible, cx)
-    })
-}
-
 /// Mines the maximal frequent attribute sets.
 ///
 /// * `min_count` — absolute support threshold (facts carrying the set);
@@ -192,6 +179,17 @@ pub fn maximal_frequent_sets_in(
 mod tests {
     use super::*;
 
+    fn mine(
+        items: &[Item],
+        min_count: u64,
+        max_size: usize,
+        compatible: impl Fn(usize, usize) -> bool + Sync,
+    ) -> Vec<Vec<usize>> {
+        ExecCtx::unbounded(1, |cx| {
+            maximal_frequent_sets_in(items, min_count, max_size, compatible, cx)
+        })
+    }
+
     fn item(attr: usize, facts: &[u32]) -> Item {
         Item { attr, tidset: Bitmap::from_iter(facts.iter().copied()) }
     }
@@ -199,7 +197,7 @@ mod tests {
     #[test]
     fn single_frequent_item_is_maximal() {
         let items = vec![item(0, &[0, 1, 2]), item(1, &[9])];
-        let sets = maximal_frequent_sets(&items, 2, 4, |_, _| true);
+        let sets = mine(&items, 2, 4, |_, _| true);
         assert_eq!(sets, vec![vec![0]]);
     }
 
@@ -208,10 +206,10 @@ mod tests {
         // Attributes 0,1,2 co-occur on facts 0–7; attribute 3 only on 0–2.
         let all: Vec<u32> = (0..8).collect();
         let items = vec![item(0, &all), item(1, &all), item(2, &all), item(3, &[0, 1, 2])];
-        let sets = maximal_frequent_sets(&items, 4, 4, |_, _| true);
+        let sets = mine(&items, 4, 4, |_, _| true);
         assert_eq!(sets, vec![vec![0, 1, 2]]);
         // Lowering the threshold pulls attribute 3 in.
-        let sets = maximal_frequent_sets(&items, 3, 4, |_, _| true);
+        let sets = mine(&items, 3, 4, |_, _| true);
         assert_eq!(sets, vec![vec![0, 1, 2, 3]]);
     }
 
@@ -223,7 +221,7 @@ mod tests {
             item(2, &[10, 11, 12, 13]),
             item(3, &[10, 11, 12, 13]),
         ];
-        let sets = maximal_frequent_sets(&items, 3, 4, |_, _| true);
+        let sets = mine(&items, 3, 4, |_, _| true);
         assert_eq!(sets, vec![vec![0, 1], vec![2, 3]]);
     }
 
@@ -231,7 +229,7 @@ mod tests {
     fn max_size_caps_the_roots() {
         let all: Vec<u32> = (0..10).collect();
         let items: Vec<Item> = (0..5).map(|a| item(a, &all)).collect();
-        let sets = maximal_frequent_sets(&items, 5, 3, |_, _| true);
+        let sets = mine(&items, 5, 3, |_, _| true);
         for s in &sets {
             assert!(s.len() <= 3);
         }
@@ -248,8 +246,7 @@ mod tests {
         // nationality vs numOf(nationality)).
         let all: Vec<u32> = (0..10).collect();
         let items = vec![item(0, &all), item(1, &all), item(2, &all)];
-        let sets =
-            maximal_frequent_sets(&items, 5, 4, |a, b| !(a == 0 && b == 1 || a == 1 && b == 0));
+        let sets = mine(&items, 5, 4, |a, b| !(a == 0 && b == 1 || a == 1 && b == 0));
         assert_eq!(sets, vec![vec![0, 2], vec![1, 2]]);
     }
 
@@ -261,7 +258,7 @@ mod tests {
             item(2, &(0..10).collect::<Vec<_>>()),
             item(3, &(5..25).collect::<Vec<_>>()),
         ];
-        let sets = maximal_frequent_sets(&items, 8, 4, |_, _| true);
+        let sets = mine(&items, 8, 4, |_, _| true);
         for (i, a) in sets.iter().enumerate() {
             for (j, b) in sets.iter().enumerate() {
                 if i != j {
@@ -273,8 +270,8 @@ mod tests {
 
     #[test]
     fn empty_input_and_infrequent_items() {
-        assert!(maximal_frequent_sets(&[], 1, 4, |_, _| true).is_empty());
+        assert!(mine(&[], 1, 4, |_, _| true).is_empty());
         let items = vec![item(0, &[1]), item(1, &[2])];
-        assert!(maximal_frequent_sets(&items, 2, 4, |_, _| true).is_empty());
+        assert!(mine(&items, 2, 4, |_, _| true).is_empty());
     }
 }

@@ -1,10 +1,13 @@
 //! The end-to-end Spade pipeline (Figure 2).
 //!
-//! [`Spade::run`] executes the offline phase (RDFS saturation, offline
-//! attribute analysis, derived-property enumeration) followed by the five
-//! online steps, timing each one — the instrumentation behind Figure 11 —
-//! and returns a [`SpadeReport`] with the dataset profile (Table 2's
-//! columns), the per-step timings, and the global top-k aggregates.
+//! The offline phase (RDFS saturation, offline attribute analysis) builds
+//! an [`OfflineState`] once per graph, from a graph
+//! ([`OfflineState::from_graph`]) or a snapshot file
+//! ([`OfflineState::open`]). [`Spade::run_on`] then runs derived-property
+//! enumeration and the five online steps on it, timing each one — the
+//! instrumentation behind Figure 11 — and returns a [`SpadeReport`] with the
+//! dataset profile (Table 2's columns), the per-step timings, and the global
+//! top-k aggregates.
 
 use crate::analysis::{analyze_cfs, CfsAnalysis};
 use crate::cfs::{select_in, CfsStrategy};
@@ -18,28 +21,19 @@ use spade_cube::result::NULL_CODE;
 use spade_cube::ExecCtx;
 use spade_parallel::Cancelled;
 use spade_rdf::{Graph, NtParseError};
-use spade_store::{LoadedSnapshot, OpenMode, Snapshot, SnapshotError};
+use spade_store::{Snapshot, SnapshotError};
 use spade_telemetry::Trace;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Wall-clock duration of each pipeline step (Figure 11's bar segments).
+/// Wall-clock duration of each step of one request (Figure 11's bar
+/// segments). What the state cost to build is its own
+/// [`OfflineState::load_time`], paid once, not per request.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepTimings {
-    /// Offline: N-Triples ingestion (parse + dictionary + graph build).
-    /// Zero when the pipeline was handed an already-built [`Graph`].
-    pub ingest: Duration,
-    /// Offline: snapshot load (file read, validation, reconstitution).
-    /// Non-zero only for [`Spade::run_snapshot`]-style runs, which replace
-    /// ingestion, saturation, and attribute analysis entirely.
-    pub snapshot_load: Duration,
-    /// Offline: RDFS saturation.
-    pub saturation: Duration,
-    /// Offline: attribute statistics + derivation enumeration.
+    /// Derived-property enumeration, the request-dependent rest of the
+    /// offline analysis.
     pub offline_analysis: Duration,
-    /// Offline phase total: ingestion, saturation, statistics, derivation
-    /// enumeration.
-    pub offline: Duration,
     /// Step 1 — Candidate Fact Set Selection.
     pub cfs_selection: Duration,
     /// Step 2 — Online Attribute Analysis.
@@ -194,11 +188,7 @@ impl SpadeReport {
         if with_timings {
             let ms = |d: Duration| d.as_secs_f64() * 1e3;
             w.key("timings_ms").begin_object();
-            w.key("ingest").f64(ms(self.timings.ingest));
-            w.key("snapshot_load").f64(ms(self.timings.snapshot_load));
-            w.key("saturation").f64(ms(self.timings.saturation));
             w.key("offline_analysis").f64(ms(self.timings.offline_analysis));
-            w.key("offline").f64(ms(self.timings.offline));
             w.key("cfs_selection").f64(ms(self.timings.cfs_selection));
             w.key("attribute_analysis").f64(ms(self.timings.attribute_analysis));
             w.key("enumeration").f64(ms(self.timings.enumeration));
@@ -258,56 +248,39 @@ pub struct OfflineState {
     pub graph: Graph,
     /// Offline per-property statistics.
     pub stats: OfflineStats,
-    /// Wall-clock cost of building this state (snapshot open + load, or
-    /// saturation + analysis) — reported as
-    /// [`StepTimings::snapshot_load`] by snapshot-backed runs.
+    /// Wall-clock cost of building this state, paid once: snapshot open +
+    /// load for [`OfflineState::open`], saturation + offline analysis for
+    /// [`OfflineState::from_graph`]. The daemon reports it as `load_ms`.
     pub load_time: Duration,
     /// The validated snapshot this state was opened from, kept alive so a
     /// memory-mapped image stays addressable for the lifetime of the
     /// state (its resident pages are released right after load — holding
     /// it costs address space, not RSS) and is dropped — unmapped — with
-    /// the state. `None` for graph-built and in-memory-image states.
+    /// the state. `None` for graph-built states.
     snapshot: Option<Snapshot>,
 }
 
 impl OfflineState {
     /// Loads the state from a snapshot file written by
     /// [`Spade::snapshot_ntriples`] (or `spade_store::write_snapshot`),
-    /// memory-mapping the file by default (see `OfflineState::open_with`).
+    /// memory-mapping the file. The snapshot is retained inside the state
+    /// with its pages released after materialization, so the state's
+    /// steady-state memory is the in-memory graph alone — dropping the
+    /// state (e.g. catalog eviction) unmaps the file and returns the RSS.
     pub fn open(
         path: impl AsRef<Path>,
         threads: usize,
     ) -> Result<OfflineState, SnapshotPipelineError> {
-        Self::open_with(path, threads, OpenMode::default())
-    }
-
-    /// [`OfflineState::open`] with an explicit [`OpenMode`]. The opened
-    /// snapshot is retained inside the state; in the default mapped mode
-    /// its pages are released after materialization, so the state's
-    /// steady-state memory is the in-memory graph alone — dropping the
-    /// state (e.g. catalog eviction) unmaps the file and returns the RSS.
-    pub(crate) fn open_with(
-        path: impl AsRef<Path>,
-        threads: usize,
-        mode: OpenMode,
-    ) -> Result<OfflineState, SnapshotPipelineError> {
         let t = Instant::now();
-        let snapshot = Snapshot::open_with(path, threads, mode)?;
+        let snapshot = Snapshot::open(path, threads)?;
         let loaded = snapshot.load(threads)?;
         snapshot.release_resident_pages();
-        let mut state = OfflineState::from_loaded(loaded, t.elapsed());
-        state.snapshot = Some(snapshot);
-        Ok(state)
-    }
-
-    /// [`OfflineState::open`] over an in-memory snapshot image.
-    pub(crate) fn from_snapshot_bytes(
-        bytes: &[u8],
-        threads: usize,
-    ) -> Result<OfflineState, SnapshotPipelineError> {
-        let t = Instant::now();
-        let loaded = Snapshot::from_bytes(bytes, threads)?.load(threads)?;
-        Ok(OfflineState::from_loaded(loaded, t.elapsed()))
+        Ok(OfflineState {
+            graph: loaded.graph,
+            stats: offline::from_records(&loaded.stats),
+            load_time: t.elapsed(),
+            snapshot: Some(snapshot),
+        })
     }
 
     /// Builds the state directly from a graph (saturating it in place) —
@@ -317,11 +290,6 @@ impl OfflineState {
         spade_rdf::saturate_with_threads(&mut graph, threads);
         let stats = ExecCtx::unbounded(threads, |cx| offline::analyze_in(&graph, cx));
         OfflineState { graph, stats, load_time: t.elapsed(), snapshot: None }
-    }
-
-    fn from_loaded(loaded: LoadedSnapshot, load_time: Duration) -> OfflineState {
-        let stats = offline::from_records(&loaded.stats);
-        OfflineState { graph: loaded.graph, stats, load_time, snapshot: None }
     }
 
     /// Whether the retained snapshot is a live file mapping.
@@ -372,37 +340,10 @@ impl Spade {
         &self.config
     }
 
-    /// Parses `input` as N-Triples (parallel zero-copy ingestion) and runs
-    /// the full pipeline, recording the parse in [`StepTimings::ingest`].
-    pub fn run_ntriples(&self, input: &str) -> Result<SpadeReport, spade_rdf::NtParseError> {
-        let t = Instant::now();
-        let mut graph = spade_rdf::ingest(input, self.config.threads)?;
-        let ingest = t.elapsed();
-        let mut report = self.run(&mut graph);
-        report.timings.ingest = ingest;
-        report.timings.offline += ingest;
-        Ok(report)
-    }
-
-    /// Runs the full pipeline on `graph` (saturated in place).
-    pub fn run(&self, graph: &mut Graph) -> SpadeReport {
-        let mut report = SpadeReport::default();
-        let t = Instant::now();
-        spade_rdf::saturate_with_threads(graph, self.config.threads);
-        report.timings.saturation = t.elapsed();
-        ExecCtx::unbounded(self.config.threads, |cx| {
-            let t = Instant::now();
-            let stats = offline::analyze_in(graph, cx)?;
-            report.timings.offline_analysis = t.elapsed();
-            self.run_analyzed(&self.config, graph, &stats, report, cx)
-        })
-    }
-
     /// Runs the **offline phase only** (ingestion, saturation, offline
     /// attribute analysis) on N-Triples text and writes the complete
-    /// offline state to the snapshot file at `path`. A subsequent
-    /// [`Spade::run_snapshot`] serves from that file without redoing any of
-    /// it.
+    /// offline state to the snapshot file at `path`. [`OfflineState::open`]
+    /// loads it back without redoing any of it.
     pub fn snapshot_ntriples(
         &self,
         input: &str,
@@ -412,29 +353,6 @@ impl Spade {
         let state = OfflineState::from_graph(graph, self.config.threads);
         spade_store::write_snapshot(path, &state.graph, &offline::to_records(&state.stats))?;
         Ok(())
-    }
-
-    /// Runs the pipeline from a snapshot file: the offline phase collapses
-    /// to one zero-copy load ([`StepTimings::snapshot_load`]); saturation
-    /// and attribute analysis are **not** re-run — their outputs come from
-    /// the file. Equivalent to [`OfflineState::open`] +
-    /// [`Spade::run_on`] with no overrides.
-    pub fn run_snapshot(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<SpadeReport, SnapshotPipelineError> {
-        let state = OfflineState::open(path, self.config.threads)?;
-        Ok(self.run_on(&state, &RequestConfig::default()))
-    }
-
-    /// [`Spade::run_snapshot`] over an in-memory snapshot image (e.g. one
-    /// fetched from object storage instead of the filesystem).
-    pub fn run_snapshot_bytes(
-        &self,
-        bytes: &[u8],
-    ) -> Result<SpadeReport, SnapshotPipelineError> {
-        let state = OfflineState::from_snapshot_bytes(bytes, self.config.threads)?;
-        Ok(self.run_on(&state, &RequestConfig::default()))
     }
 
     /// The cheap **per-request** path of the load-once/serve-many split:
@@ -461,52 +379,35 @@ impl Spade {
     ///
     /// **Tracing.** Under [`ExecCtx::traced`] every pipeline stage records
     /// a span into the trace (named exactly after the [`StepTimings`]
-    /// online fields, plus `offline_analysis`), and the parallel fan-outs
-    /// (per-CFS enumeration/evaluation, per lattice, per region shard)
-    /// record index-ordered child spans — the span-tree **shape** is
-    /// identical at every thread count. Tracing is observation only: the
-    /// report is bit-identical with or without it.
+    /// fields), and the parallel fan-outs (per-CFS enumeration/evaluation,
+    /// per lattice, per region shard) record index-ordered child spans —
+    /// the span-tree **shape** is identical at every thread count. Tracing
+    /// is observation only: the report is bit-identical with or without
+    /// it.
+    ///
+    /// Every step is timed through an [`ExecCtx::span`] ([`Span::finish`]
+    /// measures even on a disabled context), so the [`StepTimings`] fields
+    /// and the recorded trace are one and the same measurement. The thread
+    /// count comes from `cx`, never from the config's `threads`.
+    ///
+    /// [`Span::finish`]: spade_telemetry::Span::finish
     pub fn run_on_in(
         &self,
         state: &OfflineState,
         request: &RequestConfig,
         cx: &ExecCtx<'_>,
     ) -> Result<SpadeReport, Cancelled> {
-        let config = request.apply(&self.config);
+        let config = &request.apply(&self.config);
+        let cx = &cx.with_threads(request.threads.unwrap_or(cx.threads));
+        let (graph, stats) = (&state.graph, &state.stats);
         let mut report = SpadeReport::default();
-        report.timings.snapshot_load = state.load_time;
-        let cx = cx.with_threads(request.threads.unwrap_or(cx.threads));
-        self.run_analyzed(&config, &state.graph, &state.stats, report, &cx)
-    }
 
-    /// The shared tail of every entry point: derivation enumeration (the
-    /// config-dependent rest of the offline phase) followed by the five
-    /// online steps. `config` is the **effective** configuration — the
-    /// engine's own for whole-pipeline runs, the request-resolved one for
-    /// [`Spade::run_on`]; `report` carries whatever offline timings the
-    /// caller already accumulated.
-    ///
-    /// Every step is timed through an [`ExecCtx::span`] ([`Span::finish`]
-    /// measures even on a disabled context), so the [`StepTimings`] fields
-    /// and the recorded trace are one and the same measurement. The thread
-    /// count comes from `cx`, never from `config.threads`.
-    ///
-    /// [`Span::finish`]: spade_telemetry::Span::finish
-    fn run_analyzed(
-        &self,
-        config: &SpadeConfig,
-        graph: &Graph,
-        stats: &OfflineStats,
-        mut report: SpadeReport,
-        cx: &ExecCtx<'_>,
-    ) -> Result<SpadeReport, Cancelled> {
+        // —— derived-property enumeration, the config-dependent rest of
+        // the offline analysis ——
         let (span, _) = cx.span("offline_analysis");
         let (derived, derivation_counts) =
             offline::enumerate_derivations_in(graph, stats, config, cx)?;
-        report.timings.offline_analysis += span.finish();
-        report.timings.offline = report.timings.snapshot_load
-            + report.timings.saturation
-            + report.timings.offline_analysis;
+        report.timings.offline_analysis = span.finish();
         report.profile.triples = graph.len();
         report.profile.direct_properties = stats.property_count();
         report.profile.derivations = derivation_counts;
@@ -520,11 +421,10 @@ impl Spade {
 
         // —— Step 2: online attribute analysis (parallel per CFS) ——
         let (span, _) = cx.span("attribute_analysis");
-        let graph_ref: &Graph = graph;
         let analyses: Vec<CfsAnalysis> =
             spade_parallel::try_map(cfs_list.iter().collect(), cx.threads, |cfs| {
                 cx.check()?;
-                Ok(analyze_cfs(graph_ref, cfs, &derived, config))
+                Ok(analyze_cfs(graph, cfs, &derived, config))
             })?;
         span.attr("cfs", analyses.len() as u64);
         report.timings.attribute_analysis = span.finish();
@@ -688,9 +588,10 @@ mod tests {
 
     #[test]
     fn end_to_end_on_simulated_ceos() {
-        let mut g = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
+        let g = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
         let config = SpadeConfig { k: 5, min_support: 0.3, ..Default::default() };
-        let report = Spade::new(config).run(&mut g);
+        let report = Spade::new(config)
+            .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
         assert!(report.profile.cfs_count > 0);
         assert!(report.profile.direct_properties >= 8);
         assert!(report.profile.derivations.total() > 0);
@@ -710,11 +611,11 @@ mod tests {
 
     #[test]
     fn early_stop_preserves_strong_winners() {
-        let mut g1 = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
-        let mut g2 = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
+        let g = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
+        let state = OfflineState::from_graph(g, 0);
         let base = SpadeConfig { k: 3, min_support: 0.3, ..Default::default() };
-        let full = Spade::new(base.clone()).run(&mut g1);
-        let es = Spade::new(base.with_early_stop()).run(&mut g2);
+        let full = Spade::new(base.clone()).run_on(&state, &RequestConfig::default());
+        let es = Spade::new(base.with_early_stop()).run_on(&state, &RequestConfig::default());
         assert!(es.pruned_by_es > 0);
         assert!(es.evaluated_aggregates < full.evaluated_aggregates);
         // Accuracy on the clear-cut winner: the top-1 aggregate survives.
@@ -723,7 +624,6 @@ mod tests {
 
     #[test]
     fn figure1_graph_yields_example_aggregates() {
-        let mut g = ceos_figure1();
         let config = SpadeConfig {
             k: 20,
             min_cfs_size: 2,
@@ -731,7 +631,8 @@ mod tests {
             max_distinct_ratio: 5.0,
             ..Default::default()
         };
-        let report = Spade::new(config).run(&mut g);
+        let state = OfflineState::from_graph(ceos_figure1(), 0);
+        let report = Spade::new(config).run_on(&state, &RequestConfig::default());
         // Derived dimensions (paths like politicalConnection/role, counts
         // like numOf(company)) must appear among the top aggregates — the
         // graph is tiny, so ties decide which specific one surfaces.
@@ -748,63 +649,43 @@ mod tests {
     #[test]
     fn derivations_increase_aggregate_count() {
         // Experiment 1 (R1): derivations increase the number of MDAs.
-        let mut g1 = realistic::ceos(&RealisticConfig { scale: 200, seed: 4 });
-        let mut g2 = realistic::ceos(&RealisticConfig { scale: 200, seed: 4 });
+        let g = realistic::ceos(&RealisticConfig { scale: 200, seed: 4 });
+        let state = OfflineState::from_graph(g, 0);
         let base = SpadeConfig { min_support: 0.3, ..Default::default() };
-        let wod = Spade::new(base.clone().without_derivations()).run(&mut g1);
-        let wd = Spade::new(base).run(&mut g2);
+        let wod = Spade::new(base.clone().without_derivations())
+            .run_on(&state, &RequestConfig::default());
+        let wd = Spade::new(base).run_on(&state, &RequestConfig::default());
         assert!(wd.profile.aggregates > wod.profile.aggregates);
         assert_eq!(wod.profile.derivations.total(), 0);
     }
 
     #[test]
     fn timings_are_recorded() {
-        let mut g = realistic::nasa(&RealisticConfig { scale: 150, seed: 3 });
-        let report =
-            Spade::new(SpadeConfig { min_support: 0.3, ..Default::default() }).run(&mut g);
+        let g = realistic::nasa(&RealisticConfig { scale: 150, seed: 3 });
+        let state = OfflineState::from_graph(g, 0);
+        let report = Spade::new(SpadeConfig { min_support: 0.3, ..Default::default() })
+            .run_on(&state, &RequestConfig::default());
         assert!(report.timings.online_total() > Duration::ZERO);
         assert!(report.timings.evaluation > Duration::ZERO);
-        // Offline splits: no ingestion happened, and the offline total is
-        // exactly its recorded parts.
-        assert_eq!(report.timings.ingest, Duration::ZERO);
-        assert_eq!(
-            report.timings.offline,
-            report.timings.saturation + report.timings.offline_analysis
-        );
+        // Saturation and offline analysis were paid once, by the state.
+        assert!(state.load_time > Duration::ZERO);
     }
 
     #[test]
-    fn run_ntriples_records_ingest_split() {
-        let g = realistic::ceos(&RealisticConfig { scale: 100, seed: 5 });
-        let nt = spade_rdf::write_ntriples(&g);
-        let spade = Spade::new(SpadeConfig { min_support: 0.3, ..Default::default() });
-        let report = spade.run_ntriples(&nt).expect("valid N-Triples");
-        assert!(report.timings.ingest > Duration::ZERO);
-        assert_eq!(
-            report.timings.offline,
-            report.timings.ingest + report.timings.saturation + report.timings.offline_analysis
-        );
-        assert!(report.profile.triples > 0);
-        // Same pipeline on the pre-built graph agrees on the profile.
-        let mut g2 = realistic::ceos(&RealisticConfig { scale: 100, seed: 5 });
-        let direct = spade.run(&mut g2);
-        assert_eq!(report.profile.triples, direct.profile.triples);
-        assert_eq!(report.profile.cfs_count, direct.profile.cfs_count);
-        assert!(spade.run_ntriples("broken\n").is_err());
-    }
-
-    #[test]
-    fn run_on_shared_state_matches_whole_pipeline_run() {
-        let g = realistic::ceos(&RealisticConfig { scale: 200, seed: 2 });
+    fn run_on_is_repeatable_across_states() {
         let config = SpadeConfig { k: 5, min_support: 0.3, ..Default::default() };
         let spade = Spade::new(config.clone());
-        let state = OfflineState::from_graph(g, config.threads);
+        let data = RealisticConfig { scale: 200, seed: 2 };
+        let state = OfflineState::from_graph(realistic::ceos(&data), config.threads);
         let served = spade.run_on(&state, &RequestConfig::default());
-        let mut g2 = realistic::ceos(&RealisticConfig { scale: 200, seed: 2 });
-        let direct = Spade::new(config).run(&mut g2);
-        // Identical results (compared through the deterministic JSON body),
-        // and repeat requests against the same state are byte-identical.
-        assert_eq!(served.to_json(false), direct.to_json(false));
+        // A state built on one thread answers the same bytes (compared
+        // through the deterministic JSON body), and repeat requests against
+        // one state are byte-identical.
+        let serial = OfflineState::from_graph(realistic::ceos(&data), 1);
+        assert_eq!(
+            served.to_json(false),
+            spade.run_on(&serial, &RequestConfig::default()).to_json(false)
+        );
         let again = spade.run_on(&state, &RequestConfig::default());
         assert_eq!(served.to_json(false), again.to_json(false));
     }
@@ -888,6 +769,43 @@ mod tests {
         let with_timings = report.to_json(true);
         let parsed = crate::json::parse(&with_timings).expect("timed body is valid JSON");
         assert!(parsed.get("timings_ms").is_some());
+    }
+
+    /// Step 5's ranking is a total order: among equal scores of one CFS
+    /// the MDA label decides, ascending. `m1` and `m2` carry the same
+    /// values, so each aggregate of one ties with its twin of the other.
+    #[test]
+    fn equal_scores_of_one_cfs_rank_by_label() {
+        use spade_rdf::{vocab, Term};
+        let mut g = Graph::new();
+        for i in 0..20 {
+            let node = Term::iri(format!("http://x/n{i}"));
+            let value = Term::num(i as f64 * 1.5 + if i < 10 { 0.0 } else { 100.0 });
+            g.insert(node.clone(), Term::iri(vocab::RDF_TYPE), Term::iri("http://x/T"));
+            g.insert(node.clone(), Term::iri("http://x/d"), Term::lit(["a", "b"][i / 10]));
+            g.insert(node.clone(), Term::iri("http://x/m1"), value.clone());
+            g.insert(node, Term::iri("http://x/m2"), value);
+        }
+        let config = SpadeConfig { k: usize::MAX, min_cfs_size: 1, ..Default::default() }
+            .without_derivations();
+        let report = Spade::new(config)
+            .run_on(&OfflineState::from_graph(g, 1), &RequestConfig::default());
+        let ties: Vec<_> = report
+            .top
+            .windows(2)
+            .filter(|w| {
+                w[0].score == w[1].score && w[0].cfs == w[1].cfs && w[0].mda != w[1].mda
+            })
+            .collect();
+        assert!(!ties.is_empty(), "the twins tie");
+        for w in ties {
+            assert!(
+                w[0].mda < w[1].mda,
+                "{} ranked before {}",
+                w[0].description(),
+                w[1].description()
+            );
+        }
     }
 
     #[test]

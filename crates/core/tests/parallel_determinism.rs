@@ -8,7 +8,7 @@ use spade_core::cfs::{select, CfsStrategy};
 use spade_core::enumeration::enumerate;
 use spade_core::evaluate::evaluate_cfs;
 use spade_core::offline;
-use spade_core::{Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_cube::CubeResult;
 use spade_datagen::{realistic, RealisticConfig};
 use spade_telemetry::ledger::key_hash;
@@ -79,12 +79,13 @@ const REPORT_DIGEST_EARLY_STOP: u64 = 0xced9_c0f8_ffe2_d159;
 
 /// The top-k of one pipeline run, and the digest of its report body.
 fn run_pipeline(threads: usize, early_stop: bool) -> (Vec<(String, u64, usize)>, u64) {
-    let mut g = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
+    let g = realistic::ceos(&RealisticConfig { scale: 300, seed: 2 });
     let mut config = SpadeConfig { k: 8, min_support: 0.3, threads, ..Default::default() };
     if early_stop {
         config = config.with_early_stop();
     }
-    let report = Spade::new(config).run(&mut g);
+    let state = OfflineState::from_graph(g, threads);
+    let report = Spade::new(config).run_on(&state, &RequestConfig::default());
     let top =
         report.top.iter().map(|t| (t.description(), t.score.to_bits(), t.groups)).collect();
     (top, key_hash(&report.to_json(false)))

@@ -1,10 +1,10 @@
-//! The snapshot serving path must be a pure *latency* optimization:
-//! `snapshot_ntriples` + `run_snapshot` produces exactly the report that
-//! `run_ntriples` produces on the same text — same profile, same top-k,
+//! The snapshot serving path must be a pure *latency* optimization: a state
+//! opened from the file `snapshot_ntriples` wrote answers exactly the report
+//! that a state built from the same text answers — same profile, same top-k,
 //! same scores to the bit — at every thread count, with the offline work
-//! replaced by one `snapshot_load` timing split.
+//! replaced by one load, which the state records.
 
-use spade_core::{SnapshotPipelineError, Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, SnapshotPipelineError, Spade, SpadeConfig};
 use spade_datagen::corpus::NT_CASES;
 use std::time::Duration;
 
@@ -34,9 +34,11 @@ fn top_signature(report: &spade_core::SpadeReport) -> Vec<(String, u64, usize)> 
 }
 
 #[test]
-fn run_snapshot_matches_run_ntriples_exactly() {
+fn opened_snapshot_matches_ingested_graph_exactly() {
     let nt = corpus();
-    let direct = Spade::new(config(0)).run_ntriples(&nt).expect("valid corpus");
+    let graph = spade_rdf::ingest(&nt, 0).expect("valid corpus");
+    let direct = Spade::new(config(0))
+        .run_on(&OfflineState::from_graph(graph, 0), &RequestConfig::default());
     assert!(!direct.top.is_empty());
 
     let path = snapshot_path("equivalence");
@@ -44,8 +46,8 @@ fn run_snapshot_matches_run_ntriples_exactly() {
     serial.snapshot_ntriples(&nt, &path).expect("snapshot written");
 
     for threads in [1usize, 8] {
-        let spade = Spade::new(config(threads));
-        let served = spade.run_snapshot(&path).expect("snapshot serves");
+        let state = OfflineState::open(&path, threads).expect("snapshot opens");
+        let served = Spade::new(config(threads)).run_on(&state, &RequestConfig::default());
         assert_eq!(served.profile.triples, direct.profile.triples, "threads={threads}");
         assert_eq!(served.profile.cfs_count, direct.profile.cfs_count);
         assert_eq!(served.profile.direct_properties, direct.profile.direct_properties);
@@ -63,33 +65,14 @@ fn snapshot_timings_replace_the_offline_phase() {
     let path = snapshot_path("timings");
     let spade = Spade::new(config(0));
     spade.snapshot_ntriples(&nt, &path).expect("snapshot written");
-    let report = spade.run_snapshot(&path).expect("snapshot serves");
+    let state = OfflineState::open(&path, 0).expect("snapshot opens");
+    let report = spade.run_on(&state, &RequestConfig::default());
 
-    // The offline phase collapsed into the load: no ingestion, no
-    // saturation, no attribute analysis beyond derivation enumeration.
-    assert!(report.timings.snapshot_load > Duration::ZERO);
-    assert_eq!(report.timings.ingest, Duration::ZERO);
-    assert_eq!(report.timings.saturation, Duration::ZERO);
-    assert_eq!(
-        report.timings.offline,
-        report.timings.snapshot_load + report.timings.offline_analysis
-    );
+    // The offline phase collapsed into the load, paid once by the state;
+    // the report times the request's own steps.
+    assert!(state.load_time > Duration::ZERO);
     assert!(report.timings.online_total() > Duration::ZERO);
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn run_snapshot_bytes_serves_from_memory() {
-    let nt = corpus();
-    let path = snapshot_path("bytes");
-    let spade = Spade::new(config(0));
-    spade.snapshot_ntriples(&nt, &path).expect("snapshot written");
-    let bytes = std::fs::read(&path).expect("snapshot readable");
-    std::fs::remove_file(&path).ok();
-
-    let from_file_less = spade.run_snapshot_bytes(&bytes).expect("serves from memory");
-    let direct = Spade::new(config(0)).run_ntriples(&nt).unwrap();
-    assert_eq!(top_signature(&from_file_less), top_signature(&direct));
 }
 
 #[test]
@@ -102,14 +85,13 @@ fn snapshot_errors_are_typed() {
         other => panic!("expected a parse error, got {other:?}"),
     }
     assert!(!path.exists());
-    // Serving from a missing file is a store error.
+    // Opening a missing file is a store error.
     assert!(matches!(
-        spade.run_snapshot(&path),
+        OfflineState::open(&path, 1),
         Err(SnapshotPipelineError::Store(spade_store::SnapshotError::Io(_)))
     ));
-    // Serving from garbage bytes is a store error too.
-    assert!(matches!(
-        spade.run_snapshot_bytes(b"garbage"),
-        Err(SnapshotPipelineError::Store(_))
-    ));
+    // Opening garbage bytes is a store error too.
+    std::fs::write(&path, b"garbage").expect("garbage written");
+    assert!(matches!(OfflineState::open(&path, 1), Err(SnapshotPipelineError::Store(_))));
+    std::fs::remove_file(&path).ok();
 }

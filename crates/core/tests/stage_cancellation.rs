@@ -28,7 +28,8 @@ use std::fmt::Debug;
 use std::time::Duration;
 
 /// One table row: `in_form` is the stage's context form, `plain` its
-/// infallible wrapper.
+/// infallible wrapper (or, for a stage with only the context form, that
+/// form under `ExecCtx::unbounded` on one thread).
 fn check<T: PartialEq + Debug>(
     name: &str,
     in_form: impl Fn(&ExecCtx<'_>) -> Result<T, Cancelled>,
@@ -95,9 +96,9 @@ fn graph_level_stages() {
         || cfs::select(&g, &strategies, &config),
     );
     check(
-        "mfs::maximal_frequent_sets",
+        "mfs::maximal_frequent_sets_in",
         |cx| mfs::maximal_frequent_sets_in(&items, 12, 4, compat, cx),
-        || mfs::maximal_frequent_sets(&items, 12, 4, compat),
+        || ExecCtx::unbounded(1, |cx| mfs::maximal_frequent_sets_in(&items, 12, 4, compat, cx)),
     );
     check(
         "enumeration::enumerate",
@@ -140,9 +141,13 @@ fn cube_level_stages() {
     assert!(alive.values().flatten().any(|&live| !live), "fixture prunes something");
 
     check(
-        "translate::translate",
+        "translate::translate_in",
         |cx| translate::translate_in(&spec, &lattice, Some(4), 42, cx),
-        || translate::translate(&spec, &lattice, Some(4), 42),
+        || {
+            ExecCtx::unbounded(1, |cx| {
+                translate::translate_in(&spec, &lattice, Some(4), 42, cx)
+            })
+        },
     );
     check(
         "mvdcube::prepare",

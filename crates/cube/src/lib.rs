@@ -40,24 +40,26 @@
 //! (`Result<_, Cancelled>`), taking an [`ExecCtx`] — request budget, span
 //! position, thread count — as its last parameter
 //! ([`translate::translate_in`], [`mvdcube::prepare_in`],
-//! [`earlystop::prune_in`], [`mvdcube::mvd_cube_pruned_in`]). The **plain
-//! form** without the suffix is a one-expression wrapper over
-//! [`ExecCtx::unbounded`] — no deadline, no spans, the thread count its
-//! signature always carried (`options.threads`, an explicit argument, or 1).
+//! [`earlystop::prune_in`], [`mvdcube::mvd_cube_pruned_in`]). A stage that
+//! the pinned benchmark calls without a context (`prepare`,
+//! `mvd_cube_pruned`, `prune`) also has a **plain form** without the
+//! suffix, a one-expression wrapper over [`ExecCtx::unbounded`] — no
+//! deadline, no spans, the thread count its signature always carried
+//! (`options.threads` or an explicit argument). Any other caller without a
+//! context passes `ExecCtx::unbounded` itself.
 //!
 //! Who calls which: code that was handed a context (the pipeline in
 //! `spade-core`, the server) calls context forms only and passes the
 //! context — or a child of it — down, so one request's budget and trace
 //! reach every fan-out; calling a plain form there would silently drop
-//! both. Code with no context to pass (experiment binaries, benchmarks,
-//! examples, tests) calls plain forms.
+//! both.
 //!
 //! # Public surface
 //!
-//! Every public item has a caller outside this crate, except the plain
-//! and context forms of a stage that only tests call (such as
-//! [`translate::translate`]), kept by the convention above, and two hooks
-//! of this crate's own suites: [`CellStorePolicy`] (`tests/store_prop.rs`
+//! Every public item has a caller outside this crate, except
+//! [`translate::translate_in`], the translation stage's one form, which
+//! only the stage-cancellation suite calls from outside, and two hooks of
+//! this crate's own suites: [`CellStorePolicy`] (`tests/store_prop.rs`
 //! forces dense and sparse cell stores and checks they agree) and
 //! [`NodeResult::rows`] (`tests/row_order.rs` reads the stored row order).
 

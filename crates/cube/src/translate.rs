@@ -163,25 +163,14 @@ pub(crate) fn node_axes(lattice: &Lattice, mask: u32) -> Vec<(u64, u64)> {
 /// size, so every thread count generates identical chunk streams.
 const FACT_CHUNK: usize = 8192;
 
-/// Translates the CFS into the partitioned array representation (serial
-/// plain form of [`translate_in`]).
+/// Translates the CFS into the partitioned array representation, in
+/// parallel and cancellably.
 ///
 /// `sample_capacity` enables bottom-k sampling with the given per-group
-/// size under `fact_priority(seed, ·)`.
-pub fn translate(
-    spec: &CubeSpec<'_>,
-    lattice: &Lattice,
-    sample_capacity: Option<usize>,
-    seed: u64,
-) -> Translation {
-    ExecCtx::unbounded(1, |cx| translate_in(spec, lattice, sample_capacity, seed, cx))
-}
-
-/// Parallel, cancellable translation. Output is bit-identical to
-/// [`translate`] at any `cx.threads` value; the budget is checked once per
-/// fact chunk and once per partition, so cancellation latency is bounded
-/// by one work item. Records a `translate` span with partition and cell
-/// counts.
+/// size under `fact_priority(seed, ·)`. Output is bit-identical at any
+/// `cx.threads` value; the budget is checked once per fact chunk and once
+/// per partition, so cancellation latency is bounded by one work item.
+/// Records a `translate` span with partition and cell counts.
 pub fn translate_in(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
@@ -346,6 +335,16 @@ mod tests {
     use super::*;
     use crate::spec::CubeSpec;
     use spade_storage::CategoricalColumn;
+
+    /// Serial, unbounded translation.
+    fn translate(
+        spec: &CubeSpec<'_>,
+        lattice: &Lattice,
+        sample_capacity: Option<usize>,
+        seed: u64,
+    ) -> Translation {
+        ExecCtx::unbounded(1, |cx| translate_in(spec, lattice, sample_capacity, seed, cx))
+    }
 
     /// Two facts: fact 0 single-valued, fact 1 multi-valued on dim 0 and
     /// missing dim 1.

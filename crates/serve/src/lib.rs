@@ -145,8 +145,11 @@
 //! Two query parameters change the body (and therefore bypass the result
 //! cache in both directions — no lookup, no insert):
 //!
-//! * `?timings=1` — append the wall-clock `timings` object
-//!   ([`spade_core::SpadeReport::to_json`] with timings);
+//! * `?timings=1` — append the wall-clock `timings_ms` object
+//!   ([`spade_core::SpadeReport::to_json`] with timings): this request's
+//!   `offline_analysis` (derivation enumeration), the five online steps
+//!   and their `online_total`. What the graph cost to load is paid once,
+//!   not per request: `/stats` reports it as `load_ms`;
 //! * `?profile=1` — attach this request's span tree under a `"trace"` key:
 //!
 //! ```json

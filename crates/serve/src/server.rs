@@ -235,12 +235,10 @@ impl Server {
         // single batch so the decision lands as early as possible. Applied
         // once at startup — per-request toggling would fork the byte-exact
         // determinism contract that the result cache relies on.
-        if config.latency_slo.is_some() && base.early_stop.is_none() {
+        if let (Some(slo), None) = (config.latency_slo, base.early_stop) {
             base = base.with_early_stop();
-            if config.latency_slo < Some(Duration::from_secs(2)) {
-                if let Some(es) = base.early_stop.as_mut() {
-                    es.batches = 1;
-                }
+            if slo < Duration::from_secs(2) {
+                base.early_stop = Some(1);
             }
         }
         let threads = spade_parallel::resolve_threads(config.threads);

@@ -6,7 +6,7 @@
 //! bumped generation on the next request.
 
 use spade_core::json::Json;
-use spade_core::{Spade, SpadeConfig};
+use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_serve::client::{self, Client};
 use spade_serve::server::{ServeConfig, ServeError, Server};
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,6 +30,13 @@ fn write_snapshot(dir: &Path, file: &str, scale: usize, seed: u64) -> PathBuf {
     let path = dir.join(file);
     Spade::new(base_config()).snapshot_ntriples(&nt, &path).expect("snapshot written");
     path
+}
+
+/// What the in-process pipeline answers over the snapshot at `path` for
+/// the default request: open the state, then `run_on`.
+fn oracle(path: &Path) -> String {
+    let state = OfflineState::open(path, 0).expect("snapshot opens");
+    Spade::new(base_config()).run_on(&state, &RequestConfig::default()).to_json(false)
 }
 
 fn serve_config(cache_bytes: usize, graph_memory_budget: u64) -> ServeConfig {
@@ -60,10 +67,8 @@ fn two_graphs_match_their_single_graph_oracles() {
     let alpha = write_snapshot(&dir, "alpha.spade", 100, 11);
     let beta = write_snapshot(&dir, "beta.spade", 90, 23);
 
-    let oracle_alpha =
-        Spade::new(base_config()).run_snapshot(&alpha).expect("alpha oracle").to_json(false);
-    let oracle_beta =
-        Spade::new(base_config()).run_snapshot(&beta).expect("beta oracle").to_json(false);
+    let oracle_alpha = oracle(&alpha);
+    let oracle_beta = oracle(&beta);
     assert_ne!(oracle_alpha, oracle_beta, "the two corpora must differ for a real test");
 
     // Cache disabled: every request evaluates for real.
@@ -147,8 +152,7 @@ fn tiny_budget_evicts_and_transparently_reopens() {
     let dir = temp_dir("budget");
     let alpha = write_snapshot(&dir, "alpha.spade", 100, 11);
     let beta = write_snapshot(&dir, "beta.spade", 90, 23);
-    let oracle_beta =
-        Spade::new(base_config()).run_snapshot(&beta).expect("beta oracle").to_json(false);
+    let oracle_beta = oracle(&beta);
 
     // Budget of one byte: any two loaded graphs are over it, so touching
     // one always evicts the other. The cache is enabled to prove that a

@@ -4,8 +4,9 @@
 //! The heart is `concurrent_explore_is_deterministic_and_matches_serial`:
 //! N identical concurrent requests (cache disabled, so every one actually
 //! evaluates) must return **byte-identical** bodies, equal to what the
-//! serial `Spade::run_snapshot` path computes for the same snapshot — the
-//! server adds concurrency, never changes answers.
+//! serial in-process path (`OfflineState::open`, then `Spade::run_on`)
+//! computes for the same snapshot — the server adds concurrency, never
+//! changes answers.
 
 use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig};
 use spade_serve::client::{self, Client};
@@ -36,6 +37,13 @@ fn write_snapshot(dir: &Path, file: &str, scale: usize, seed: u64) -> PathBuf {
     path
 }
 
+/// What the in-process pipeline answers over the snapshot at `path` for
+/// the default request: open the state, then `run_on`.
+fn oracle(path: &Path) -> String {
+    let state = OfflineState::open(path, 0).expect("snapshot opens");
+    Spade::new(base_config()).run_on(&state, &RequestConfig::default()).to_json(false)
+}
+
 fn serve_config(cache_bytes: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -51,11 +59,8 @@ fn concurrent_explore_is_deterministic_and_matches_serial() {
     let dir = temp_dir("determinism");
     let path = write_snapshot(&dir, "corpus.spade", 100, 11);
 
-    // The serial oracle: the pre-split single-shot path over the same file.
-    let expected = Spade::new(base_config())
-        .run_snapshot(&path)
-        .expect("serial run_snapshot")
-        .to_json(false);
+    // The serial oracle: the in-process path over the same file.
+    let expected = oracle(&path);
 
     // Cache disabled: every request must evaluate for real.
     let server = Server::start(serve_config(0), base_config(), &path).expect("server starts");
@@ -191,15 +196,51 @@ fn latency_slo_early_stop_answers_the_request() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A latency objective under 2 s makes early-stop consume its sample in
+/// one batch: the served answer equals the one-batch in-process oracle,
+/// and the request is one whose pruning tells one batch from two.
+#[test]
+fn tight_latency_slo_prunes_in_one_batch() {
+    let dir = temp_dir("slo_one_batch");
+    let path = write_snapshot(&dir, "corpus.spade", 100, 11);
+    let request = RequestConfig {
+        k: Some(3),
+        interestingness: RequestConfig::interestingness_from_name("skewness"),
+        ..Default::default()
+    };
+    let state = OfflineState::open(&path, 1).expect("snapshot opens");
+    let two = request.apply(&base_config()).with_early_stop();
+    let one = SpadeConfig { early_stop: Some(1), ..two.clone() };
+    let [one, two] =
+        [one, two].map(|config| Spade::new(config).run_on(&state, &RequestConfig::default()));
+    assert_ne!(
+        (one.evaluated_aggregates, one.pruned_by_es),
+        (two.evaluated_aggregates, two.pruned_by_es),
+        "the request must prune differently in one batch and in two"
+    );
+
+    let config = ServeConfig { latency_slo: Some(Duration::from_secs(1)), ..serve_config(0) };
+    let server = Server::start(config, base_config(), &path).expect("server starts");
+    let response = client::post(
+        server.local_addr(),
+        "/explore",
+        br#"{"k": 3, "interestingness": "skewness"}"#,
+    )
+    .expect("explore");
+    assert_eq!(response.status, 200);
+    assert_eq!(response.text(), one.to_json(false), "served bytes equal the one-batch oracle");
+
+    assert!(server.shutdown(Duration::from_secs(10)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn reload_under_load_never_drops_requests() {
     let dir = temp_dir("reload");
     let path_a = write_snapshot(&dir, "a.spade", 100, 11);
     let path_b = write_snapshot(&dir, "b.spade", 120, 23);
-    let expected_a =
-        Spade::new(base_config()).run_snapshot(&path_a).expect("serial a").to_json(false);
-    let expected_b =
-        Spade::new(base_config()).run_snapshot(&path_b).expect("serial b").to_json(false);
+    let expected_a = oracle(&path_a);
+    let expected_b = oracle(&path_b);
     assert_ne!(expected_a, expected_b, "the two corpora must differ");
 
     // Cache disabled so requests in flight during the swap really evaluate.

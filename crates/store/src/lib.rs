@@ -111,7 +111,11 @@
 //! Two items are public only for the corruption suite
 //! (`tests/corruption.rs`), which forges images that must fail each check
 //! in turn: [`VERSION`] and [`update_checksum`] (re-seal a patched image so
-//! a later check, not the checksum, rejects it).
+//! a later check, not the checksum, rejects it). Two more are public only
+//! for this crate's suites: [`Snapshot::from_bytes`] (the in-memory image
+//! path of the corruption and round-trip suites) and
+//! [`Snapshot::open_with`] with [`OpenMode`] (the corruption suite checks
+//! both open modes).
 
 use spade_rdf::dict::{FxHashMap, FxHashSet};
 use spade_rdf::{Dictionary, Graph, TermId, Triple};

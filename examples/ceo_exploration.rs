@@ -12,7 +12,7 @@ use spade::datagen::{realistic, RealisticConfig};
 use spade::prelude::*;
 
 fn main() {
-    let mut graph = realistic::ceos(&RealisticConfig { scale: 800, seed: 2024 });
+    let graph = realistic::ceos(&RealisticConfig { scale: 800, seed: 2024 });
     println!("CEOs graph: {} triples\n", graph.len());
 
     // Journalists care about deviations from uniformity → variance. The
@@ -27,7 +27,8 @@ fn main() {
     }
     .with_early_stop();
 
-    let report = Spade::new(config).run(&mut graph);
+    let state = OfflineState::from_graph(graph, 0);
+    let report = Spade::new(config).run_on(&state, &RequestConfig::default());
 
     println!(
         "evaluated {} aggregates ({} pruned early by the probabilistic early-stop)\n",

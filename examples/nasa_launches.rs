@@ -13,7 +13,7 @@ use spade::datagen::{realistic, RealisticConfig};
 use spade::prelude::*;
 
 fn main() {
-    let mut graph = realistic::nasa(&RealisticConfig { scale: 1200, seed: 1969 });
+    let graph = realistic::nasa(&RealisticConfig { scale: 1200, seed: 1969 });
     println!("NASA graph: {} triples\n", graph.len());
 
     let config = SpadeConfig {
@@ -23,7 +23,8 @@ fn main() {
         dimension_stop_list: vec!["name".into()],
         ..SpadeConfig::default()
     };
-    let report = Spade::new(config).run(&mut graph);
+    let state = OfflineState::from_graph(graph, 0);
+    let report = Spade::new(config).run_on(&state, &RequestConfig::default());
 
     println!("top-{} aggregates:", report.top.len());
     for (rank, agg) in report.top.iter().enumerate() {

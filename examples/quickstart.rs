@@ -12,7 +12,7 @@ fn main() {
     // Any N-Triples source works; we serialize the built-in Figure 1 graph
     // to demonstrate the parser path a real application would use.
     let nt = spade::rdf::write_ntriples(&spade::datagen::ceos_figure1());
-    let mut graph = parse_ntriples(&nt).expect("valid N-Triples");
+    let graph = parse_ntriples(&nt).expect("valid N-Triples");
     println!("loaded {} triples over {} subjects\n", graph.len(), graph.subject_count());
 
     let config = SpadeConfig {
@@ -23,7 +23,11 @@ fn main() {
         max_distinct_ratio: 5.0, // tiny graph: allow high-cardinality dims
         ..SpadeConfig::default()
     };
-    let report = Spade::new(config).run(&mut graph);
+    // The offline phase (saturation, offline attribute analysis) runs once
+    // per graph, on every core (`0`); each request then runs the five
+    // online steps on the state.
+    let state = OfflineState::from_graph(graph, 0);
+    let report = Spade::new(config).run_on(&state, &RequestConfig::default());
 
     println!(
         "analyzed {} CFSs, {} direct properties, {} derived properties,",

@@ -9,8 +9,10 @@
 //! ```
 //! use spade::prelude::*;
 //!
-//! // Load a graph (here: the paper's Figure 1 running example).
-//! let mut graph = spade::datagen::ceos_figure1();
+//! // Load a graph (here: the paper's Figure 1 running example) and run the
+//! // offline phase once: saturation and offline attribute analysis, on
+//! // every core (`0`).
+//! let state = OfflineState::from_graph(spade::datagen::ceos_figure1(), 0);
 //!
 //! // Ask for the 5 most interesting aggregates by variance.
 //! let config = SpadeConfig {
@@ -19,7 +21,7 @@
 //!     max_distinct_ratio: 5.0,  // tiny graph: allow high-cardinality dims
 //!     ..SpadeConfig::default()
 //! };
-//! let report = Spade::new(config).run(&mut graph);
+//! let report = Spade::new(config).run_on(&state, &RequestConfig::default());
 //!
 //! assert_eq!(report.top.len(), 5);
 //! for aggregate in &report.top {
@@ -51,7 +53,7 @@ pub use spade_storage as storage;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use spade_core::{Spade, SpadeConfig, TopAggregate};
+    pub use spade_core::{OfflineState, RequestConfig, Spade, SpadeConfig, TopAggregate};
     pub use spade_cube::{CubeSpec, MeasureSpec, MvdCubeOptions};
     pub use spade_rdf::{parse_ntriples, Term};
     pub use spade_stats::Interestingness;

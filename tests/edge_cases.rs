@@ -9,8 +9,9 @@ fn lenient_config() -> SpadeConfig {
 
 #[test]
 fn empty_graph_produces_empty_report() {
-    let mut g = Graph::new();
-    let report = Spade::new(lenient_config()).run(&mut g);
+    let g = Graph::new();
+    let report = Spade::new(lenient_config())
+        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     assert_eq!(report.profile.triples, 0);
     assert_eq!(report.profile.cfs_count, 0);
     assert!(report.top.is_empty());
@@ -20,7 +21,8 @@ fn empty_graph_produces_empty_report() {
 fn graph_with_single_triple() {
     let mut g = Graph::new();
     g.insert(Term::iri("http://x/a"), Term::iri("http://x/p"), Term::int(1));
-    let report = Spade::new(lenient_config()).run(&mut g);
+    let report = Spade::new(lenient_config())
+        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     // One subject, no type: only the summary-based CFS (a single node) can
     // exist; nothing scores > 0, but nothing crashes either.
     assert_eq!(report.profile.triples, 1);
@@ -35,7 +37,8 @@ fn all_facts_identical_scores_zero() {
         g.insert(n.clone(), Term::iri("http://x/d"), Term::lit("same"));
         g.insert(n.clone(), Term::iri("http://x/m"), Term::int(7));
     }
-    let report = Spade::new(lenient_config()).run(&mut g);
+    let report = Spade::new(lenient_config())
+        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     // Uniform data: every aggregate is uninteresting, and score-0
     // aggregates are filtered from the top-k entirely (Figure 8 semantics).
     assert!(report.top.iter().all(|t| t.score > 0.0));
@@ -54,7 +57,8 @@ fn unicode_labels_survive_the_pipeline() {
         g.insert(n.clone(), Term::iri("http://x/city"), Term::lit(cities[i % 4]));
         g.insert(n.clone(), Term::iri("http://x/m"), Term::num(i as f64 * 10.0 + 0.5));
     }
-    let report = Spade::new(config).run(&mut g);
+    let state = OfflineState::from_graph(g, 0);
+    let report = Spade::new(config).run_on(&state, &RequestConfig::default());
     let with_city = report
         .top
         .iter()
@@ -62,25 +66,25 @@ fn unicode_labels_survive_the_pipeline() {
         .expect("city dimension used");
     assert!(with_city.sample_groups.iter().any(|(l, _)| l.contains("Zürich")));
     // Round-trip through N-Triples too.
-    let nt = spade::rdf::write_ntriples(&g);
+    let nt = spade::rdf::write_ntriples(&state.graph);
     let g2 = parse_ntriples(&nt).unwrap();
-    assert_eq!(g2.len(), g.len());
+    assert_eq!(g2.len(), state.graph.len());
 }
 
 #[test]
 fn k_zero_and_k_huge() {
-    let mut g = spade::datagen::ceos_figure1();
-    let zero =
-        Spade::new(SpadeConfig { k: 0, min_cfs_size: 2, ..lenient_config() }).run(&mut g);
+    let state = OfflineState::from_graph(spade::datagen::ceos_figure1(), 0);
+    let request = RequestConfig::default();
+    let zero = Spade::new(SpadeConfig { k: 0, min_cfs_size: 2, ..lenient_config() })
+        .run_on(&state, &request);
     assert!(zero.top.is_empty());
-    let mut g = spade::datagen::ceos_figure1();
     let huge = Spade::new(SpadeConfig {
         k: usize::MAX,
         min_cfs_size: 2,
         max_distinct_ratio: 5.0,
         ..lenient_config()
     })
-    .run(&mut g);
+    .run_on(&state, &request);
     assert!(!huge.top.is_empty());
 }
 
@@ -108,7 +112,8 @@ fn negative_measure_values() {
             }),
         );
     }
-    let report = Spade::new(lenient_config()).run(&mut g);
+    let report = Spade::new(lenient_config())
+        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     let temp_agg = report
         .top
         .iter()
@@ -156,6 +161,7 @@ fn deep_property_chain_paths() {
         g.insert(c.clone(), Term::iri("http://x/kind"), Term::lit(["x", "y"][i % 2]));
         g.insert(a.clone(), Term::iri("http://x/m"), Term::int(i as i64));
     }
-    let report = Spade::new(lenient_config()).run(&mut g);
+    let report = Spade::new(lenient_config())
+        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     assert!(report.profile.derivations.path > 0);
 }

@@ -23,11 +23,11 @@ fn cfg() -> RealisticConfig {
 #[test]
 fn r1_derivations_enrich_the_search_space() {
     for name in ["CEOs", "DBLP", "Foodista", "NASA", "Nobel"] {
-        let mut g_wod = regen_graph(name, &cfg());
-        let mut g_wd = regen_graph(name, &cfg());
+        let state = OfflineState::from_graph(regen_graph(name, &cfg()), 0);
         let base = SpadeConfig { k: usize::MAX, ..experiment_config() };
-        let wod = Spade::new(base.clone().without_derivations()).run(&mut g_wod);
-        let wd = Spade::new(base).run(&mut g_wd);
+        let wod = Spade::new(base.clone().without_derivations())
+            .run_on(&state, &RequestConfig::default());
+        let wd = Spade::new(base).run_on(&state, &RequestConfig::default());
         assert!(
             wd.profile.aggregates > wod.profile.aggregates,
             "{name}: wD {} ≤ woD {}",
@@ -43,8 +43,9 @@ fn r1_derivations_enrich_the_search_space() {
 /// nothing, so woD and wD coincide.
 #[test]
 fn r1_airline_has_no_derivations() {
-    let mut g = regen_graph("Airline", &cfg());
-    let report = Spade::new(experiment_config()).run(&mut g);
+    let g = regen_graph("Airline", &cfg());
+    let report = Spade::new(experiment_config())
+        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     assert_eq!(report.profile.derivations.total(), 0);
 }
 
@@ -106,13 +107,13 @@ fn r7_early_stop_accuracy() {
 /// far heavier spacecraft, and the aggregate surfaces in the top-k.
 #[test]
 fn figure6c_mass_by_discipline() {
-    let mut g = regen_graph("NASA", &cfg());
+    let g = regen_graph("NASA", &cfg());
     let report = Spade::new(SpadeConfig {
         k: 15,
         dimension_stop_list: vec!["name".into()],
         ..experiment_config()
     })
-    .run(&mut g);
+    .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
     let story = report
         .top
         .iter()

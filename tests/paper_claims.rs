@@ -148,7 +148,7 @@ fn example1_result_from_real_graph() {
 /// "all obtained from n2 given its four distinct values of nationality."
 #[test]
 fn example2_multi_valued_group_contributions() {
-    let mut graph = spade::datagen::ceos_figure1();
+    let graph = spade::datagen::ceos_figure1();
     // Drop Dos Santos' age to mirror Example 2 exactly ("Although n1 has
     // both dimensions, it does not contribute … as it misses the age
     // measure" — in Figure 1 n1 does carry age, so Example 2's text sets
@@ -160,7 +160,8 @@ fn example2_multi_valued_group_contributions() {
         max_distinct_ratio: 5.0,
         ..SpadeConfig::default()
     };
-    let report = Spade::new(config).run(&mut graph);
+    let report = Spade::new(config)
+        .run_on(&OfflineState::from_graph(graph, 0), &RequestConfig::default());
     let agg = report
         .top
         .iter()
