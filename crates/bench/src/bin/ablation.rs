@@ -61,7 +61,7 @@ fn main() {
     let (with_sharing, t_sharing) = timed(|| {
         prepared
             .iter()
-            .map(|(a, l)| evaluate_cfs(a, l, &config).evaluated_aggregates)
+            .map(|(a, l)| evaluate_cfs(a, l, &config).counts.evaluated)
             .sum::<usize>()
     });
     let (without_sharing, t_independent) = timed(|| {

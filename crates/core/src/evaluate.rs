@@ -14,13 +14,23 @@
 //! resolves cross-lattice sharing (inherently order-dependent — earlier
 //! lattices claim shared aggregates), then every lattice's translation,
 //! early-stop pruning, and cube evaluation run independently on the
-//! [`spade_parallel`] pool, and a serial fold merges the outcomes in
-//! lattice order so counters and results are identical at any thread count.
-//! The thread budget splits across the two fan-out levels
-//! ([`ExecCtx::split`]): outer workers run whole lattices,
-//! and each lattice's leftover inner budget drives the region-sharded
-//! engine (and the early-stop pruning loop) *within* that lattice — the
+//! [`spade_parallel`] pool. The thread budget splits across the two fan-out
+//! levels ([`ExecCtx::split`]): outer workers run whole lattices, and each
+//! lattice's leftover inner budget drives the region-sharded engine (and
+//! the early-stop pruning loop) *within* that lattice — the
 //! single-large-lattice shape then still uses every core.
+//!
+//! # The sink
+//!
+//! [`evaluate_cfs_in`] keeps no result: it hands each finished lattice's
+//! [`CubeResult`] to a caller-supplied sink, on the worker that evaluated
+//! it, in whatever order the lattices finish. A caller that only needs a
+//! summary of each result — the pipeline scores it and folds it into the
+//! request's top-k — therefore holds at most one result per worker, not
+//! every result of the CFS. The plain form [`evaluate_cfs`] passes a sink
+//! that stores each result at its lattice index, so its
+//! [`CfsEvaluation::results`] is in lattice order at any thread count. The
+//! counters are sums, identical in either form.
 
 use crate::analysis::CfsAnalysis;
 use crate::config::SpadeConfig;
@@ -31,39 +41,57 @@ use spade_cube::{CubeResult, CubeSpec, ExecCtx, MdaKind, MeasureSpec};
 use spade_parallel::Cancelled;
 use spade_storage::AggFn;
 use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, PoisonError};
 
-/// The evaluation output for one CFS.
-#[derive(Debug, Default, PartialEq)]
-pub struct CfsEvaluation {
-    /// One result per lattice (parallel to the input specs).
-    pub results: Vec<CubeResult>,
+/// What the evaluation of one CFS counted, whatever its sink kept.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AggregateCounts {
     /// `(node, MDA)` aggregates actually computed (after sharing + ES).
-    pub evaluated_aggregates: usize,
+    pub evaluated: usize,
     /// Aggregates enumerated for this CFS (after cross-lattice sharing,
     /// before early-stop) — the Table 2 `#A` contribution.
-    pub enumerated_aggregates: usize,
+    pub enumerated: usize,
     /// Aggregates removed by early-stop.
     pub pruned_by_es: usize,
 }
 
-/// The parallel outcome of one lattice's translation + pruning + cube run.
-struct LatticeOutcome {
-    result: CubeResult,
-    evaluated_aggregates: usize,
-    pruned_by_es: usize,
+/// The plain evaluation output for one CFS: every lattice's result and the
+/// counters.
+#[derive(Debug, PartialEq)]
+pub struct CfsEvaluation {
+    /// One result per lattice, parallel to the input specs — what
+    /// [`evaluate_cfs`]'s sink collected.
+    pub results: Vec<CubeResult>,
+    /// What the evaluation counted.
+    pub counts: AggregateCounts,
 }
 
-/// Evaluates all lattices of one CFS (plain form of [`evaluate_cfs_in`] on
-/// `config.threads` workers).
+/// Evaluates all lattices of one CFS and keeps every result (plain form of
+/// [`evaluate_cfs_in`] on `config.threads` workers, with a sink that stores
+/// each result at its lattice index).
 pub fn evaluate_cfs(
     analysis: &CfsAnalysis,
     lattices: &[LatticeSpec],
     config: &SpadeConfig,
 ) -> CfsEvaluation {
-    ExecCtx::unbounded(config.threads, |cx| evaluate_cfs_in(analysis, lattices, config, cx))
+    let slots = Mutex::new(vec![None; lattices.len()]);
+    let counts = ExecCtx::unbounded(config.threads, |cx| {
+        evaluate_cfs_in(analysis, lattices, config, cx, |idx, result| {
+            slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(result);
+        })
+    });
+    let results = slots
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|r| r.expect("every lattice reaches the sink"))
+        .collect();
+    CfsEvaluation { results, counts }
 }
 
-/// Evaluates all lattices of one CFS. The budget is polled per lattice
+/// Evaluates all lattices of one CFS, handing each finished lattice to
+/// `sink(lattice index, result)` on the worker that evaluated it (see the
+/// module docs), and returns the counters. The budget is polled per lattice
 /// during planning and threaded into every lattice's early-stop pruning
 /// and cube run, so an expired request unwinds with [`Cancelled`] within
 /// one region flush.
@@ -71,14 +99,16 @@ pub fn evaluate_cfs(
 /// Records one `lattice` span per lattice, ordered by lattice index
 /// ([`ExecCtx::span_at`]) so the span-tree shape is identical at every
 /// thread count; each lattice span nests the translate, early-stop, and
-/// cube-engine child spans opened by the stages it runs.
+/// cube-engine child spans opened by the stages it runs, and the sink's
+/// time.
 pub fn evaluate_cfs_in(
     analysis: &CfsAnalysis,
     lattices: &[LatticeSpec],
     config: &SpadeConfig,
     cx: &ExecCtx<'_>,
-) -> Result<CfsEvaluation, Cancelled> {
-    let mut evaluation = CfsEvaluation::default();
+    sink: impl Fn(usize, CubeResult) + Sync,
+) -> Result<AggregateCounts, Cancelled> {
+    let mut enumerated = 0usize;
     // Split the thread budget: `outer` lattices in flight, each with
     // `inner.threads` workers for its intra-lattice region shards.
     let (outer, inner) = cx.split(lattices.len());
@@ -131,7 +161,7 @@ pub fn evaluate_cfs_in(
                 .collect();
             let evaluated = shared.entry(dim_attrs).or_default();
             let flags: Vec<bool> = mda_ids.iter().map(|&id| evaluated.insert(id)).collect();
-            evaluation.enumerated_aggregates += flags.iter().filter(|&&f| f).count();
+            enumerated += flags.iter().filter(|&&f| f).count();
             alive.insert(mask, flags);
         }
         work.push((spec, alive));
@@ -148,11 +178,12 @@ pub fn evaluate_cfs_in(
 
     // —— parallel per-lattice evaluation ——
     // Translation, early-stop pruning (each lattice draws from its own
-    // seeded sample), and the cube run are independent per lattice.
+    // seeded sample), and the cube run are independent per lattice; the
+    // counters are sums, so the order lattices finish in does not show.
     #[allow(clippy::type_complexity)]
     let indexed: Vec<(usize, (CubeSpec<'_>, HashMap<u32, Vec<bool>>))> =
         work.into_iter().enumerate().collect();
-    let outcomes = spade_parallel::try_map(indexed, outer, |(idx, (spec, mut alive))| {
+    let counts = spade_parallel::try_map(indexed, outer, |(idx, (spec, mut alive))| {
         cx.check()?;
         let (lattice_span, lcx) = inner.span_at("lattice", idx as u64);
         let sample_cap = es_config.map(|es| es.sample_size);
@@ -175,16 +206,14 @@ pub fn evaluate_cfs_in(
             alive.values().map(|f| f.iter().filter(|&&x| x).count()).sum::<usize>();
         lattice_span.attr("aggregates", evaluated_aggregates as u64);
         let result = mvd_cube_pruned_in(&spec, &options, &lattice, &translation, &alive, &lcx)?;
-        Ok(LatticeOutcome { result, evaluated_aggregates, pruned_by_es })
+        sink(idx, result);
+        Ok((evaluated_aggregates, pruned_by_es))
     })?;
-
-    // —— serial fold, in lattice order ——
-    for outcome in outcomes {
-        evaluation.evaluated_aggregates += outcome.evaluated_aggregates;
-        evaluation.pruned_by_es += outcome.pruned_by_es;
-        evaluation.results.push(outcome.result);
-    }
-    Ok(evaluation)
+    Ok(AggregateCounts {
+        evaluated: counts.iter().map(|c| c.0).sum(),
+        enumerated,
+        pruned_by_es: counts.iter().map(|c| c.1).sum(),
+    })
 }
 
 #[cfg(test)]
@@ -222,8 +251,8 @@ mod tests {
         assert!(!lattices.is_empty());
         let eval = evaluate_cfs(&analysis, &lattices, &config);
         assert_eq!(eval.results.len(), lattices.len());
-        assert!(eval.evaluated_aggregates > 0);
-        assert_eq!(eval.evaluated_aggregates, eval.enumerated_aggregates);
+        assert!(eval.counts.evaluated > 0);
+        assert_eq!(eval.counts.evaluated, eval.counts.enumerated);
         // Every result has a populated root node.
         for (r, l) in eval.results.iter().zip(&lattices) {
             let root = (1u32 << l.dims.len()) - 1;
@@ -247,7 +276,7 @@ mod tests {
             .map(|l| (1usize << l.dims.len()) * (1 + l.measures.len() * config.agg_fns.len()))
             .sum();
         assert!(
-            eval.enumerated_aggregates <= independent,
+            eval.counts.enumerated <= independent,
             "sharing cannot increase the aggregate count"
         );
     }
@@ -307,11 +336,11 @@ mod tests {
         let es_config = SpadeConfig { k: 3, ..config }.with_early_stop();
         let plain = evaluate_cfs(&analysis, &lattices, &es_config.clone_without_es());
         let pruned = evaluate_cfs(&analysis, &lattices, &es_config);
-        assert!(pruned.pruned_by_es > 0, "expected pruning on a 250-fact CFS");
-        assert!(pruned.evaluated_aggregates < plain.evaluated_aggregates);
+        assert!(pruned.counts.pruned_by_es > 0, "expected pruning on a 250-fact CFS");
+        assert!(pruned.counts.evaluated < plain.counts.evaluated);
         assert_eq!(
-            pruned.evaluated_aggregates + pruned.pruned_by_es,
-            plain.evaluated_aggregates
+            pruned.counts.evaluated + pruned.counts.pruned_by_es,
+            plain.counts.evaluated
         );
     }
 }

@@ -260,12 +260,13 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one exactly.
+    /// The numeric payload as a non-negative integer, if it is one exactly:
+    /// below 2⁵³, where every integer has its own `f64`, so no two integers
+    /// of the text parse alike.
     pub fn as_usize(&self) -> Option<usize> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as usize)
-            }
+            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT => Some(*n as usize),
             _ => None,
         }
     }
@@ -556,6 +557,18 @@ mod tests {
         assert_eq!(arr[2], Json::Bool(true));
         assert_eq!(v.get("o"), Some(&Json::Object(Vec::new())));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn as_usize_takes_every_exact_integer() {
+        let int = |text: &str| parse(text).unwrap().as_usize();
+        assert_eq!(int("1000000000000"), Some(1_000_000_000_000));
+        assert_eq!(int("9007199254740991"), Some((1 << 53) - 1));
+        // 2⁵³ + 1 parses as 2⁵³: not exact.
+        assert_eq!(int("9007199254740993"), None);
+        for not_one in ["-1", "1.5", "1e300", "\"3\""] {
+            assert_eq!(int(not_one), None, "{not_one}");
+        }
     }
 
     #[test]

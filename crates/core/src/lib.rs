@@ -14,9 +14,12 @@
 //!    attribute sets become lattice roots; rule-based pruning removes
 //!    meaningless candidates;
 //! 4. Aggregate Evaluation ([`evaluate`]): MVDCube with optional early-stop
-//!    pruning, results shared across overlapping lattices;
+//!    pruning, results shared across overlapping lattices; each lattice's
+//!    result goes to a sink as soon as it is evaluated;
 //! 5. Top-k Computation (`pipeline`): interestingness scoring through the
-//!    Aggregate Result Manager.
+//!    Aggregate Result Manager, run on each lattice as it finishes and
+//!    folded into a bounded top-k, so a request holds the nodes its current
+//!    winners are drawn from, not every result.
 //!
 //! [`OfflineState`] holds the offline phase's output, built once per graph
 //! ([`OfflineState::from_graph`] or [`OfflineState::open`] on a snapshot);

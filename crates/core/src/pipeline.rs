@@ -13,17 +13,20 @@ use crate::analysis::{analyze_cfs, CfsAnalysis};
 use crate::cfs::{select_in, CfsStrategy};
 use crate::config::{RequestConfig, SpadeConfig};
 use crate::enumeration::{enumerate_in, LatticeSpec};
-use crate::evaluate::evaluate_cfs_in;
+use crate::evaluate::{evaluate_cfs_in, AggregateCounts};
 use crate::json::JsonWriter;
 use crate::offline::{self, DerivationCounts, OfflineStats};
-use spade_cube::arm::score_aggregates;
-use spade_cube::result::NULL_CODE;
-use spade_cube::ExecCtx;
+use spade_cube::arm::{score_aggregates, AggregateId};
+use spade_cube::{CubeResult, ExecCtx, NodeResult};
 use spade_parallel::Cancelled;
 use spade_rdf::{Graph, NtParseError};
+use spade_stats::Interestingness;
 use spade_store::{Snapshot, SnapshotError};
 use spade_telemetry::Trace;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 use std::path::Path;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Wall-clock duration of each step of one request (Figure 11's bar
@@ -40,9 +43,11 @@ pub struct StepTimings {
     pub attribute_analysis: Duration,
     /// Step 3 — Aggregate Enumeration.
     pub enumeration: Duration,
-    /// Step 4 — Aggregate Evaluation.
+    /// Step 4 — Aggregate Evaluation, with the scoring of each finished
+    /// lattice and its fold into the top-k (Step 5's ranking).
     pub evaluation: Duration,
-    /// Step 5 — Top-k Computation.
+    /// Step 5 — Top-k Computation: what is left once the fold has ranked
+    /// every aggregate, the winners' display details.
     pub topk: Duration,
 }
 
@@ -443,100 +448,59 @@ impl Spade {
 
         // —— Step 4: aggregate evaluation (parallel per CFS; each CFS fans
         // its lattices — and each lattice its region shards — out further,
-        // see `evaluate::evaluate_cfs`). The thread budget is split across
-        // the levels so the total worker count stays at `threads` instead
-        // of `threads²`. ——
+        // see `evaluate::evaluate_cfs_in`). The thread budget is split
+        // across the levels so the total worker count stays at `threads`
+        // instead of `threads²`. Each finished lattice is scored on the
+        // worker that evaluated it and folded into the request's top-k
+        // right away (the ARM's one pass, see `spade_cube::arm`), so a
+        // lattice's result is dropped when it has been scored, except the
+        // nodes a current winner points into. ——
         let (span, scx) = cx.span("evaluation");
         let (outer, inner) = scx.split(analyses.len());
-        let evaluations: Vec<_> = spade_parallel::try_map(
+        let top = Mutex::new(TopK { k: config.k, heap: BinaryHeap::new() });
+        let counts: Vec<AggregateCounts> = spade_parallel::try_map(
             analyses.iter().zip(&lattice_specs).enumerate().collect(),
             outer,
-            |(i, (analysis, lattices))| {
-                let (cfs_span, ccx) = inner.span_at("cfs", i as u64);
+            |(cfs_idx, (analysis, lattices))| {
+                let (cfs_span, ccx) = inner.span_at("cfs", cfs_idx as u64);
                 cfs_span.attr("lattices", lattices.len() as u64);
-                evaluate_cfs_in(analysis, lattices, config, &ccx)
+                evaluate_cfs_in(analysis, lattices, config, &ccx, |lattice_idx, result| {
+                    fold_lattice(&top, config.interestingness, cfs_idx, lattice_idx, result);
+                })
             },
         )?;
         report.timings.evaluation = span.finish();
-        for e in &evaluations {
-            report.profile.aggregates += e.enumerated_aggregates;
-            report.evaluated_aggregates += e.evaluated_aggregates;
-            report.pruned_by_es += e.pruned_by_es;
+        for c in &counts {
+            report.profile.aggregates += c.enumerated;
+            report.evaluated_aggregates += c.evaluated;
+            report.pruned_by_es += c.pruned_by_es;
         }
 
-        // —— Step 5: top-k (parallel per lattice result) ——
+        // —— Step 5: top-k. The fold above ranked every positive-score
+        // aggregate; what is left is the winners' display details
+        // (dimension names, group samples), best first. ——
         let (span, _) = cx.span("topk");
-        // Score first with a light record that borrows its label from the
-        // result; only the k winners get their label cloned and their
-        // display details (dimension names, group samples) materialized.
-        // Scoring fans out over the per-lattice results and the ranking is
-        // a total order — `(score, cfs, label, id)`, then lattice for
-        // aggregates of different lattices that tie on all four — so the
-        // winners are identical for every thread count.
-        struct Scored<'r> {
-            cfs_idx: usize,
-            lattice_idx: usize,
-            id: spade_cube::arm::AggregateId,
-            label: &'r str,
-            score: f64,
-            groups: usize,
-        }
-        let score_inputs: Vec<(usize, usize, &spade_cube::CubeResult)> = evaluations
-            .iter()
-            .enumerate()
-            .flat_map(|(cfs_idx, evaluation)| {
-                evaluation
-                    .results
-                    .iter()
-                    .enumerate()
-                    .map(move |(lattice_idx, result)| (cfs_idx, lattice_idx, result))
-            })
-            .collect();
-        let per_result: Vec<Vec<Scored<'_>>> = spade_parallel::try_map(
-            score_inputs,
-            cx.threads,
-            |(cfs_idx, lattice_idx, result)| {
-                cx.check()?;
-                let mut scored = Vec::new();
-                score_aggregates(result, config.interestingness, |id, score, groups| {
-                    if score > 0.0 {
-                        let label = result.mda_labels[id.mda].as_str();
-                        scored.push(Scored { cfs_idx, lattice_idx, id, label, score, groups });
-                    }
-                });
-                Ok(scored)
-            },
-        )?;
-        let mut scored: Vec<Scored<'_>> = per_result.into_iter().flatten().collect();
-        scored.sort_unstable_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.cfs_idx.cmp(&b.cfs_idx))
-                .then_with(|| a.label.cmp(b.label))
-                .then_with(|| a.id.cmp(&b.id))
-                .then_with(|| a.lattice_idx.cmp(&b.lattice_idx))
-        });
-        scored.truncate(config.k);
-        report.top = scored
+        let top = top.into_inner().unwrap_or_else(PoisonError::into_inner);
+        report.top = top
+            .heap
+            .into_sorted_vec()
             .into_iter()
-            .map(|s| {
-                let analysis = &analyses[s.cfs_idx];
-                let lattice_spec = &lattice_specs[s.cfs_idx][s.lattice_idx];
-                let result = &evaluations[s.cfs_idx].results[s.lattice_idx];
-                let node = result.node(s.id.node_mask).expect("scored node exists");
+            .map(|w| {
+                let analysis = &analyses[w.cfs_idx];
+                let lattice_dims = &lattice_specs[w.cfs_idx][w.lattice_idx].dims;
+                let attr = |dim: usize| &analysis.attributes[lattice_dims[dim]];
+                let dims = w.node.dims.iter().map(|&dim| attr(dim).def.name.clone()).collect();
+                let sample_groups = sample_groups(&w.node, w.id.mda, |dim, code| {
+                    attr(dim).categorical.as_ref().expect("dimension column").label(code)
+                });
+                let (mda, score, groups) = (w.label, w.score, w.groups);
                 TopAggregate {
                     cfs: analysis.name.clone(),
-                    dims: node
-                        .dims
-                        .iter()
-                        .map(|&pos| {
-                            analysis.attributes[lattice_spec.dims[pos]].def.name.clone()
-                        })
-                        .collect(),
-                    mda: s.label.to_owned(),
-                    score: s.score,
-                    groups: s.groups,
-                    sample_groups: sample_groups(analysis, lattice_spec, node, s.id.mda),
+                    dims,
+                    mda,
+                    score,
+                    groups,
+                    sample_groups,
                 }
             })
             .collect();
@@ -545,35 +509,149 @@ impl Spade {
     }
 }
 
-/// Renders up to twelve groups of a node's MDA for display.
-fn sample_groups(
-    analysis: &CfsAnalysis,
-    lattice_spec: &LatticeSpec,
-    node: &spade_cube::NodeResult,
+/// Where an aggregate ranks in Step 5's order: score descending, then CFS,
+/// MDA label, aggregate id and lattice ascending. The order is total — no
+/// two aggregates of a request share `(cfs, lattice, id)` — so the top-k
+/// does not depend on the order lattices finish in, hence not on the
+/// thread count.
+struct Rank<'a> {
+    score: f64,
+    cfs_idx: usize,
+    label: &'a str,
+    id: AggregateId,
+    lattice_idx: usize,
+}
+
+impl Rank<'_> {
+    /// `Less` when `self` ranks before (is better than) `other`.
+    fn cmp(&self, other: &Rank<'_>) -> Ordering {
+        other
+            .score
+            .total_cmp(&self.score)
+            .then_with(|| self.cfs_idx.cmp(&other.cfs_idx))
+            .then_with(|| self.label.cmp(other.label))
+            .then_with(|| self.id.cmp(&other.id))
+            .then_with(|| self.lattice_idx.cmp(&other.lattice_idx))
+    }
+}
+
+/// One of the request's current top-k aggregates, with the node its groups
+/// are rendered from (shared by the winners of one node).
+struct Winner {
+    score: f64,
+    cfs_idx: usize,
+    label: String,
+    id: AggregateId,
+    lattice_idx: usize,
+    groups: usize,
+    node: Arc<NodeResult>,
+}
+
+impl Winner {
+    fn rank(&self) -> Rank<'_> {
+        Rank {
+            score: self.score,
+            cfs_idx: self.cfs_idx,
+            label: &self.label,
+            id: self.id,
+            lattice_idx: self.lattice_idx,
+        }
+    }
+}
+
+/// Ordered by [`Rank`]: the greatest winner is the worst.
+impl Ord for Winner {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+impl PartialOrd for Winner {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Winner {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Winner {}
+
+/// The k best aggregates seen so far. The heap's top is the worst of them,
+/// the one a better aggregate displaces once `k` are held. Nothing is sized
+/// by `k`, which a request sets to anything up to `usize::MAX`.
+struct TopK {
+    k: usize,
+    heap: BinaryHeap<Winner>,
+}
+
+impl TopK {
+    /// Whether an aggregate ranked `rank` is among the k best seen so far.
+    fn admits(&self, rank: &Rank<'_>) -> bool {
+        self.heap.len() < self.k
+            || self.heap.peek().is_some_and(|worst| rank.cmp(&worst.rank()).is_lt())
+    }
+
+    fn push(&mut self, winner: Winner) {
+        if self.heap.len() == self.k {
+            self.heap.pop();
+        }
+        self.heap.push(winner);
+    }
+}
+
+/// Scores one finished lattice with `h` and folds its positive-score
+/// aggregates into `top`. A node a new winner points into moves out of the
+/// result into an [`Arc`]; the rest of the result is dropped on return.
+fn fold_lattice(
+    top: &Mutex<TopK>,
+    h: Interestingness,
+    cfs_idx: usize,
+    lattice_idx: usize,
+    result: CubeResult,
+) {
+    let mut scored = Vec::new();
+    score_aggregates(&result, h, |id, score, groups| {
+        if score > 0.0 {
+            scored.push((id, score, groups));
+        }
+    });
+    let CubeResult { mda_labels, mut nodes } = result;
+    let mut held: HashMap<u32, Arc<NodeResult>> = HashMap::new();
+    let mut top = top.lock().unwrap_or_else(PoisonError::into_inner);
+    for (id, score, groups) in scored {
+        let rank = Rank { score, cfs_idx, label: &mda_labels[id.mda], id, lattice_idx };
+        if !top.admits(&rank) {
+            continue;
+        }
+        let node = held.entry(id.node_mask).or_insert_with(|| {
+            Arc::new(nodes.remove(&id.node_mask).expect("scored node exists"))
+        });
+        let (label, node) = (rank.label.to_owned(), Arc::clone(node));
+        top.push(Winner { score, cfs_idx, label, id, lattice_idx, groups, node });
+    }
+}
+
+/// Renders up to twelve groups of a node's MDA for display: the largest
+/// values first, equal values by label ascending. Only visible groups (no
+/// null on any dimension) with a value for the MDA are shown. `label(dim,
+/// code)` names value `code` of lattice dimension `dim`; a group's label
+/// joins its dimensions' with `", "`.
+fn sample_groups<'a>(
+    node: &NodeResult,
     mda: usize,
+    label: impl Fn(usize, u32) -> &'a str,
 ) -> Vec<(String, f64)> {
     let mut out: Vec<(String, f64)> = node
         .visible_groups()
         .filter_map(|(key, values)| {
             let v = values[mda]?;
-            let label = key
-                .iter()
-                .enumerate()
-                .map(|(pos, &code)| {
-                    if code == NULL_CODE {
-                        "null".to_owned()
-                    } else {
-                        let attr = lattice_spec.dims[node.dims[pos]];
-                        analysis.attributes[attr]
-                            .categorical
-                            .as_ref()
-                            .map(|c| c.label(code).to_owned())
-                            .unwrap_or_else(|| code.to_string())
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            Some((label, v))
+            let names: Vec<&str> =
+                key.iter().zip(&node.dims).map(|(&code, &dim)| label(dim, code)).collect();
+            Some((names.join(", "), v))
         })
         .collect();
     out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -806,6 +884,61 @@ mod tests {
                 w[1].description()
             );
         }
+    }
+
+    /// Figure 6's group preview: twelve visible groups with a value for the
+    /// MDA, the largest value first, equal values by label ascending. A
+    /// group keyed by a null, or without a value for the MDA, is not shown:
+    /// here the null group has the largest value, and a missing value read
+    /// as 0 would rank fifth.
+    #[test]
+    fn sample_groups_keeps_twelve_visible_by_value_then_label() {
+        use spade_cube::result::NULL_CODE;
+        let labels = ["k", "c", "a", "b", "m", "n", "o", "p", "q", "r", "s", "t", "u", "v"];
+        let values = [
+            Some(9.0),
+            Some(5.0),
+            Some(5.0),
+            Some(5.0),
+            None,
+            Some(-1.0),
+            Some(-2.0),
+            Some(-3.0),
+            Some(-4.0),
+            Some(-5.0),
+            Some(-6.0),
+            Some(-7.0),
+            Some(-8.0),
+            Some(-9.0),
+        ];
+        // The groups are shown for MDA 1; MDA 0 ranks them by code instead.
+        let groups = (0..labels.len() as u32)
+            .map(|code| (vec![code], vec![Some(code as f64), values[code as usize]]))
+            .chain([(vec![NULL_CODE], vec![Some(0.0), Some(100.0)])]);
+        let node = NodeResult::from_groups(0b1, &[labels.len() as u32 + 1], 2, groups);
+        assert!(node.visible_group_count() > 12);
+        let label = |dim: usize, code: u32| {
+            assert_eq!(dim, 0);
+            labels.get(code as usize).copied().unwrap_or("null")
+        };
+        let shown = sample_groups(&node, 1, label);
+        let expected = [
+            ("k", 9.0),
+            ("a", 5.0),
+            ("b", 5.0),
+            ("c", 5.0),
+            ("n", -1.0),
+            ("o", -2.0),
+            ("p", -3.0),
+            ("q", -4.0),
+            ("r", -5.0),
+            ("s", -6.0),
+            ("t", -7.0),
+            ("u", -8.0),
+        ];
+        let expected: Vec<(String, f64)> =
+            expected.iter().map(|&(g, v)| (g.to_owned(), v)).collect();
+        assert_eq!(shown, expected);
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn single_lattice_run(threads: usize, early_stop: bool) -> (Vec<CubeResult>, usi
     // and only the intra-lattice (region-shard) parallelism remains.
     let one = vec![lattices.into_iter().next().expect("CEOs yield a lattice")];
     let eval = evaluate_cfs(&analysis, &one, &config);
-    (eval.results, eval.pruned_by_es)
+    (eval.results, eval.counts.pruned_by_es)
 }
 
 #[test]

@@ -24,7 +24,9 @@ use spade_cube::{CubeSpec, EarlyStopConfig, MeasureSpec, MvdCubeOptions};
 use spade_datagen::synthetic::{generate_columns, SyntheticConfig};
 use spade_datagen::{realistic, RealisticConfig};
 use spade_storage::AggFn;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// One table row: `in_form` is the stage's context form, `plain` its
@@ -107,7 +109,16 @@ fn graph_level_stages() {
     );
     check(
         "evaluate::evaluate_cfs",
-        |cx| evaluate::evaluate_cfs_in(&analysis, &lattices, &es_config, cx),
+        |cx| {
+            // A sink that keeps every result, in lattice order.
+            let results = Mutex::new(BTreeMap::new());
+            let counts =
+                evaluate::evaluate_cfs_in(&analysis, &lattices, &es_config, cx, |i, r| {
+                    results.lock().unwrap().insert(i, r);
+                })?;
+            let results = results.into_inner().unwrap().into_values().collect();
+            Ok(evaluate::CfsEvaluation { results, counts })
+        },
         || evaluate::evaluate_cfs(&analysis, &lattices, &es_config),
     );
     check(

@@ -13,6 +13,12 @@
 //! [`RunningMoments`] per MDA, and `h` applied to the moments. Rows are
 //! stored in ascending key order (see [`crate::result`]), so the walk needs
 //! no collect, sort or hash to be deterministic.
+//!
+//! The ARM works incrementally, as the paper describes: the pipeline
+//! (`spade-core`) scores each lattice's result as soon as that lattice is
+//! evaluated, folds the positive scores into the request's bounded top-k,
+//! and drops the result, keeping only the nodes a current winner is drawn
+//! from. No result waits for the end of evaluation, and none is read twice.
 
 use crate::result::CubeResult;
 use spade_stats::{Interestingness, RunningMoments};

@@ -163,6 +163,30 @@ fn request_overrides_and_cache_hits_are_exact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `k` is any non-negative integer on the wire. One far above the number
+/// of aggregates answers every positive-score aggregate, with the bytes
+/// `run_on` gives for that `k`: nothing in the pipeline is sized by `k`.
+#[test]
+fn huge_k_answers_every_aggregate() {
+    let dir = temp_dir("huge_k");
+    let path = write_snapshot(&dir, "corpus.spade", 100, 11);
+    let state = OfflineState::open(&path, 0).expect("snapshot opens");
+    let spade = Spade::new(base_config());
+    let run = |k| spade.run_on(&state, &RequestConfig { k: Some(k), ..Default::default() });
+    let expected = run(1_000_000_000_000);
+    assert_eq!(expected.to_json(false), run(usize::MAX).to_json(false), "every aggregate");
+    assert!(expected.top.len() > base_config().k);
+
+    let server = Server::start(serve_config(0), base_config(), &path).expect("server starts");
+    let r = client::post(server.local_addr(), "/explore", br#"{"k": 1000000000000}"#)
+        .expect("huge k");
+    assert_eq!(r.status, 200);
+    assert_eq!(r.text(), expected.to_json(false));
+
+    assert!(server.shutdown(Duration::from_secs(10)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A latency objective turns early-stop on at startup; it must still
 /// prune for each request's own `k` and `h`, so a served answer equals
 /// early-stop built in process for that request.
