@@ -230,4 +230,16 @@ mod tests {
         let lang = AttributeDef::new(AttrKind::Language(id(&g, "desc")), &g);
         assert_eq!(lang.string_values(&g, c1, 4), vec!["English"]);
     }
+
+    #[test]
+    fn a_keyword_of_exactly_the_minimum_length_is_kept() {
+        // "keywords of at least `keyword_min_len` characters": at the
+        // default 4, "zinc" is one and "ore" is not.
+        let min_len = crate::config::SpadeConfig::default().keyword_min_len;
+        assert_eq!(min_len, 4);
+        let mut g = sample_graph();
+        g.insert(iri("c3"), iri("desc"), Term::lit("Zinc ore"));
+        let kw = AttributeDef::new(AttrKind::Keywords(id(&g, "desc")), &g);
+        assert_eq!(kw.string_values(&g, id(&g, "c3"), min_len), vec!["zinc"]);
+    }
 }

@@ -151,7 +151,8 @@ pub fn mvd_cube_pruned_in(
 /// evaluation fan out over `options.threads`. Pruning costs in proportion
 /// to the sample and saves the measure join of what it prunes, not the
 /// translation or the bitmap cascade: on the pinned 150 k-fact
-/// `cube_earlystop` case this is as fast as [`mvd_cube`], not faster.
+/// `cube_earlystop` case, at one thread on a 2-core x86-64 VM, it takes
+/// 32.8 ms to [`mvd_cube`]'s 35.3 ms (medians of 15 alternating calls).
 pub fn mvd_cube_with_earlystop(
     spec: &CubeSpec<'_>,
     options: &MvdCubeOptions,

@@ -29,14 +29,20 @@
 //!
 //! 1. **entry generation** over fact ranges (chunk boundaries depend only
 //!    on data size; concatenated in input order this equals the serial
-//!    scan),
-//! 2. **one sort** of the flat `(partition, cell, fact)` triples — the
-//!    triples are unique, so the unstable parallel sort by the full key
-//!    reproduces the serial stable `(partition, cell)` sort exactly, and
+//!    scan): one packed `u64` key and one `u32` fact id per (fact, cell),
+//!    12 B an entry. The key is partition-major — partition ordinal ×
+//!    partition volume + row-major offset inside the partition — and
+//!    inside a partition row-major order over the offsets is row-major
+//!    order over the codes, so key order is `(partition, cell)` order;
+//! 2. **one stable placement** of the entries by key: a serial LSD radix
+//!    pass per byte of the key space, linear in the entries, skipping a
+//!    byte every key shares. Facts are generated in ascending order and the
+//!    placement is stable, so each cell's facts ascend; and
 //! 3. **per-partition materialization**, each partition building its cell
-//!    bitmaps via `from_sorted_iter_in` (one low-bits scratch per worker,
-//!    no intermediate fact re-collection) and its cells' bottom-k samples
-//!    (a function of `(seed, fact ids)` alone) at any thread count.
+//!    bitmaps from its contiguous fact runs via `from_sorted_iter_in` (one
+//!    low-bits scratch per worker), recovering each global cell index once
+//!    per cell, and its cells' bottom-k samples (a function of
+//!    `(seed, fact ids)` alone) at any thread count.
 
 use crate::exec::ExecCtx;
 use crate::lattice::Lattice;
@@ -56,11 +62,11 @@ pub(crate) fn fact_priority(seed: u64, fact: u32) -> u64 {
     (z ^ (z >> 31)) << 32 | fact as u64
 }
 
-/// The bottom-`k` of one cell's `(partition, cell, fact)` run, in priority
-/// order; `keyed` is the caller's scratch.
-fn bottom_k(run: &[(u64, u64, u32)], k: usize, seed: u64, keyed: &mut Vec<u64>) -> Vec<u32> {
+/// The bottom-`k` of one cell's facts, in priority order; `keyed` is the
+/// caller's scratch.
+fn bottom_k(facts: &[u32], k: usize, seed: u64, keyed: &mut Vec<u64>) -> Vec<u32> {
     keyed.clear();
-    keyed.extend(run.iter().map(|t| fact_priority(seed, t.2)));
+    keyed.extend(facts.iter().map(|&fact| fact_priority(seed, fact)));
     if keyed.len() > k {
         keyed.select_nth_unstable(k.saturating_sub(1));
         keyed.truncate(k);
@@ -163,14 +169,65 @@ pub(crate) fn node_axes(lattice: &Lattice, mask: u32) -> Vec<(u64, u64)> {
 /// size, so every thread count generates identical chunk streams.
 const FACT_CHUNK: usize = 8192;
 
+/// Bits per digit of the radix placement.
+const DIGIT_BITS: u32 = 8;
+const DIGITS: usize = 1 << DIGIT_BITS;
+
+/// Stable LSD radix placement of the `(key, fact)` entries by key, one
+/// pass per digit of `key_bits`: equal keys keep their input order. A
+/// pass whose digit every key shares would move nothing and is skipped.
+/// The budget is polled between passes.
+fn place(
+    mut keys: Vec<u64>,
+    mut facts: Vec<u32>,
+    key_bits: u32,
+    cx: &ExecCtx<'_>,
+) -> Result<(Vec<u64>, Vec<u32>), Cancelled> {
+    let n = keys.len();
+    // Every digit's histogram in one read: a pass permutes the keys, not
+    // the counts of a digit.
+    let mut counts = vec![[0usize; DIGITS]; key_bits.div_ceil(DIGIT_BITS) as usize];
+    for &key in &keys {
+        for (p, count) in counts.iter_mut().enumerate() {
+            count[(key >> (p as u32 * DIGIT_BITS)) as usize % DIGITS] += 1;
+        }
+    }
+    let (mut spare_keys, mut spare_facts) = (Vec::new(), Vec::new());
+    for (p, count) in counts.iter().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        cx.check()?;
+        spare_keys.resize(n, 0);
+        spare_facts.resize(n, 0);
+        let mut next = [0usize; DIGITS];
+        let mut start = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = start;
+            start += c;
+        }
+        let shift = p as u32 * DIGIT_BITS;
+        for (&key, &fact) in keys.iter().zip(&facts) {
+            let slot = &mut next[(key >> shift) as usize % DIGITS];
+            spare_keys[*slot] = key;
+            spare_facts[*slot] = fact;
+            *slot += 1;
+        }
+        std::mem::swap(&mut keys, &mut spare_keys);
+        std::mem::swap(&mut facts, &mut spare_facts);
+    }
+    Ok((keys, facts))
+}
+
 /// Translates the CFS into the partitioned array representation, in
 /// parallel and cancellably.
 ///
 /// `sample_capacity` enables bottom-k sampling with the given per-group
 /// size under `fact_priority(seed, ·)`. Output is bit-identical at any
-/// `cx.threads` value; the budget is checked once per fact chunk and once
-/// per partition, so cancellation latency is bounded by one work item.
-/// Records a `translate` span with partition and cell counts.
+/// `cx.threads` value; the budget is checked once per fact chunk, between
+/// placement passes and once per partition, so cancellation latency is
+/// bounded by one linear pass. Records a `translate` span with partition
+/// and cell counts.
 pub fn translate_in(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
@@ -182,24 +239,39 @@ pub fn translate_in(
     spade_parallel::fault::fire_with_budget("translate", Some(cx.budget));
     cx.check()?;
 
-    let domains = lattice.domains.clone();
-    let total_cells: u128 = domains.iter().map(|&d| d as u128).product();
-    assert!(total_cells < (1u128 << 62), "cell space too large for u64 indexes");
-    let strides = strides_for(&domains);
+    let domains = &lattice.domains;
+    let chunks = &lattice.chunks;
     let n_chunks = lattice.n_chunks();
+    // The packed key space, Π n_chunks × Π chunk, bounds the cell space.
+    let key_space = n_chunks
+        .iter()
+        .chain(chunks)
+        .try_fold(1u64, |space, &n| space.checked_mul(n as u64))
+        .expect("cell space too large for u64 keys");
+    let key_bits = u64::BITS - (key_space - 1).leading_zeros();
+    let strides = strides_for(domains);
     let part_strides = strides_for(&n_chunks);
+    let offset_strides = strides_for(chunks);
+    let volume: u64 = chunks.iter().map(|&c| c as u64).product();
     let null_codes: Vec<u32> = domains.iter().map(|&d| d - 1).collect();
+    // Dimension `d`'s share of the key of a cell where it has `code`.
+    let key_term = |d: usize, code: u32| {
+        (code / chunks[d]) as u64 * part_strides[d] * volume
+            + (code % chunks[d]) as u64 * offset_strides[d]
+    };
 
-    // Stage 1: flat `(partition, cell, fact)` entries, generated per fact
-    // range and concatenated in input order — identical to one serial
-    // scan, and cheaper / more cache-friendly than hash-accumulating per
-    // cell.
+    // Stage 1: one `(key, fact)` entry per (fact, cell), generated per fact
+    // range and concatenated in input order — identical to one serial scan.
     let ranges = spade_parallel::chunk_ranges(spec.n_facts, FACT_CHUNK);
-    let chunked: Vec<Vec<(u64, u64, u32)>> =
+    let chunked: Vec<(Vec<u64>, Vec<u32>)> =
         spade_parallel::try_map(ranges, cx.threads, |(lo, hi)| {
             cx.check()?;
-            let mut entries: Vec<(u64, u64, u32)> = Vec::new();
+            let mut keys: Vec<u64> = Vec::with_capacity(hi - lo);
+            let mut facts: Vec<u32> = Vec::with_capacity(hi - lo);
             let mut code_lists: Vec<&[u32]> = Vec::with_capacity(spec.n_dims());
+            // Odometer over the cross product of a fact's dimension values;
+            // it wraps back to all zeros after each fact.
+            let mut idx = vec![0usize; spec.n_dims()];
             for fact in lo as u32..hi as u32 {
                 code_lists.clear();
                 let mut any_value = false;
@@ -215,98 +287,85 @@ pub fn translate_in(
                 if !any_value {
                     continue; // the fact misses every dimension: not in the root join
                 }
-                // Odometer over the cross product of the fact's dimension
-                // values.
-                let mut idx = vec![0usize; code_lists.len()];
-                loop {
-                    let mut cell: u64 = 0;
-                    let mut part: u64 = 0;
-                    for (d, &i) in idx.iter().enumerate() {
-                        let code = code_lists[d][i];
-                        cell += code as u64 * strides[d];
-                        part += (code / lattice.chunks[d]) as u64 * part_strides[d];
-                    }
-                    entries.push((part, cell, fact));
-                    // Advance the odometer.
-                    let mut d = code_lists.len();
-                    loop {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
+                'cells: loop {
+                    keys.push(
+                        idx.iter()
+                            .enumerate()
+                            .map(|(d, &i)| key_term(d, code_lists[d][i]))
+                            .sum(),
+                    );
+                    facts.push(fact);
+                    for d in (0..idx.len()).rev() {
                         idx[d] += 1;
                         if idx[d] < code_lists[d].len() {
-                            break;
+                            continue 'cells;
                         }
                         idx[d] = 0;
-                        if d == 0 {
-                            d = usize::MAX;
-                            break;
-                        }
                     }
-                    if d == usize::MAX {
-                        break;
-                    }
+                    break;
                 }
             }
-            Ok(entries)
+            Ok((keys, facts))
         })?;
-    let mut entries: Vec<(u64, u64, u32)> =
-        Vec::with_capacity(chunked.iter().map(Vec::len).sum());
-    for c in chunked {
-        entries.extend(c);
+    let total: usize = chunked.iter().map(|(keys, _)| keys.len()).sum();
+    let mut chunked = chunked.into_iter();
+    let (mut keys, mut facts) = chunked.next().unwrap_or_default();
+    keys.reserve_exact(total - keys.len());
+    facts.reserve_exact(total - facts.len());
+    for (k, f) in chunked {
+        keys.extend(k);
+        facts.extend(f);
     }
     cx.check()?;
 
-    // Stage 2: one sort groups the entries by (partition, cell); the
-    // triples are unique and facts ascend within each (partition, cell)
-    // group as generated, so the unstable sort by the full key equals the
-    // serial stable (partition, cell) sort bit for bit.
-    let entries = spade_parallel::par_sort(entries, cx.threads);
+    // Stage 2: the stable placement groups the entries by (partition, cell),
+    // each cell's facts ascending as generated.
+    let (keys, facts) = place(keys, facts, key_bits, &cx)?;
     cx.check()?;
 
-    // Stage 3: materialize partitions in row-major chunk order (the sort
-    // already put them there); each partition is independent.
+    // Stage 3: materialize partitions in row-major chunk order (the
+    // placement already put them there); each partition is independent.
     let mut part_ranges: Vec<(u64, std::ops::Range<usize>)> = Vec::new();
     let mut i = 0;
-    while i < entries.len() {
-        let part = entries[i].0;
-        let mut j = i;
-        while j < entries.len() && entries[j].0 == part {
-            j += 1;
-        }
-        part_ranges.push((part, i..j));
-        i = j;
+    while i < keys.len() {
+        let part = keys[i] / volume;
+        let end = i + keys[i..].partition_point(|&key| key / volume == part);
+        part_ranges.push((part, i..end));
+        i = end;
     }
-    let entries = &entries;
+    let (keys, facts) = (&keys, &facts);
     // One partition's cells plus its `(cell, (sample, group size))` groups.
     type BuiltPartition = (Partition, Vec<(u64, (Vec<u32>, u64))>);
     let built: Vec<BuiltPartition> =
         spade_parallel::try_map(part_ranges, cx.threads, |(part, range)| {
             cx.check()?;
-            let run = &entries[range];
-            let coords: Vec<u32> = n_chunks
-                .iter()
-                .enumerate()
-                .map(|(d, _)| ((part / part_strides[d]) % n_chunks[d] as u64) as u32)
+            let coords: Vec<u32> = (0..n_chunks.len())
+                .map(|d| (part / part_strides[d] % n_chunks[d] as u64) as u32)
                 .collect();
+            // The global cell index of the partition's offset 0, and of a
+            // row-major `offset` inside it.
+            let base: u64 =
+                (0..coords.len()).map(|d| (coords[d] * chunks[d]) as u64 * strides[d]).sum();
+            let cell_at = |offset: u64| -> u64 {
+                base + (0..coords.len())
+                    .map(|d| offset / offset_strides[d] % chunks[d] as u64 * strides[d])
+                    .sum::<u64>()
+            };
+            let (keys, facts) = (&keys[range.clone()], &facts[range]);
             let mut cells: Vec<(u64, Bitmap)> = Vec::new();
             let mut groups: Vec<(u64, (Vec<u32>, u64))> = Vec::new();
             let mut scratch: Vec<u16> = Vec::new();
             let mut keyed: Vec<u64> = Vec::new();
             let mut k = 0;
-            while k < run.len() {
-                let cell = run[k].1;
-                let mut e = k;
-                while e < run.len() && run[e].1 == cell {
-                    e += 1;
-                }
-                let facts = &run[k..e];
-                let bitmap =
-                    Bitmap::from_sorted_iter_in(facts.iter().map(|t| t.2), &mut scratch);
+            while k < keys.len() {
+                let key = keys[k];
+                let e = k + keys[k..].iter().take_while(|&&other| other == key).count();
+                let cell = cell_at(key - part * volume);
+                let run = &facts[k..e];
+                let bitmap = Bitmap::from_sorted_iter_in(run.iter().copied(), &mut scratch);
                 if let Some(cap) = sample_capacity {
-                    let sample = bottom_k(facts, cap, seed, &mut keyed);
-                    groups.push((cell, (sample, facts.len() as u64)));
+                    groups
+                        .push((cell, (bottom_k(run, cap, seed, &mut keyed), run.len() as u64)));
                 }
                 cells.push((cell, bitmap));
                 k = e;
@@ -325,7 +384,7 @@ pub fn translate_in(
     if span.recorded() {
         span.attr("partitions", partitions.len() as u64);
         span.attr("cells", partitions.iter().map(|p| p.cells.len() as u64).sum());
-        span.attr("entries", entries.len() as u64);
+        span.attr("entries", keys.len() as u64);
     }
     Ok(Translation { partitions, strides, samples })
 }
@@ -547,7 +606,7 @@ mod tests {
     fn bottom_k_sample_is_approximately_uniform() {
         // Each of 100 facts should be among the 10 of smallest priority with
         // probability 1/10 over the seeds.
-        let run: Vec<(u64, u64, u32)> = (0..100).map(|fact| (0, 0, fact)).collect();
+        let run: Vec<u32> = (0..100).collect();
         let trials = 20_000;
         let mut hits = [0u32; 100];
         let mut keyed = Vec::new();
@@ -571,8 +630,8 @@ mod tests {
         // an unbiased estimate of the group's, here of a measure that
         // follows the fact id.
         let value = |fact: u32| (fact % 97) as f64;
-        let run: Vec<(u64, u64, u32)> = (0..5_000).map(|fact| (0, 0, fact)).collect();
-        let true_mean = run.iter().map(|t| value(t.2)).sum::<f64>() / run.len() as f64;
+        let run: Vec<u32> = (0..5_000).collect();
+        let true_mean = run.iter().map(|&f| value(f)).sum::<f64>() / run.len() as f64;
         let mut keyed = Vec::new();
         let estimates: Vec<f64> = (0..300)
             .map(|trial| {
