@@ -36,10 +36,10 @@ use super::store::{merge_sorted, RegionStore};
 use super::LatticePlan;
 use crate::exec::ExecCtx;
 use crate::result::{CubeResult, NodeResult};
-use crate::spec::{Mda, MdaKind};
+use crate::spec::{CubeSpec, Mda, MdaKind};
 use spade_bitmap::Bitmap;
 use spade_parallel::Cancelled;
-use spade_storage::{AggFn, MeasureTotals};
+use spade_storage::{accumulate_all, AggFn, MeasureTotals, PreAggregated};
 use std::collections::BTreeMap;
 
 /// Ceiling on the number of emit tasks one evaluation plans.
@@ -54,24 +54,30 @@ type KeyedRegion = ((u32, u64), RegionCells);
 /// One emit task: a contiguous slice of a merged region's cells.
 type EmitTask<'a> = (u32, u64, &'a [(u64, Bitmap)]);
 
-/// Reusable emit buffers: the decoded fact list and per-measure totals.
+/// Reusable emit buffers: the decoded fact list and the needed measures'
+/// totals, in the node's needed order.
 #[derive(Default)]
 pub(crate) struct EmitScratch {
     facts: Vec<u32>,
     totals: Vec<MeasureTotals>,
 }
 
-/// The measure indexes with at least one live MDA — the only ones a node's
-/// cells accumulate; this is where early-stop's pruning actually saves
-/// work. Computed once per node (not per cell, let alone per fact).
-pub(super) fn needed_measures(mdas: &[Mda], n_measures: usize, alive: &[bool]) -> Vec<usize> {
-    let mut needed = vec![false; n_measures];
+/// The columns of the measures with at least one live MDA, in measure
+/// order — the only ones a node's cells join; this is where early-stop's
+/// pruning actually saves work. Built once per node and plan (not per
+/// region or cell, let alone per fact).
+pub(super) fn needed_measures<'s>(
+    spec: &CubeSpec<'s>,
+    mdas: &[Mda],
+    alive: &[bool],
+) -> Vec<&'s PreAggregated> {
+    let mut needed = vec![false; spec.measures.len()];
     for (mda, &is_alive) in mdas.iter().zip(alive) {
         if let (MdaKind::Measure { measure, .. }, true) = (&mda.kind, is_alive) {
             needed[*measure] = true;
         }
     }
-    (0..n_measures).filter(|&m| needed[m]).collect()
+    spec.measures.iter().zip(needed).filter(|(_, n)| *n).map(|(m, _)| m.preagg).collect()
 }
 
 impl LatticePlan<'_> {
@@ -88,33 +94,32 @@ impl LatticePlan<'_> {
         &'a self,
         cell: &Bitmap,
         alive: &'a [bool],
-        needed: &[usize],
+        needed: &'a [&PreAggregated],
         scratch: &'a mut EmitScratch,
     ) -> impl Iterator<Item = Option<f64>> + 'a {
         // Measure computation is a batched bitmap-to-CSR join: the cell's
         // bitmap is decoded once (container-at-a-time) into a reused fact
-        // buffer, then each needed measure's pre-aggregated
-        // struct-of-arrays columns are scanned contiguously in one pass
-        // ("measure computation … can aggregate different measures
-        // simultaneously", Section 4.3 (b) — here measure-major so each
-        // column is walked sequentially). Count-only cells skip the join
-        // entirely; nothing is allocated per cell and nothing panics on
-        // facts without a value (they simply contribute nothing).
-        let measures = &self.spec.measures;
+        // buffer, then one `accumulate_all` pass joins it with every needed
+        // measure's pre-aggregated columns at once ("measure computation …
+        // can aggregate different measures simultaneously", Section 4.3
+        // (b)), single-valued measures four to a pass. Count-only cells
+        // skip the join entirely; nothing is allocated per cell and nothing
+        // panics on facts without a value (they simply contribute nothing).
         let facts = if needed.is_empty() {
             cell.cardinality()
         } else {
             scratch.facts.clear();
             cell.decode_into(&mut scratch.facts);
             scratch.totals.clear();
-            scratch.totals.resize(measures.len(), MeasureTotals::default());
-            for &mi in needed {
-                scratch.totals[mi] =
-                    measures[mi].preagg.accumulate(scratch.facts.iter().copied());
-            }
+            scratch.totals.resize(needed.len(), MeasureTotals::default());
+            accumulate_all(needed, &scratch.facts, &mut scratch.totals);
             scratch.facts.len() as u64
         };
         let totals = &scratch.totals;
+        // The MDAs list each measure's functions together, in measure
+        // order, so the live ones meet the needed measures in turn:
+        // `last` is the slot and measure of the previous live one.
+        let mut last: Option<(usize, usize)> = None;
         self.mdas.iter().zip(alive).map(move |(mda, &is_alive)| {
             if !is_alive {
                 return None;
@@ -122,7 +127,14 @@ impl LatticePlan<'_> {
             match mda.kind {
                 MdaKind::FactCount => Some(facts as f64),
                 MdaKind::Measure { measure, agg } => {
-                    let t = totals[measure];
+                    let k = match last {
+                        Some((k, m)) if m == measure => k,
+                        Some((k, _)) => k + 1,
+                        None => 0,
+                    };
+                    last = Some((k, measure));
+                    debug_assert!(std::ptr::eq(needed[k], self.spec.measures[measure].preagg));
+                    let t = totals[k];
                     if t.count == 0 {
                         return None;
                     }

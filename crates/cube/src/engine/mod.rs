@@ -91,6 +91,7 @@ use crate::spec::{CubeSpec, Mda};
 use crate::translate::Translation;
 use geometry::{node_geom, NodeGeom, Projection};
 use spade_parallel::Cancelled;
+use spade_storage::PreAggregated;
 use std::collections::HashMap;
 
 /// The read-only per-evaluation plan every shard and emit task shares:
@@ -112,7 +113,7 @@ pub(crate) struct LatticePlan<'s> {
     /// node → whether any MDA is alive (the node emits / parks).
     pub(crate) emits: HashMap<u32, bool>,
     /// node → the measures at least one live MDA needs.
-    pub(crate) needed: HashMap<u32, Vec<usize>>,
+    pub(crate) needed: HashMap<u32, Vec<&'s PreAggregated>>,
     /// Whether the root's subtree emits anything at all.
     pub(crate) keep_root: bool,
 }
@@ -145,9 +146,9 @@ fn build_plan<'s>(
         .collect();
     let emits: HashMap<u32, bool> =
         alive_map.iter().map(|(&m, flags)| (m, flags.iter().any(|&a| a))).collect();
-    let needed: HashMap<u32, Vec<usize>> = alive_map
+    let needed: HashMap<u32, Vec<&PreAggregated>> = alive_map
         .iter()
-        .map(|(&m, flags)| (m, emit::needed_measures(&mdas, spec.measures.len(), flags)))
+        .map(|(&m, flags)| (m, emit::needed_measures(spec, &mdas, flags)))
         .collect();
     let mut keep: HashMap<u32, bool> = HashMap::new();
     for &mask in mmst.topological().iter().rev() {

@@ -22,7 +22,12 @@
 //! * [`CategoricalColumn`] — a multi-valued dimension attribute in CSR form
 //!   with a per-attribute value dictionary;
 //! * [`NumericColumn`] / [`PreAggregated`] — a multi-valued numeric measure
-//!   attribute and its per-fact pre-aggregation;
+//!   attribute and its per-fact pre-aggregation: for a single-valued
+//!   measure, the paper's "single float number for all pre-aggregated
+//!   results (min, max, and sum)" — one `f64` per fact, NaN for no value —
+//!   and `count`/`sum`/`min`/`max` columns otherwise;
+//! * [`accumulate_all`] — the join of one fact list with several measures
+//!   in one pass, single-valued measures four at a time;
 //! * [`AggFn`] — the aggregate function set `Ω = {count, min, max, sum, avg}`.
 //!
 //! # Public surface
@@ -43,4 +48,6 @@ mod preagg;
 pub use aggfn::AggFn;
 pub use column::{CategoricalColumn, CategoricalColumnBuilder};
 pub use fact_table::{FactId, FactTable};
-pub use preagg::{MeasureTotals, NumericColumn, NumericColumnBuilder, PreAggregated};
+pub use preagg::{
+    accumulate_all, MeasureTotals, NumericColumn, NumericColumnBuilder, PreAggregated,
+};

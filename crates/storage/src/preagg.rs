@@ -7,9 +7,17 @@
 //! once per cell: at measure-computation time the cell's bitmap is joined
 //! with these per-fact aggregates, not with raw triples.
 //!
-//! The paper's single-float optimization for provably single-valued numeric
-//! properties is captured by [`PreAggregated::is_single_valued`] (min = max
-//! = sum when every count ≤ 1).
+//! A measure with at most one value per fact is stored as the paper's
+//! "single float number for all pre-aggregated results (min, max, and sum)":
+//! one `f64` per fact, NaN where the fact has no value (the builder drops
+//! non-finite values, so NaN never stands for a value). Any other measure
+//! keeps four columns: `count`, `sum`, `min` and `max`.
+//! [`PreAggregated::is_single_valued`] says which layout a measure has.
+//!
+//! [`accumulate_all`] joins one fact list with several measures in one pass
+//! ("measure computation … can aggregate different measures
+//! simultaneously", Section 4.3 (b)). It gives each measure exactly what
+//! [`PreAggregated::accumulate`] gives, to the bit.
 
 use crate::fact_table::FactId;
 
@@ -87,29 +95,39 @@ impl NumericColumn {
     /// Pre-aggregates per fact (the offline step).
     pub fn preaggregate(&self) -> PreAggregated {
         let n = self.n_facts();
-        let mut agg = PreAggregated {
-            name: self.name.clone(),
-            count: vec![0; n],
-            sum: vec![0.0; n],
-            min: vec![f64::INFINITY; n],
-            max: vec![f64::NEG_INFINITY; n],
-            single_valued: false,
-            bounds: None,
-        };
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for fact in 0..n {
-            for &v in self.values_of(FactId(fact as u32)) {
-                agg.count[fact] += 1;
-                agg.sum[fact] += v;
-                agg.min[fact] = agg.min[fact].min(v);
-                agg.max[fact] = agg.max[fact].max(v);
+        let single_valued = self.offsets.windows(2).all(|w| w[1] - w[0] <= 1);
+        let (columns, lo, hi) = if single_valued {
+            let mut value = vec![f64::NAN; n];
+            for (fact, slot) in value.iter_mut().enumerate() {
+                if let [v] = *self.values_of(FactId(fact as u32)) {
+                    *slot = v;
+                }
             }
-            lo = lo.min(agg.min[fact]);
-            hi = hi.max(agg.max[fact]);
+            let lo = self.values.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (Columns::Single { value }, lo, hi)
+        } else {
+            let mut count = vec![0; n];
+            let mut sum = vec![0.0; n];
+            let mut min = vec![f64::INFINITY; n];
+            let mut max = vec![f64::NEG_INFINITY; n];
+            for fact in 0..n {
+                for &v in self.values_of(FactId(fact as u32)) {
+                    count[fact] += 1;
+                    sum[fact] += v;
+                    min[fact] = min[fact].min(v);
+                    max[fact] = max[fact].max(v);
+                }
+            }
+            let lo = min.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = max.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (Columns::Multi { count, sum, min, max }, lo, hi)
+        };
+        PreAggregated {
+            name: self.name.clone(),
+            columns,
+            bounds: (lo <= hi).then_some((lo, hi)),
         }
-        agg.single_valued = agg.count.iter().all(|&c| c <= 1);
-        agg.bounds = (lo <= hi).then_some((lo, hi));
-        agg
     }
 }
 
@@ -118,15 +136,20 @@ impl NumericColumn {
 #[derive(Clone, Debug)]
 pub struct PreAggregated {
     name: String,
-    count: Vec<u32>,
-    sum: Vec<f64>,
-    min: Vec<f64>,
-    max: Vec<f64>,
-    /// Cached: every fact has at most one value (the paper's single-float
-    /// memory case, and `accumulate`'s two-column fast path).
-    single_valued: bool,
+    columns: Columns,
     /// Cached: the global `[min, max]` over every value of the column.
     bounds: Option<(f64, f64)>,
+}
+
+/// The per-fact columns of a [`PreAggregated`].
+#[derive(Clone, Debug)]
+enum Columns {
+    /// Every fact has at most one value: the value itself, which is its
+    /// sum, min and max; NaN where the fact has none.
+    Single { value: Vec<f64> },
+    /// Some fact has several values: four columns, with `min = +∞` and
+    /// `max = −∞` where `count` is 0.
+    Multi { count: Vec<u32>, sum: Vec<f64>, min: Vec<f64>, max: Vec<f64> },
 }
 
 /// Aggregate totals of one measure over a set of facts — what one cube
@@ -149,6 +172,21 @@ impl Default for MeasureTotals {
     }
 }
 
+impl MeasureTotals {
+    /// Adds one fact of a single-valued measure, NaN meaning "no value",
+    /// without a branch. A NaN adds `+0.0` to the sum, which leaves it
+    /// unchanged: a sum that starts at `+0.0` is never `−0.0`. `f64::min`
+    /// and `f64::max` return the other operand when one is NaN.
+    #[inline(always)]
+    fn add_value(&mut self, v: f64) {
+        let has = !v.is_nan();
+        self.count += has as u64;
+        self.sum += if has { v } else { 0.0 };
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+}
+
 impl PreAggregated {
     /// Attribute name.
     pub fn name(&self) -> &str {
@@ -157,78 +195,101 @@ impl PreAggregated {
 
     /// Number of facts.
     pub fn n_facts(&self) -> usize {
-        self.count.len()
+        match &self.columns {
+            Columns::Single { value } => value.len(),
+            Columns::Multi { count, .. } => count.len(),
+        }
     }
 
     /// How many values `fact` has for the measure (0 = missing).
     #[inline]
     pub fn count(&self, fact: FactId) -> u32 {
-        self.count[fact.index()]
+        match &self.columns {
+            Columns::Single { value } => !value[fact.index()].is_nan() as u32,
+            Columns::Multi { count, .. } => count[fact.index()],
+        }
     }
 
     /// Sum of `fact`'s values (0 when missing).
     #[inline]
     pub fn sum(&self, fact: FactId) -> f64 {
-        self.sum[fact.index()]
+        match &self.columns {
+            Columns::Single { value } => present(value[fact.index()]).unwrap_or(0.0),
+            Columns::Multi { sum, .. } => sum[fact.index()],
+        }
     }
 
     /// Minimum of `fact`'s values, if any.
     #[inline]
     pub fn min(&self, fact: FactId) -> Option<f64> {
-        (self.count[fact.index()] > 0).then(|| self.min[fact.index()])
+        match &self.columns {
+            Columns::Single { value } => present(value[fact.index()]),
+            Columns::Multi { count, min, .. } => {
+                (count[fact.index()] > 0).then(|| min[fact.index()])
+            }
+        }
     }
 
     /// Maximum of `fact`'s values, if any.
     #[inline]
     pub fn max(&self, fact: FactId) -> Option<f64> {
-        (self.count[fact.index()] > 0).then(|| self.max[fact.index()])
+        match &self.columns {
+            Columns::Single { value } => present(value[fact.index()]),
+            Columns::Multi { count, max, .. } => {
+                (count[fact.index()] > 0).then(|| max[fact.index()])
+            }
+        }
     }
 
     /// Average of `fact`'s values, if any.
     #[inline]
     pub fn avg(&self, fact: FactId) -> Option<f64> {
-        (self.count[fact.index()] > 0)
-            .then(|| self.sum[fact.index()] / self.count[fact.index()] as f64)
+        match &self.columns {
+            Columns::Single { value } => present(value[fact.index()]),
+            Columns::Multi { count, sum, .. } => {
+                let c = count[fact.index()];
+                (c > 0).then(|| sum[fact.index()] / c as f64)
+            }
+        }
     }
 
     /// Support: facts with at least one value.
     pub fn support(&self) -> usize {
-        self.count.iter().filter(|&&c| c > 0).count()
+        match &self.columns {
+            Columns::Single { value } => value.iter().filter(|v| !v.is_nan()).count(),
+            Columns::Multi { count, .. } => count.iter().filter(|&&c| c > 0).count(),
+        }
     }
 
     /// Aggregates this measure over a stream of fact ids in one contiguous
-    /// pass over the struct-of-arrays columns — the batched bitmap-to-CSR
-    /// join MVDCube's measure computation performs per cell. Never panics:
-    /// facts without a value simply do not contribute (the min/max slots
-    /// stay at their identities when `count` ends up 0).
+    /// pass over its columns — the bitmap-to-CSR join MVDCube's measure
+    /// computation performs per cell, one measure at a time (the engine
+    /// joins all of a cell's measures at once with [`accumulate_all`]).
+    /// Every value is added in stream order. Never panics on facts without
+    /// a value: they simply do not contribute (the min/max slots stay at
+    /// their identities when `count` ends up 0).
     #[inline]
     pub fn accumulate<I: IntoIterator<Item = u32>>(&self, facts: I) -> MeasureTotals {
         let mut t = MeasureTotals::default();
-        if self.single_valued {
-            // min = max = sum for ≤1 value per fact: two columns suffice.
-            for fact in facts {
-                let i = fact as usize;
-                if self.count[i] == 0 {
-                    continue;
+        match &self.columns {
+            Columns::Single { value } => {
+                for fact in facts {
+                    t.add_value(value[fact as usize]);
                 }
-                let v = self.sum[i];
-                t.count += 1;
-                t.sum += v;
-                t.min = t.min.min(v);
-                t.max = t.max.max(v);
             }
-            return t;
-        }
-        for fact in facts {
-            let i = fact as usize;
-            let c = self.count[i];
-            if c == 0 {
-                continue;
+            Columns::Multi { count, sum, min, max } => {
+                for fact in facts {
+                    let i = fact as usize;
+                    let c = count[i];
+                    if c == 0 {
+                        continue;
+                    }
+                    t.count += c as u64;
+                    t.sum += sum[i];
+                    t.min = t.min.min(min[i]);
+                    t.max = t.max.max(max[i]);
+                }
             }
-            t.count += c as u64;
-            t.sum += self.sum[i];
-            t.min = t.min.min(self.min[i]);
-            t.max = t.max.max(self.max[i]);
         }
         t
     }
@@ -242,9 +303,78 @@ impl PreAggregated {
 
     /// `true` when every fact has at most one value — the paper's memory
     /// optimization case ("we allocate a single float number for all
-    /// pre-aggregated results (min, max, and sum) for such properties").
+    /// pre-aggregated results (min, max, and sum) for such properties"),
+    /// and the layout this measure is stored in.
     pub fn is_single_valued(&self) -> bool {
-        self.single_valued
+        matches!(self.columns, Columns::Single { .. })
+    }
+}
+
+/// A single-valued fact's value, `None` for NaN ("no value").
+#[inline]
+fn present(v: f64) -> Option<f64> {
+    (!v.is_nan()).then_some(v)
+}
+
+/// How many single-valued measures [`accumulate_all`] joins per pass.
+const BLOCK: usize = 4;
+
+/// Aggregates each of `measures` over `facts`: `out[k]` becomes exactly
+/// `measures[k].accumulate(facts)`, bit for bit.
+///
+/// Single-valued measures are joined four at a time in one pass over
+/// `facts`, each with its own accumulators, so the additions of different
+/// measures form independent dependency chains while each measure still
+/// adds its facts in order. A multi-valued measure is joined on its own,
+/// by [`PreAggregated::accumulate`].
+///
+/// # Panics
+///
+/// If `out` and `measures` differ in length, or a fact id is out of range
+/// of a measure.
+pub fn accumulate_all(measures: &[&PreAggregated], facts: &[u32], out: &mut [MeasureTotals]) {
+    assert_eq!(measures.len(), out.len(), "one output slot per measure");
+    let mut block: [(usize, &[f64]); BLOCK] = [(0, &[]); BLOCK];
+    let mut pending = 0;
+    for (k, measure) in measures.iter().enumerate() {
+        match &measure.columns {
+            Columns::Single { value } => {
+                block[pending] = (k, value);
+                pending += 1;
+                if pending == BLOCK {
+                    join_block::<BLOCK>(&block, facts, out);
+                    pending = 0;
+                }
+            }
+            Columns::Multi { .. } => out[k] = measure.accumulate(facts.iter().copied()),
+        }
+    }
+    match pending {
+        1 => join_block::<1>(&block, facts, out),
+        2 => join_block::<2>(&block, facts, out),
+        3 => join_block::<3>(&block, facts, out),
+        _ => {}
+    }
+}
+
+/// Joins the first `N` single-valued columns of `block` with `facts` in one
+/// pass, writing each one's totals to its slot of `out`.
+#[inline(always)]
+fn join_block<const N: usize>(
+    block: &[(usize, &[f64]); BLOCK],
+    facts: &[u32],
+    out: &mut [MeasureTotals],
+) {
+    let columns: [&[f64]; N] = std::array::from_fn(|j| block[j].1);
+    let mut totals = [MeasureTotals::default(); N];
+    for &fact in facts {
+        let i = fact as usize;
+        for (t, column) in totals.iter_mut().zip(columns) {
+            t.add_value(column[i]);
+        }
+    }
+    for (j, t) in totals.into_iter().enumerate() {
+        out[block[j].0] = t;
     }
 }
 
