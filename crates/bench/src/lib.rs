@@ -1,16 +1,23 @@
-//! Shared harness for the experiment binaries (one binary per table/figure
-//! of the paper's Section 6) and the Criterion micro-benchmarks.
+//! The harness behind the `paper` binary, which reproduces the paper's
+//! Section 6: its [`experiments`] (one per figure or table, each returning
+//! its tables as data) and its [`claims`] R1–R9, checked against those
+//! tables. `snapshot_corpus` writes a servable snapshot of a simulated
+//! graph; the pinned benchmark lives in `src/bin/benchmark/`.
 //!
-//! Every binary accepts a `--scale <n>` argument (default [`DEFAULT_SCALE`])
+//! Both binaries take a `--scale <n>` argument (default [`DEFAULT_SCALE`])
 //! controlling the size of the simulated graphs; the paper's absolute sizes
 //! are impractical on a laptop, and the *shape* of each result — who wins,
 //! by what factor, where the crossovers are — is what the reproduction
-//! targets (see `EXPERIMENTS.md`).
+//! targets.
+
+pub mod claims;
+pub mod experiments;
 
 use spade_core::{
     analysis::analyze_cfs, cfs, enumeration, offline, CfsAnalysis, LatticeSpec, SpadeConfig,
 };
 use spade_cube::{CubeResult, CubeSpec, MeasureSpec};
+use spade_datagen::{realistic, RealisticConfig};
 use spade_rdf::Graph;
 use std::time::{Duration, Instant};
 
@@ -18,7 +25,7 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_SCALE: usize = 400;
 
 /// Parses the shared `--scale <n>` / `--seed <n>` / `--threads <n>` /
-/// `--out <path>` CLI arguments every experiment binary accepts.
+/// `--out <path>` CLI arguments of `paper` and `snapshot_corpus`.
 pub struct HarnessArgs {
     /// Graph scale (primary fact count of the smallest dataset).
     pub scale: usize,
@@ -94,7 +101,7 @@ pub fn experiment_config() -> SpadeConfig {
 /// Runs pipeline Steps 1–3 (CFS selection, online analysis, enumeration),
 /// returning the analyzed CFSs with their lattices — the input Experiments
 /// 2–4 feed to the competing evaluation modules.
-pub fn analyzed_lattices(
+pub(crate) fn analyzed_lattices(
     graph: &mut Graph,
     config: &SpadeConfig,
 ) -> Vec<(CfsAnalysis, Vec<LatticeSpec>)> {
@@ -117,7 +124,7 @@ pub fn analyzed_lattices(
 }
 
 /// Builds the cube spec of one lattice.
-pub fn build_spec<'a>(
+pub(crate) fn build_spec<'a>(
     analysis: &'a CfsAnalysis,
     lattice: &LatticeSpec,
     config: &SpadeConfig,
@@ -139,75 +146,30 @@ pub fn build_spec<'a>(
 }
 
 /// Times a closure.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t = Instant::now();
     let out = f();
     (out, t.elapsed())
 }
 
-/// Evaluates every lattice of every CFS with MVDCube; returns results and
-/// total wall time.
-pub fn evaluate_all_mvd(
+/// Evaluates every lattice of every CFS with `evaluate`; returns the
+/// results in lattice order and the total wall time.
+pub(crate) fn evaluate_all<R>(
     prepared: &[(CfsAnalysis, Vec<LatticeSpec>)],
     config: &SpadeConfig,
-) -> (Vec<CubeResult>, Duration) {
+    mut evaluate: impl FnMut(&CubeSpec<'_>) -> R,
+) -> (Vec<R>, Duration) {
     timed(|| {
-        let mut out = Vec::new();
-        for (analysis, lattices) in prepared {
-            for l in lattices {
-                let spec = build_spec(analysis, l, config);
-                out.push(spade_cube::mvd_cube(&spec, &Default::default()));
-            }
-        }
-        out
+        let specs = prepared
+            .iter()
+            .flat_map(|(a, ls)| ls.iter().map(move |l| build_spec(a, l, config)));
+        specs.map(|spec| evaluate(&spec)).collect()
     })
-}
-
-/// Same lattices through PGCube (per-lattice flatten + rollup chains).
-pub fn evaluate_all_pgcube(
-    prepared: &[(CfsAnalysis, Vec<LatticeSpec>)],
-    config: &SpadeConfig,
-    variant: spade_cube::PgCubeVariant,
-) -> (Vec<CubeResult>, Duration) {
-    timed(|| {
-        let mut out = Vec::new();
-        for (analysis, lattices) in prepared {
-            for l in lattices {
-                let spec = build_spec(analysis, l, config);
-                out.push(spade_cube::pg_cube(&spec, variant, &Default::default()));
-            }
-        }
-        out
-    })
-}
-
-/// Same lattices through MVDCube with early-stop; returns results, the
-/// number pruned, the total aggregates, and wall time.
-pub fn evaluate_all_mvd_es(
-    prepared: &[(CfsAnalysis, Vec<LatticeSpec>)],
-    config: &SpadeConfig,
-    es: &spade_cube::EarlyStopConfig,
-) -> (Vec<CubeResult>, usize, usize, Duration) {
-    let t = Instant::now();
-    let mut out = Vec::new();
-    let mut pruned = 0usize;
-    let mut total = 0usize;
-    for (analysis, lattices) in prepared {
-        for l in lattices {
-            let spec = build_spec(analysis, l, config);
-            let (result, outcome) =
-                spade_cube::mvd_cube_with_earlystop(&spec, &Default::default(), es);
-            pruned += outcome.pruned;
-            total += outcome.total;
-            out.push(result);
-        }
-    }
-    (out, pruned, total, t.elapsed())
 }
 
 /// Top-k accuracy `|T_w/o ∩ T_w| / |T_w/o|` over aggregate identities
 /// (Section 6.4's metric).
-pub fn topk_accuracy(
+pub(crate) fn topk_accuracy(
     full: &[CubeResult],
     es: &[CubeResult],
     h: spade_stats::Interestingness,
@@ -232,91 +194,25 @@ pub fn topk_accuracy(
     t_full.iter().filter(|id| t_es.contains(id)).count() as f64 / t_full.len() as f64
 }
 
-/// Formats a duration in ms with 1 decimal.
-pub fn ms(d: Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e3)
-}
-
 /// Regenerates one of the six simulated graphs by name, with the relative
 /// sizing of `realistic::all` (Airline ×8, DBLP ×4, Foodista ×2).
-pub fn regen_graph(name: &str, cfg: &spade_datagen::RealisticConfig) -> Graph {
-    use spade_datagen::realistic;
+pub fn regen_graph(name: &str, cfg: &RealisticConfig) -> Graph {
+    let times = |n: usize| RealisticConfig { scale: cfg.scale * n, ..*cfg };
     match name {
-        "Airline" => {
-            realistic::airline(&spade_datagen::RealisticConfig { scale: cfg.scale * 8, ..*cfg })
-        }
+        "Airline" => realistic::airline(&times(8)),
         "CEOs" => realistic::ceos(cfg),
-        "DBLP" => {
-            realistic::dblp(&spade_datagen::RealisticConfig { scale: cfg.scale * 4, ..*cfg })
-        }
-        "Foodista" => realistic::foodista(&spade_datagen::RealisticConfig {
-            scale: cfg.scale * 2,
-            ..*cfg
-        }),
+        "DBLP" => realistic::dblp(&times(4)),
+        "Foodista" => realistic::foodista(&times(2)),
         "NASA" => realistic::nasa(cfg),
         "Nobel" => realistic::nobel(cfg),
         other => panic!("unknown dataset {other}"),
     }
 }
 
-/// The Experiment 2/3 measurement for one dataset: MVDCube vs PGCube\* vs
-/// PGCube^d run times and per-system error reports against MVDCube.
-pub struct SystemComparison {
-    /// Dataset name.
-    pub name: &'static str,
-    /// Aggregates evaluated per system.
-    pub aggregates: usize,
-    /// MVDCube wall time.
-    pub mvd: Duration,
-    /// PGCube\* wall time.
-    pub star: Duration,
-    /// PGCube^d wall time.
-    pub distinct: Duration,
-    /// Errors of PGCube\* vs the correct results.
-    pub star_report: spade_cube::ComparisonReport,
-    /// Errors of PGCube^d vs the correct results.
-    pub distinct_report: spade_cube::ComparisonReport,
-}
-
-/// Runs Experiment 2/3 on one named dataset (derivations on, ES off).
-pub fn compare_systems(
-    name: &'static str,
-    graph: &mut Graph,
-    config: &SpadeConfig,
-) -> SystemComparison {
-    let prepared = analyzed_lattices(graph, config);
-    let (mvd_results, mvd) = evaluate_all_mvd(&prepared, config);
-    let (star_results, star) =
-        evaluate_all_pgcube(&prepared, config, spade_cube::PgCubeVariant::Star);
-    let (distinct_results, distinct) =
-        evaluate_all_pgcube(&prepared, config, spade_cube::PgCubeVariant::Distinct);
-
-    let mut star_report = spade_cube::ComparisonReport::default();
-    let mut distinct_report = spade_cube::ComparisonReport::default();
-    for ((correct, s), d) in mvd_results.iter().zip(&star_results).zip(&distinct_results) {
-        star_report.merge(&spade_cube::compare_results(correct, s, 1e-9));
-        distinct_report.merge(&spade_cube::compare_results(correct, d, 1e-9));
-    }
-    SystemComparison {
-        name,
-        aggregates: star_report.total_aggregates,
-        mvd,
-        star,
-        distinct,
-        star_report,
-        distinct_report,
-    }
-}
-
-/// Prints a horizontal rule sized to a header.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_datagen::{realistic, RealisticConfig};
+    use spade_cube::mvd_cube;
 
     #[test]
     fn harness_args_parse_shared_flags() {
@@ -348,7 +244,8 @@ mod tests {
         assert!(!prepared.is_empty());
         let total_lattices: usize = prepared.iter().map(|(_, l)| l.len()).sum();
         assert!(total_lattices > 0);
-        let (results, d) = evaluate_all_mvd(&prepared, &config);
+        let (results, d) =
+            evaluate_all(&prepared, &config, |s| mvd_cube(s, &Default::default()));
         assert_eq!(results.len(), total_lattices);
         assert!(d > Duration::ZERO);
     }
@@ -358,8 +255,8 @@ mod tests {
         let mut g = realistic::nasa(&RealisticConfig { scale: 120, seed: 5 });
         let config = experiment_config();
         let prepared = analyzed_lattices(&mut g, &config);
-        let (a, _) = evaluate_all_mvd(&prepared, &config);
-        let (b, _) = evaluate_all_mvd(&prepared, &config);
+        let (a, _) = evaluate_all(&prepared, &config, |s| mvd_cube(s, &Default::default()));
+        let (b, _) = evaluate_all(&prepared, &config, |s| mvd_cube(s, &Default::default()));
         let acc = topk_accuracy(&a, &b, spade_stats::Interestingness::Variance, 5);
         assert_eq!(acc, 1.0);
     }

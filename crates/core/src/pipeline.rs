@@ -263,6 +263,8 @@ pub struct OfflineState {
     /// it costs address space, not RSS) and is dropped — unmapped — with
     /// the state. `None` for graph-built states.
     snapshot: Option<Snapshot>,
+    /// [`OfflineState::resident_estimate`], counted once when built.
+    resident: u64,
 }
 
 impl OfflineState {
@@ -280,11 +282,15 @@ impl OfflineState {
         let snapshot = Snapshot::open(path, threads)?;
         let loaded = snapshot.load(threads)?;
         snapshot.release_resident_pages();
+        let (graph, stats) = (loaded.graph, offline::from_records(&loaded.stats));
+        let heap_image = if snapshot.is_mapped() { 0 } else { snapshot.image_len() };
+        let resident = heap_bytes(&graph, &stats) + heap_image as u64;
         Ok(OfflineState {
-            graph: loaded.graph,
-            stats: offline::from_records(&loaded.stats),
+            graph,
+            stats,
             load_time: t.elapsed(),
             snapshot: Some(snapshot),
+            resident,
         })
     }
 
@@ -294,12 +300,8 @@ impl OfflineState {
         let t = Instant::now();
         spade_rdf::saturate_with_threads(&mut graph, threads);
         let stats = ExecCtx::unbounded(threads, |cx| offline::analyze_in(&graph, cx));
-        OfflineState { graph, stats, load_time: t.elapsed(), snapshot: None }
-    }
-
-    /// Whether the retained snapshot is a live file mapping.
-    pub(crate) fn is_mapped(&self) -> bool {
-        self.snapshot.as_ref().is_some_and(Snapshot::is_mapped)
+        let resident = heap_bytes(&graph, &stats);
+        OfflineState { graph, stats, load_time: t.elapsed(), snapshot: None, resident }
     }
 
     /// Bytes of the on-disk image backing this state (0 when none).
@@ -307,22 +309,19 @@ impl OfflineState {
         self.snapshot.as_ref().map_or(0, Snapshot::image_len)
     }
 
-    /// A deliberately simple upper-bound estimate of this state's resident
-    /// memory, used by the serving catalog's eviction budget: the
-    /// materialized graph is proportional to the snapshot payload (triples,
-    /// index columns, dictionary text all reappear on the heap, hash-map
-    /// overhead roughly offsetting columnar compactness), plus the image
-    /// itself when it is heap-backed rather than mapped.
+    /// This state's resident memory, as used by the serving catalog's
+    /// eviction budget: the heap of the graph and the statistics, plus the
+    /// snapshot image when it is heap-backed rather than mapped. Counted
+    /// once, when the state was built.
     pub fn resident_estimate(&self) -> u64 {
-        let image = self.image_len() as u64;
-        let heap = if self.snapshot.is_some() {
-            image
-        } else {
-            // Graph-built states: approximate from triple count alone.
-            (self.graph.len() as u64) * 48
-        };
-        heap + if self.is_mapped() { 0 } else { image }
+        self.resident
     }
+}
+
+/// Heap bytes of a state's graph and statistics.
+fn heap_bytes(graph: &Graph, stats: &OfflineStats) -> u64 {
+    let stats = stats.properties.capacity() * std::mem::size_of::<offline::PropertyStats>();
+    (graph.heap_bytes() + stats) as u64
 }
 
 /// The CFS selection strategies every run uses (Section 3, Step 1 (i) and

@@ -151,8 +151,8 @@ mod tests {
         );
         let opts = MvdCubeOptions::default();
         let correct = mvd_cube(&spec, &opts);
-        let star = pg_cube(&spec, PgCubeVariant::Star, &opts);
-        let distinct = pg_cube(&spec, PgCubeVariant::Distinct, &opts);
+        let star = pg_cube(&spec, PgCubeVariant::Star);
+        let distinct = pg_cube(&spec, PgCubeVariant::Distinct);
         (compare_results(&correct, &star, 1e-9), compare_results(&correct, &distinct, 1e-9))
     }
 

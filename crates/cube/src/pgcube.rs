@@ -23,7 +23,6 @@
 //! averages ("we cannot solve this issue with the sum(distinct NW)
 //! aggregate").
 
-use crate::mvdcube::{chunk_sizes, MvdCubeOptions};
 use crate::result::{CubeResult, Group, NodeResult};
 use crate::spec::{CubeSpec, MdaKind};
 use spade_storage::{AggFn, FactId};
@@ -234,17 +233,9 @@ impl GroupAccum {
     }
 }
 
-/// Evaluates the full lattice PostgreSQL-style.
-///
-/// The options are accepted for parity with [`crate::mvd_cube`] but only
-/// influence nothing here (PGCube has no partitioning knob); the flattened
-/// join is rebuilt per call, as the paper notes PGCube must do per lattice.
-pub fn pg_cube(
-    spec: &CubeSpec<'_>,
-    variant: PgCubeVariant,
-    options: &MvdCubeOptions,
-) -> CubeResult {
-    let _ = chunk_sizes(&spec.domain_sizes(), options, spec.n_facts);
+/// Evaluates the full lattice PostgreSQL-style. The flattened join is
+/// rebuilt per call, as the paper notes PGCube must do per lattice.
+pub fn pg_cube(spec: &CubeSpec<'_>, variant: PgCubeVariant) -> CubeResult {
     let rows = flatten(spec);
     let mdas = spec.mdas();
     let labels = mdas.iter().map(|m| m.label.clone()).collect();
@@ -341,7 +332,7 @@ pub fn pg_cube(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mvdcube::fixtures::ceos;
+    use crate::mvdcube::{fixtures::ceos, MvdCubeOptions};
     use crate::spec::MeasureSpec;
 
     #[test]
@@ -385,7 +376,7 @@ mod tests {
     fn pgcube_star_reproduces_figure4_errors() {
         let data = ceos();
         let spec = example3_spec(&data);
-        let r = pg_cube(&spec, PgCubeVariant::Star, &MvdCubeOptions::default());
+        let r = pg_cube(&spec, PgCubeVariant::Star);
         let area = r.node(0b100).unwrap();
         assert_eq!(area.get(&[2]).unwrap()[0], Some(5.0)); // Manufacturer
         let gender = r.node(0b010).unwrap();
@@ -397,7 +388,7 @@ mod tests {
     fn pgcube_distinct_fixes_fact_counts() {
         let data = ceos();
         let spec = example3_spec(&data);
-        let r = pg_cube(&spec, PgCubeVariant::Distinct, &MvdCubeOptions::default());
+        let r = pg_cube(&spec, PgCubeVariant::Distinct);
         let area = r.node(0b100).unwrap();
         assert_eq!(area.get(&[2]).unwrap()[0], Some(2.0));
         let gender = r.node(0b010).unwrap();
@@ -409,7 +400,7 @@ mod tests {
     fn pgcube_distinct_still_wrong_on_sum_and_avg() {
         let data = ceos();
         let spec = example3_spec(&data);
-        let r = pg_cube(&spec, PgCubeVariant::Distinct, &MvdCubeOptions::default());
+        let r = pg_cube(&spec, PgCubeVariant::Distinct);
         let area = r.node(0b100).unwrap();
         let manufacturer = &area.get(&[2]).unwrap();
         assert_eq!(manufacturer[1], Some(2.8e9 + 4.0 * 1.2e8)); // Variation 1
@@ -424,7 +415,7 @@ mod tests {
         let data = ceos();
         let spec = example3_spec(&data);
         let opts = MvdCubeOptions::default();
-        let pg = pg_cube(&spec, PgCubeVariant::Star, &opts);
+        let pg = pg_cube(&spec, PgCubeVariant::Star);
         let mvd = crate::mvd_cube(&spec, &opts);
         let (a, b) = (pg.node(0b111).unwrap(), mvd.node(0b111).unwrap());
         assert_eq!(a.group_count(), b.group_count());
@@ -460,7 +451,7 @@ mod tests {
         let opts = MvdCubeOptions::default();
         let mvd = crate::mvd_cube(&spec, &opts);
         for variant in [PgCubeVariant::Star, PgCubeVariant::Distinct] {
-            let pg = pg_cube(&spec, variant, &opts);
+            let pg = pg_cube(&spec, variant);
             for (mask, node) in &mvd.nodes {
                 let other = pg.node(*mask).unwrap();
                 assert_eq!(node.group_count(), other.group_count(), "mask {mask:b}");

@@ -264,10 +264,45 @@ impl std::fmt::Debug for Dictionary {
     }
 }
 
+/// Heap bytes of a standard hash table holding `capacity` entries of
+/// type `T`: a power-of-two bucket array with one control byte per bucket,
+/// plus one 16-byte control group.
+pub(crate) fn table_bytes<T>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=3 => 4,
+        4..=7 => 8,
+        _ => (capacity * 8 / 7).next_power_of_two(),
+    };
+    buckets * (std::mem::size_of::<T>() + 1) + 16
+}
+
 impl Dictionary {
     /// Creates an empty dictionary.
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes this dictionary holds: the term vector, each term's
+    /// strings, and the term → id map when it has been built.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let strings: usize = self
+            .terms
+            .iter()
+            .map(|term| match term {
+                Term::Iri(s) | Term::Blank(s) => s.capacity(),
+                Term::Literal(l) => {
+                    let tag = |t: &Option<String>| t.as_ref().map_or(0, String::capacity);
+                    l.lexical.capacity() + tag(&l.lang) + tag(&l.datatype)
+                }
+            })
+            .sum();
+        let ids = self.ids.get().map_or(0, |ids| {
+            let keys: usize = ids.keys().map(|k| k.len()).sum();
+            table_bytes::<(Box<str>, TermId)>(ids.capacity()) + keys
+        });
+        let terms = self.terms.capacity() * std::mem::size_of::<Term>();
+        terms + strings + ids + self.scratch.capacity()
     }
 
     fn next_id(terms: &[Term]) -> TermId {

@@ -14,7 +14,7 @@
 //! `rdf:type` is interned once at construction, so every read accessor
 //! (including [`Graph::rdf_type_id`]) borrows `&self`.
 
-use crate::dict::{Dictionary, FxHashMap, FxHashSet, TermId};
+use crate::dict::{table_bytes, Dictionary, FxHashMap, FxHashSet, TermId};
 use crate::term::Term;
 use crate::vocab;
 use std::sync::OnceLock;
@@ -209,6 +209,22 @@ impl Graph {
             self.type_extents.entry(k).or_default().extend(vals);
         }
         fresh.len()
+    }
+
+    /// Heap bytes this graph holds: the triple column, the membership set
+    /// when it has been built, the three indexes with their lists, and the
+    /// dictionary.
+    pub fn heap_bytes(&self) -> usize {
+        fn index<V>(map: &FxHashMap<TermId, Vec<V>>) -> usize {
+            let lists: usize =
+                map.values().map(|v| v.capacity() * std::mem::size_of::<V>()).sum();
+            table_bytes::<(TermId, Vec<V>)>(map.capacity()) + lists
+        }
+        let triples = self.triples.capacity() * std::mem::size_of::<Triple>();
+        let seen = self.seen.get().map_or(0, |set| table_bytes::<Triple>(set.capacity()));
+        let indexes =
+            index(&self.by_property) + index(&self.outgoing) + index(&self.type_extents);
+        triples + seen + indexes + self.dict.heap_bytes()
     }
 
     /// Number of triples.

@@ -47,7 +47,7 @@ fn main() {
 
     let correct = mvd_cube(&spec, &opts);
     let classical = array_cube(&spec, &opts);
-    let postgres = pg_cube(&spec, PgCubeVariant::Distinct, &opts);
+    let postgres = pg_cube(&spec, PgCubeVariant::Distinct);
 
     // The A4 node of Figure 4: count of CEOs by company/area alone.
     let area_mask = 0b100;

@@ -278,7 +278,7 @@ proptest! {
         );
         let opts = MvdCubeOptions::default();
         let correct = mvd_cube(&spec, &opts);
-        let star = pg_cube(&spec, PgCubeVariant::Star, &opts);
+        let star = pg_cube(&spec, PgCubeVariant::Star);
         for (mask, node) in &correct.nodes {
             let other = star.node(*mask).unwrap();
             for (key, vals) in node.groups() {

@@ -1,113 +1,153 @@
-//! The paper's experimental *shapes* (its R1–R7 remarks), asserted as
-//! integration tests at small scale. Timing-based remarks (R2, R3, R6, R9)
-//! are exercised by the harness binaries instead — wall-clock assertions
-//! are too flaky for CI — but every structural/correctness remark is
-//! checked here.
+//! The paper's `count` claims (R1, R4, R5 and R7 in `spade_bench::claims`)
+//! read at a small scale, each also fed a doctored table that it must
+//! fail, plus the Figure 6(c) story. A claim must read `holds`, or
+//! `deviates` exactly as pinned below with its measured value and cause, so
+//! a change that moves a deviation fails here until the pin is restated.
+//! The `time` claims are only reported by the `paper` binary: wall-clock
+//! assertions are too flaky for CI.
 
 use spade::prelude::*;
-use spade_bench::{
-    analyzed_lattices, compare_systems, evaluate_all_mvd, evaluate_all_mvd_es,
-    experiment_config, regen_graph, topk_accuracy,
-};
-use spade_cube::EarlyStopConfig;
+use spade_bench::claims::{claim, Kind, Verdict, CLAIMS};
+use spade_bench::experiments::{Cell, Experiment, Table, EXPERIMENTS};
+use spade_bench::{experiment_config, regen_graph, HarnessArgs};
 use spade_datagen::RealisticConfig;
+use std::sync::OnceLock;
 
 const SCALE: usize = 150;
+const SEED: u64 = 17;
 
-fn cfg() -> RealisticConfig {
-    RealisticConfig { scale: SCALE, seed: 17 }
+/// Each count claim's reading at [`SCALE`] and [`SEED`]: `holds`, or its
+/// `deviates` reading followed by the claim's cause.
+const PINNED: [(&str, &str); 4] = [
+    ("R1", "holds"),
+    ("R4", "holds"),
+    (
+        "R5",
+        "deviates: largest PGCube^d p/m: CEOs 12.00, DBLP 4.00, NASA NaN, Nobel 21.80; p/m ≤ 1 \
+         in none — the simulated graphs have fewer values per multi-valued attribute than the \
+         real dumps, which cannot be fetched here.",
+    ),
+    (
+        "R7",
+        "deviates: top-k exact in 18 of 18 cells (worst 100.0 %); pruned ≥ 70 % in 0 (most \
+         44.3 %) — the pruning shortfall is not explained yet (ROADMAP item 5).",
+    ),
+];
+
+/// The tables of the experiment producing table `key`. The experiments the
+/// count claims read run once per test binary, side by side on their own
+/// threads, and every test shares their tables.
+fn tables(key: &str) -> &'static [Table] {
+    static RUNS: OnceLock<Vec<Vec<Table>>> = OnceLock::new();
+    let runs = RUNS.get_or_init(|| {
+        let args = format!("--scale {SCALE} --seed {SEED}");
+        let args = HarnessArgs::parse_from(args.split(' ').map(str::to_owned));
+        let counted = |e: &&Experiment| {
+            CLAIMS.iter().any(|c| c.kind == Kind::Count && e.names.contains(&c.reads))
+        };
+        std::thread::scope(|s| {
+            let runs: Vec<_> = EXPERIMENTS
+                .iter()
+                .filter(counted)
+                .map(|e| s.spawn(|| (e.run)(&args)))
+                .collect();
+            runs.into_iter().map(|run| run.join().expect("experiment ran")).collect()
+        })
+    });
+    runs.iter().find(|ts| ts.iter().any(|t| t.key == key)).expect("an experiment")
 }
 
-/// R1 — "derivations increase the total number of enumerated MDAs" and the
-/// interestingness of the best aggregates, on every native-RDF graph.
+/// Checks claim `id`'s reading against its pin.
+fn check(id: &str) {
+    let c = claim(id);
+    let reading = (c.check)(tables(c.reads));
+    match PINNED.iter().find(|p| p.0 == id).expect("pinned").1 {
+        "holds" => assert_eq!(reading.verdict, Verdict::Holds, "{id}: {reading}"),
+        pinned => assert_eq!(format!("{reading} — {}", c.cause), pinned, "{id}"),
+    }
+}
+
+/// Claim `id`'s verdict on its tables with one cell of table `key`, in the
+/// first row whose first column reads `row`, replaced by `cell`.
+fn doctored(id: &str, key: &str, row: &str, col: &str, cell: Cell) -> Verdict {
+    let c = claim(id);
+    let mut ts = tables(c.reads).to_vec();
+    let t = ts.iter_mut().find(|t| t.key == key).expect("table");
+    let r = t.rows.iter().position(|r| r[0].text == row).expect("row");
+    let j = t.col(col);
+    t.rows[r][j] = cell;
+    (c.check)(&ts).verdict
+}
+
+#[test]
+fn every_count_claim_is_pinned() {
+    let count = CLAIMS.iter().filter(|c| c.kind == Kind::Count).map(|c| c.id);
+    assert_eq!(count.collect::<Vec<_>>(), PINNED.map(|p| p.0));
+}
+
+/// R1 — derivations add MDAs, and more interesting ones, on every
+/// native-RDF graph; Airline derives nothing.
 #[test]
 fn r1_derivations_enrich_the_search_space() {
-    for name in ["CEOs", "DBLP", "Foodista", "NASA", "Nobel"] {
-        let state = OfflineState::from_graph(regen_graph(name, &cfg()), 0);
-        let base = SpadeConfig { k: usize::MAX, ..experiment_config() };
-        let wod = Spade::new(base.clone().without_derivations())
-            .run_on(&state, &RequestConfig::default());
-        let wd = Spade::new(base).run_on(&state, &RequestConfig::default());
-        assert!(
-            wd.profile.aggregates > wod.profile.aggregates,
-            "{name}: wD {} ≤ woD {}",
-            wd.profile.aggregates,
-            wod.profile.aggregates
-        );
-        let best = |r: &spade::core::SpadeReport| r.top.first().map(|t| t.score).unwrap_or(0.0);
-        assert!(best(&wd) >= best(&wod), "{name}: best wD score regressed");
-    }
+    check("R1");
+}
+
+#[test]
+fn r1_fails_when_derivations_lose_mdas() {
+    assert_eq!(doctored("R1", "figure7", "CEOs", "#wD", Cell::int(193)), Verdict::Fails);
 }
 
 /// R1's Airline counterpoint: the converted-relational graph derives
-/// nothing, so woD and wD coincide.
+/// nothing, and one derived property there makes R1 fail.
 #[test]
 fn r1_airline_has_no_derivations() {
-    let g = regen_graph("Airline", &cfg());
-    let report = Spade::new(experiment_config())
-        .run_on(&OfflineState::from_graph(g, 0), &RequestConfig::default());
-    assert_eq!(report.profile.derivations.total(), 0);
+    let t2 = tables("table2").iter().find(|t| t.key == "table2").expect("table2");
+    let airline = t2.rows.iter().find(|r| r[0].text == "Airline").expect("Airline row");
+    let derived = ["kw", "lang", "count", "path"].map(|c| airline[t2.col(c)].text.as_str());
+    assert_eq!(derived, ["0"; 4]);
+    assert_eq!(doctored("R1", "table2", "Airline", "path", Cell::int(1)), Verdict::Fails);
 }
 
-/// R4 — both PGCube variants are wrong on a noticeable share of aggregates
-/// on the multi-valued graphs; PGCube^d repairs some but not all; the
-/// single-valued Airline graph has zero errors.
+/// R4 — both PGCube variants are wrong on a noticeable share of the
+/// aggregates of the multi-valued graphs; PGCube^d repairs some but not
+/// all; the single-valued Airline graph has zero errors.
 #[test]
 fn r4_pgcube_error_counts() {
-    let mut airline = regen_graph("Airline", &cfg());
-    let a = compare_systems("Airline", &mut airline, &experiment_config());
-    assert_eq!(a.star_report.wrong_aggregates, 0, "Airline is single-valued");
-    assert_eq!(a.distinct_report.wrong_aggregates, 0);
+    check("R4");
+}
 
-    for name in ["CEOs", "Nobel"] {
-        let mut g = regen_graph(name, &cfg());
-        let c = compare_systems(name, &mut g, &experiment_config());
-        assert!(c.star_report.wrong_aggregates > 0, "{name}");
-        assert!(c.star_report.wrong_fraction() > 0.05, "{name}: error share too low");
-        assert!(
-            c.distinct_report.wrong_aggregates <= c.star_report.wrong_aggregates,
-            "{name}: count(distinct) must not add errors"
-        );
-        assert!(c.distinct_report.wrong_aggregates > 0, "{name}: sums stay wrong");
-    }
+#[test]
+fn r4_fails_on_one_pgcube_error_on_airline() {
+    assert_eq!(doctored("R4", "table3", "Airline", "#wrong(*)", Cell::int(1)), Verdict::Fails);
 }
 
 /// R5 — error ratios are overcounts and reach multiples of the true value.
 #[test]
 fn r5_error_ratios_are_large_overcounts() {
-    let mut g = regen_graph("CEOs", &cfg());
-    let c = compare_systems("CEOs", &mut g, &experiment_config());
-    let max = c.distinct_report.max_ratio().expect("errors exist");
-    assert!(max > 2.0, "worst ratio {max} too small");
-    for (label, ratios) in &c.distinct_report.error_ratios {
-        if label.starts_with("count") || label.starts_with("sum") {
-            assert!(ratios.iter().all(|&r| r > 1.0), "{label} undercounts");
-        }
-    }
+    check("R5");
 }
 
-/// R7 — early-stop stays accurate: on every graph, with k = 5 and the
-/// paper's 60×2 sampling, the ES top-k matches the exact top-k well.
+#[test]
+fn r5_fails_on_an_undercount() {
+    assert_eq!(doctored("R5", "figure10", "CEOs", "min", Cell::num(0.9, 2)), Verdict::Fails);
+}
+
+/// R7 — early-stop keeps its top-k with the paper's 60×2 sampling.
 #[test]
 fn r7_early_stop_accuracy() {
-    for name in ["Airline", "CEOs", "NASA", "Nobel"] {
-        let mut g = regen_graph(name, &cfg());
-        let config = experiment_config();
-        let prepared = analyzed_lattices(&mut g, &config);
-        let (full, _) = evaluate_all_mvd(&prepared, &config);
-        let es_cfg = EarlyStopConfig { k: 5, ..Default::default() };
-        let (es, pruned, total, _) = evaluate_all_mvd_es(&prepared, &config, &es_cfg);
-        let acc = topk_accuracy(&full, &es, Interestingness::Variance, 5);
-        assert!(acc >= 0.8, "{name}: accuracy {acc}");
-        assert!(pruned <= total);
-    }
+    check("R7");
+}
+
+#[test]
+fn r7_fails_below_80_percent_accuracy() {
+    assert_eq!(doctored("R7", "table4", "Nobel", "acc%", Cell::pct(66.7)), Verdict::Fails);
 }
 
 /// The Figure 6(c) story: on NASA, the crewed/experiment disciplines have
 /// far heavier spacecraft, and the aggregate surfaces in the top-k.
 #[test]
 fn figure6c_mass_by_discipline() {
-    let g = regen_graph("NASA", &cfg());
+    let g = regen_graph("NASA", &RealisticConfig { scale: SCALE, seed: SEED });
     let report = Spade::new(SpadeConfig {
         k: 15,
         dimension_stop_list: vec!["name".into()],

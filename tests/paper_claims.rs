@@ -71,7 +71,7 @@ fn lemma1_errors_from_real_graph() {
     let spec = spec_of(&a, &dims, net_worth);
     let opts = MvdCubeOptions::default();
     let correct = mvd_cube(&spec, &opts);
-    let star = pg_cube(&spec, PgCubeVariant::Star, &opts);
+    let star = pg_cube(&spec, PgCubeVariant::Star);
     let report = compare_results(&correct, &star, 1e-9);
     assert!(report.wrong_aggregates > 0);
     assert!(report.max_ratio().unwrap() > 1.0);
@@ -102,7 +102,7 @@ fn theorem1_bound_from_real_graph() {
 
     let opts = MvdCubeOptions::default();
     let correct = mvd_cube(&spec, &opts);
-    let star = pg_cube(&spec, PgCubeVariant::Star, &opts);
+    let star = pg_cube(&spec, PgCubeVariant::Star);
     // Count nodes whose count(*) agrees everywhere.
     let mut correct_nodes = 0;
     for (mask, node) in &correct.nodes {
